@@ -143,7 +143,8 @@ def compression_kraus_factor(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarra
 
 def compression_choi_matrix(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarray:
     """Choi matrix of the compression as a map ``B(H (x) H) -> B(H)``,
-    assembled from its values on matrix units."""
+    assembled from the Kraus factor ``B`` of ``compression_kraus_factor``
+    (so it is positive by construction)."""
     b = compression_kraus_factor(q, xi)
     n2, n = b.shape
     # choi[(I, k), (J, l)] = compression(E_IJ)[k, l] = conj(B[I, k]) B[J, l]

@@ -271,6 +271,14 @@ def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
     return operator_norm(lhs - rhs)
 
 
+def _doubled_algebra_basis(q: FiniteQuantumGroup) -> list[np.ndarray]:
+    """Orthonormal basis of ``M (x) Mhat``: Kronecker products of the
+    orthonormal bases of the two factors.  The Hilbert-Schmidt inner product
+    multiplies under ``kron``, so the products need no re-orthonormalization."""
+    dual_basis = span_basis(_slice_basis_slices(q.W, q.dim))
+    return [np.kron(a, b) for a in q.ortho_basis for b in dual_basis]
+
+
 def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     """Residuals of the full structural relation catalog.
 
@@ -315,8 +323,6 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     ]:
         out[label] = unitarity_residual(u)
     # W sits in M (x) Mhat, recorded as a membership residual
-    dual_basis = span_basis(_slice_basis_slices(w, n))
-    product = [np.kron(a, b) for a in q.ortho_basis for b in dual_basis]
-    out["W_in_doubled_algebra"] = membership_residual(product, w)
+    out["W_in_doubled_algebra"] = projection_residual(_doubled_algebra_basis(q), w)
     q._cache["structure_residuals"] = out
     return out

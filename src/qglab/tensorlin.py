@@ -35,7 +35,6 @@ __all__ = [
     "unitarity_residual",
     "slice_first",
     "slice_second",
-    "hs_inner",
     "span_basis",
     "projection_residual",
     "random_unit_vector",
@@ -180,8 +179,12 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    if a.size == 0:
+    """Largest singular value.
+
+    A matrix with no non-zero entry (empty included) has norm exactly 0 and
+    skips the SVD; any non-zero, NaN or inf entry goes through it.
+    """
+    if not a.any():
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
@@ -213,11 +216,6 @@ def slice_second(x: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> n
     d1 = x.shape[0] // d2
     x4 = x.reshape(d1, d2, d1, d2)
     return np.einsum("b,abcd,d->ac", v.conj(), x4, u)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(b* a)``."""
-    return complex(np.vdot(b, a))
 
 
 def span_basis(mats: list[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
@@ -280,6 +278,3 @@ class AntilinearOp:
     def involution_residual(self) -> float:
         """``J^2 = 1`` holds iff ``u @ conj(u) = 1``."""
         return operator_norm(self.u @ self.u.conj() - np.eye(self.dim))
-
-    def isometry_residual(self) -> float:
-        return unitarity_residual(self.u)

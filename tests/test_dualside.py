@@ -8,6 +8,7 @@ from conftest import SMALL_GROUPS, get_group
 
 from qglab.diagonals import NetVector, diagonal_residuals, exact_nets, perturbed_vector
 from qglab.dualside import (
+    _modular_sandwich,
     build_approximate_identity,
     build_dual_diagonal,
     certify_identity_bound,
@@ -124,6 +125,15 @@ class TestExchangeIdentities:
         ctx = dual_context(z2)
         _, _, r3 = pentagonal_consequence_residuals(ctx, rng, draws=20)
         assert r3 <= 1e-12
+
+    @pytest.mark.parametrize("name", ["S3", "Q8"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_legwise_modular_sandwich_equals_dense(self, name, side, rng):
+        q = get_group(name, side)
+        n = q.dim
+        v = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
+        dense = q.Jhat.tensor(q.Jhat, q.J).apply(v)
+        assert np.array_equal(_modular_sandwich(q, v), dense)
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
     @pytest.mark.parametrize("side", ["fn", "dual"])

@@ -8,6 +8,8 @@ from conftest import ALL_GROUPS, SMALL_GROUPS, get_group
 
 from qglab.groups import builtin_table
 from qglab.qgcore import (
+    FiniteQuantumGroup,
+    _doubled_algebra_basis,
     coassociativity_residual,
     comultiply,
     derived_unitaries,
@@ -76,6 +78,43 @@ class TestStructureCatalog:
         k1 = s3.Jhat.compose(s3.J)
         k2 = s3.J.compose(s3.Jhat)
         assert operator_norm(k1 - k2) <= 1e-10
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_doubled_algebra_basis_is_orthonormal(self, name, side):
+        q = get_group(name, side)
+        basis = _doubled_algebra_basis(q)
+        stacked = np.stack([b.reshape(-1) for b in basis])
+        gram = stacked.conj() @ stacked.T
+        assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
+        # re-orthonormalizing the products gives the same membership residual
+        residual = structure_identity_residuals(q)["W_in_doubled_algebra"]
+        assert abs(residual - membership_residual(basis, q.W)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["Z3", "S3"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_swapped_columns_of_w_break_pentagon_and_coassociativity(self, name, side):
+        q = get_group(name, side)
+        x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
+        assert structure_identity_residuals(q)["pentagonal"] == 0.0
+        assert coassociativity_residual(q, x) == 0.0
+        w = q.W.copy()
+        w[:, [1, 2]] = w[:, [2, 1]]
+        # built directly, so no construction check rejects the broken unitary
+        broken = FiniteQuantumGroup(
+            name=q.name,
+            dim=q.dim,
+            W=w,
+            J=q.J,
+            Jhat=q.Jhat,
+            haar_vector=q.haar_vector,
+            nu=q.nu,
+            algebra_basis=q.algebra_basis,
+            kind=q.kind,
+            table=q.table,
+        )
+        assert structure_identity_residuals(broken)["pentagonal"] > 1e-10
+        assert coassociativity_residual(broken, x) > 1e-10
 
 
 class TestDerivedUnitaries:

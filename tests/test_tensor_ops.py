@@ -187,6 +187,24 @@ class TestSchattenNorms:
         assert best <= top + 1e-12
         assert best >= top - 1e-3
 
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (64, 64)])
+    def test_operator_norm_of_zero_matrix(self, shape):
+        assert operator_norm(np.zeros(shape)) == 0.0
+        assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+    def test_operator_norm_of_tiny_entry_is_not_zero(self):
+        a = np.zeros((8, 8))
+        a[3, 5] = 1e-300
+        top = operator_norm(a)
+        assert top != 0.0
+        assert abs(top - 1e-300) <= 1e-12 * 1e-300
+
+    def test_operator_norm_of_nan_raises(self):
+        a = np.zeros((4, 4))
+        a[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(a)
+
     def test_trace_dominates_operator(self, rng):
         a = random_matrix(rng, 4)
         assert trace_norm(a) >= operator_norm(a) - 1e-12
