@@ -22,7 +22,6 @@ from .dualside import (
     dual_context,
 )
 from .funalg import (
-    BiFunctional,
     BlockDecomposition,
     Functional,
     block_decompose,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BUILTIN_NAMES",
-    "BiFunctional",
     "BlockDecomposition",
     "CheckRecord",
     "CheckReport",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funalg import (
-    BiFunctional,
     Functional,
     algebra_decomposition,
     convolve,
@@ -24,7 +23,6 @@ from .funalg import (
     product_map,
     tensor_algebra_decomposition,
     tensor_predual_norm,
-    tensor_vector_state,
     vector_state,
 )
 from .qgcore import (
@@ -87,7 +85,7 @@ class DiagonalCandidate:
     xi: NetVector
     eta: NetVector
     vector: np.ndarray
-    bifunctional: BiFunctional
+    bifunctional: Functional
 
 
 def right_invariance_residual(
@@ -186,7 +184,7 @@ def build_diagonal(q: FiniteQuantumGroup, xi: NetVector, eta: NetVector) -> Diag
     """The candidate diagonal ``omega_{W'*(xi (x) eta)}``."""
     wprime = derived_unitaries(q).wprime
     v = dagger(wprime) @ np.kron(xi.vector, eta.vector)
-    return DiagonalCandidate(xi=xi, eta=eta, vector=v, bifunctional=tensor_vector_state(v))
+    return DiagonalCandidate(xi=xi, eta=eta, vector=v, bifunctional=vector_state(v))
 
 
 def diagonal_residuals(
@@ -314,17 +312,10 @@ def dual_quasicentral_residual(
     v1 = dagger(what_op) @ what @ v0
     rho0 = _second_leg_functional(v0, n)
     rho1 = _second_leg_functional(v1, n)
-    qd = _cached_dual(q)
-    return predual_norm(Functional(rho1 - rho0), algebra_decomposition(qd))
+    return predual_norm(Functional(rho1 - rho0), algebra_decomposition(dual(q)))
 
 
 def _second_leg_functional(v: np.ndarray, n: int) -> np.ndarray:
     """Pairing matrix of ``x -> <(1 (x) x) v, v>``."""
     rho = np.outer(v, v.conj()).reshape(n, n, n, n)
     return np.einsum("abad->bd", rho)
-
-
-def _cached_dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
-    if "dual" not in q._cache:
-        q._cache["dual"] = dual(q)
-    return q._cache["dual"]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonals import DiagonalCandidate, NetVector, _cached_dual
-from .funalg import Functional, convolve, tensor_vector_state
-from .qgcore import FiniteQuantumGroup, derived_unitaries, tensor_ortho_basis
+from .diagonals import DiagonalCandidate, NetVector, _second_leg_functional
+from .funalg import Functional, convolve, vector_state
+from .qgcore import FiniteQuantumGroup, derived_unitaries, dual, tensor_ortho_basis
 from .tensorlin import (
     apply_leg,
     dagger,
@@ -76,7 +76,7 @@ def dual_context(q: FiniteQuantumGroup, tol: float = 1e-10) -> DualContext:
     kk = np.kron(k, k)
     ctx = DualContext(
         q=q,
-        qhat=_cached_dual(q),
+        qhat=dual(q),
         w=q.W,
         w_comm=der.wprime,
         w_op=der.wop,
@@ -149,7 +149,7 @@ def build_dual_diagonal(
     the point mass first and the uniform vector second.
     """
     v = dagger(ctx.w_op_dual) @ np.kron(xi.vector, eta.vector)
-    return DiagonalCandidate(xi=xi, eta=eta, vector=v, bifunctional=tensor_vector_state(v))
+    return DiagonalCandidate(xi=xi, eta=eta, vector=v, bifunctional=vector_state(v))
 
 
 def _random_three_leg(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -268,9 +268,8 @@ class QuasicentralIdentity:
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    n = ctx.dim
     v = ctx.w @ dagger(ctx.w_comm_op) @ np.kron(xi.vector, eta.vector)
-    rho = np.einsum("abad->bd", np.outer(v, v.conj()).reshape(n, n, n, n))
+    rho = _second_leg_functional(v, ctx.dim)
     return QuasicentralIdentity(xi=xi, eta=eta, vector=v, functional=Functional(rho))
 
 
@@ -288,7 +287,7 @@ def slice_convention_residual(
     """
     n = ctx.dim
     dims = (n, n, n)
-    conv = convolve(ctx.q, u.functional, Functional(np.outer(zeta, zeta.conj())))
+    conv = convolve(ctx.q, u.functional, vector_state(zeta))
     lhs = conv.value(x)
     t = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
     t = apply_leg(dagger(ctx.w_comm_op), (1, 2), t, dims)
@@ -329,7 +328,7 @@ def certify_identity_bound(
         raise ValueError(f"X is not in the algebra (residual {res:.3e})")
     n = ctx.dim
     dims = (n, n, n)
-    wz = Functional(np.outer(zeta, zeta.conj()))
+    wz = vector_state(zeta)
     lhs = abs(convolve(ctx.q, u.functional, wz).value(x) - wz.value(x))
     pair = np.kron(u.xi.vector, zeta)
     t1 = float(np.linalg.norm(ctx.w @ (dagger(ctx.w_comm) @ pair) - pair))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgcore import FiniteQuantumGroup
+from .qgcore import FiniteQuantumGroup, tensor_ortho_basis
 from .tensorlin import (
     dagger,
     operator_norm,
@@ -25,11 +25,9 @@ from .tensorlin import (
 
 __all__ = [
     "Functional",
-    "BiFunctional",
     "Block",
     "BlockDecomposition",
     "vector_state",
-    "tensor_vector_state",
     "convolve",
     "module_action_left",
     "module_action_right",
@@ -45,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Functional:
-    """An element of the predual of ``M``, paired by ``omega(x) = Tr(rho x)``."""
+    """An element of the predual of ``M`` or of ``M (x) M``, paired by
+    ``omega(x) = Tr(rho x)`` against ``H`` or ``H (x) H``."""
 
     rho: np.ndarray
 
@@ -64,35 +63,10 @@ class Functional:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class BiFunctional:
-    """An element of the predual of ``M (x) M``, paired against ``H (x) H``."""
-
-    rho: np.ndarray
-
-    def value(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ x))
-
-    def __add__(self, other: "BiFunctional") -> "BiFunctional":
-        return BiFunctional(self.rho + other.rho)
-
-    def __sub__(self, other: "BiFunctional") -> "BiFunctional":
-        return BiFunctional(self.rho - other.rho)
-
-    def __mul__(self, scalar: complex) -> "BiFunctional":
-        return BiFunctional(self.rho * scalar)
-
-    __rmul__ = __mul__
-
-
 def vector_state(zeta: np.ndarray) -> Functional:
-    """The vector functional ``x -> <x zeta, zeta>`` as a rank-one pairing matrix."""
+    """The vector functional ``x -> <x zeta, zeta>`` as a rank-one pairing
+    matrix; ``zeta`` on ``H (x) H`` gives a functional on the doubled algebra."""
     return Functional(np.outer(zeta, zeta.conj()))
-
-
-def tensor_vector_state(v: np.ndarray) -> BiFunctional:
-    """Vector functional on the doubled algebra, for ``v`` on ``H (x) H``."""
-    return BiFunctional(np.outer(v, v.conj()))
 
 
 def convolve(q: FiniteQuantumGroup, a: Functional, b: Functional) -> Functional:
@@ -107,23 +81,23 @@ def convolve(q: FiniteQuantumGroup, a: Functional, b: Functional) -> Functional:
     return Functional(partial_trace(rho, (n, n), 1))
 
 
-def module_action_left(q: FiniteQuantumGroup, a: Functional, x: BiFunctional) -> BiFunctional:
+def module_action_left(q: FiniteQuantumGroup, a: Functional, x: Functional) -> Functional:
     """``a . x``: convolution by ``a`` from the left in the first coordinate."""
     n = q.dim
     big = np.kron(a.rho, x.rho)
     big = sandwich_legs(q.W, (1, 2), big, (n, n, n))
-    return BiFunctional(partial_trace(big, (n, n * n), 1))
+    return Functional(partial_trace(big, (n, n * n), 1))
 
 
-def module_action_right(q: FiniteQuantumGroup, x: BiFunctional, a: Functional) -> BiFunctional:
+def module_action_right(q: FiniteQuantumGroup, x: Functional, a: Functional) -> Functional:
     """``x . a``: convolution by ``a`` from the right in the second coordinate."""
     n = q.dim
     big = np.kron(x.rho, a.rho)
     big = sandwich_legs(q.W, (2, 3), big, (n, n, n))
-    return BiFunctional(partial_trace(big, (n, n, n), 2))
+    return Functional(partial_trace(big, (n, n, n), 2))
 
 
-def product_map(q: FiniteQuantumGroup, x: BiFunctional) -> Functional:
+def product_map(q: FiniteQuantumGroup, x: Functional) -> Functional:
     """Push a functional on the doubled algebra through the comultiplication,
     ``x -> x o G``; on elementary tensors this is convolution."""
     n = q.dim
@@ -301,7 +275,7 @@ def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
     return float(sum(trace_norm(block.compress(omega.rho)) for block in decomp.blocks))
 
 
-def tensor_predual_norm(x: BiFunctional, decomp: BlockDecomposition) -> float:
+def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
     return float(sum(trace_norm(block.compress(x.rho)) for block in decomp.blocks))
 
@@ -402,8 +376,7 @@ def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
 def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
     """Block decomposition of ``M (x) M``, cached on the quantum group object."""
     if "tensor_decomp" not in q._cache:
-        product = [np.kron(a, b) for a in q.ortho_basis for b in q.ortho_basis]
         q._cache["tensor_decomp"] = block_decompose(
-            product, rng=np.random.default_rng(q.dim + 2)
+            tensor_ortho_basis(q), rng=np.random.default_rng(q.dim + 2)
         )
     return q._cache["tensor_decomp"]

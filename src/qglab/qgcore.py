@@ -113,7 +113,7 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
         W=w,
         J=AntilinearOp(np.eye(n)),
         Jhat=AntilinearOp(inv),
-        haar_vector=np.ones(n),
+        haar_vector=np.ones(n) / np.sqrt(n),
         nu=1.0,
         algebra_basis=basis,
         kind=KIND_FUNCTION,
@@ -140,7 +140,12 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     implements the counit of the original object, which is the cyclic trace
     vector of the dual Haar weight (for the group algebra of ``G`` this is the
     point mass at the identity).
+
+    The dual is built once per object and cached on it, and ``q`` is recorded
+    as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality).
     """
+    if "dual" in q._cache:
+        return q._cache["dual"]
     n = q.dim
     f = flip_matrix(n, n)
     what = f @ dagger(q.W) @ f
@@ -162,6 +167,8 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         table=q.table,
     )
     _check_construction(qd)
+    qd._cache["dual"] = q
+    q._cache["dual"] = qd
     return qd
 
 

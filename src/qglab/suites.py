@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagonals, dualside, funalg, qgcore
-from .groups import GroupTable, load_group
+from .groups import load_group
 from .report import CheckRecord, CheckReport
 from .tensorlin import (
     DimensionCapError,
@@ -71,9 +71,6 @@ class RunConfig:
     theta_draws: int = 20
     tol: float | None = None
 
-    def base_tol(self) -> float:
-        return 1e-10 if self.tol is None else self.tol
-
 
 def _tol(cfg: RunConfig, default: float) -> float:
     return default if cfg.tol is None else cfg.tol
@@ -104,23 +101,10 @@ def _rng(cfg: RunConfig, suite: str, construction: str) -> np.random.Generator:
     )
 
 
-def _random_doubled_element(
-    q: qgcore.FiniteQuantumGroup, rng: np.random.Generator
-) -> np.ndarray:
-    """Random norm-one element of ``M (x) M``."""
-    basis = qgcore.tensor_ortho_basis(q)
+def _random_element(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+    """Random norm-one element of the span of ``basis`` (of ``M`` or ``M (x) M``)."""
     coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    lam = sum(c * b for c, b in zip(coeff, basis))
-    return lam / operator_norm(lam)
-
-
-def _random_algebra_element(
-    q: qgcore.FiniteQuantumGroup, rng: np.random.Generator
-) -> np.ndarray:
-    coeff = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(
-        len(q.ortho_basis)
-    )
-    x = sum(c * b for c, b in zip(coeff, q.ortho_basis))
+    x = sum(c * b for c, b in zip(coeff, basis))
     return x / operator_norm(x)
 
 
@@ -137,9 +121,7 @@ def run_structure(q, cfg: RunConfig, rng, group: str, construction: str) -> list
         if check == "pentagonal" and not three_leg_ok:
             continue
         anchor = ANCHOR_W_MEMBER if check == "W_in_doubled_algebra" else ANCHOR_RELATIONS
-        check_tol = tol
-        if check == "W_in_doubled_algebra" and cfg.tol is None:
-            check_tol = 1e-8
+        check_tol = _tol(cfg, 1e-8) if check == "W_in_doubled_algebra" else tol
         records.append(
             CheckRecord(
                 suite="structure",
@@ -152,7 +134,7 @@ def run_structure(q, cfg: RunConfig, rng, group: str, construction: str) -> list
             )
         )
     if three_leg_ok:
-        x = _random_algebra_element(q, rng)
+        x = _random_element(q.ortho_basis, rng)
         records.append(
             CheckRecord(
                 suite="structure",
@@ -204,7 +186,7 @@ def run_lemma42(q, cfg: RunConfig, rng, group: str, construction: str) -> list[C
     )
     return [
         mk("exchange_identity", main, tol),
-        mk("leg_commutation", comm, 1e-12 if cfg.tol is None else cfg.tol),
+        mk("leg_commutation", comm, _tol(cfg, 1e-12)),
         mk("commutant_opposite_consistency", consistency, tol),
     ]
 
@@ -231,7 +213,7 @@ def run_lemma43(q, cfg: RunConfig, rng, group: str, construction: str) -> list[C
             construction=construction,
             anchor=ANCHOR_LEMMA_BAI,
             residual=comm,
-            tolerance=1e-12 if cfg.tol is None else cfg.tol,
+            tolerance=_tol(cfg, 1e-12),
             detail={"draws": cfg.draws},
         ),
     ]
@@ -247,12 +229,12 @@ def run_theta(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
         choi_matrix = diagonals.compression_choi_matrix(q, xi)
         min_eig = float(np.linalg.eigvalsh(choi_matrix)[0])
         choi = max(choi, -min_eig)
-        lam = _random_doubled_element(q, rng)
+        lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
         theta_lam = diagonals.commutant_compression(q, xi, lam)
         member = max(member, projection_residual(q.ortho_basis, theta_lam))
     xi = random_unit_vector(rng, n)
-    x = _random_algebra_element(q, rng)
-    y = _random_algebra_element(q, rng)
+    x = _random_element(q.ortho_basis, rng)
+    y = _random_element(q.ortho_basis, rng)
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
     mk = lambda check, value, t, detail=None: CheckRecord(
         suite="theta",
@@ -270,8 +252,8 @@ def run_theta(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
     simple_tol = _tol(cfg, 1e-10) if qgcore.algebra_is_commutative(q) else None
     return [
         mk("unitality", unital, _tol(cfg, 1e-10), {"draws": cfg.theta_draws}),
-        mk("choi_negativity", choi, 1e-9 if cfg.tol is None else cfg.tol, {"draws": cfg.theta_draws}),
-        mk("range_in_algebra", member, 1e-9 if cfg.tol is None else cfg.tol, {"draws": cfg.theta_draws}),
+        mk("choi_negativity", choi, _tol(cfg, 1e-9), {"draws": cfg.theta_draws}),
+        mk("range_in_algebra", member, _tol(cfg, 1e-9), {"draws": cfg.theta_draws}),
         mk(
             "simple_tensor_identity",
             variants["sandwich_star_left/plain"],
@@ -283,10 +265,10 @@ def run_theta(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
 
 def run_thm33(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
     records = []
-    slack = 1e-9 if cfg.tol is None else cfg.tol
+    slack = _tol(cfg, 1e-9)
     xi_exact, eta_exact = diagonals.exact_nets(q)
     zeta = random_unit_vector(rng, q.dim)
-    lam = _random_doubled_element(q, rng)
+    lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
     cert = diagonals.certify_commutator_bound(q, zeta, xi_exact, eta_exact, lam, slack=slack)
     records.append(
         CheckRecord(
@@ -310,7 +292,7 @@ def run_thm33(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
         worst_eps = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, q.dim)
-            lam = _random_doubled_element(q, rng)
+            lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
             worst = max(worst, cert.lhs - cert.bound)
             worst_eps = max(worst_eps, cert.eps)
@@ -414,7 +396,7 @@ def run_dual(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Chec
             construction=construction,
             anchor=ANCHOR_REMARK,
             residual=remark,
-            tolerance=1e-9 if cfg.tol is None else cfg.tol,
+            tolerance=_tol(cfg, 1e-9),
         )
     )
     return records
@@ -424,7 +406,7 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
     records = []
     ctx = dualside.dual_context(q)
     n = q.dim
-    slack = 1e-9 if cfg.tol is None else cfg.tol
+    slack = _tol(cfg, 1e-9)
     tol = _tol(cfg, 1e-10)
 
     oracle = 0.0
@@ -433,7 +415,7 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
         eta = diagonals.NetVector(random_unit_vector(rng, n), "random")
         u = dualside.build_approximate_identity(ctx, xi, eta)
         zeta = random_unit_vector(rng, n)
-        x = _random_algebra_element(q, rng)
+        x = _random_element(q.ortho_basis, rng)
         oracle = max(oracle, dualside.slice_convention_residual(ctx, u, zeta, x))
     records.append(
         CheckRecord(
@@ -480,10 +462,10 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
         consistency = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, n)
-            x = _random_algebra_element(q, rng)
+            x = _random_element(q.ortho_basis, rng)
             cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
             bai_margin = max(bai_margin, cert.lhs - cert.bound)
-            lam = _random_doubled_element(q, rng)
+            lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
             qc_margin = max(qc_margin, qcert.lhs - qcert.bound)
             consistency = max(consistency, qcert.consistency)
@@ -535,13 +517,6 @@ def _constructions(choice: str) -> tuple[str, ...]:
     raise ValueError(f"unknown construction {choice!r}; choose from {CONSTRUCTIONS + ('both',)}")
 
 
-def build_construction(table: GroupTable, construction: str) -> qgcore.FiniteQuantumGroup:
-    q = qgcore.function_algebra(table)
-    if construction == "function-algebra":
-        return q
-    return qgcore.dual(q)
-
-
 def run_suites(cfg: RunConfig) -> CheckReport:
     """Execute the selected suites; deterministic for a fixed config and seed."""
     for suite in cfg.suites:
@@ -550,8 +525,9 @@ def run_suites(cfg: RunConfig) -> CheckReport:
     table = load_group(cfg.group_source)
     _check_caps(table.order, tuple(cfg.suites))
     report = CheckReport(seed=cfg.seed)
+    fa = qgcore.function_algebra(table)
     for construction in _constructions(cfg.construction):
-        q = build_construction(table, construction)
+        q = fa if construction == "function-algebra" else qgcore.dual(fa)
         for suite in cfg.suites:
             rng = _rng(cfg, suite, construction)
             report.extend(SUITE_FUNCS[suite](q, cfg, rng, table.name, construction))

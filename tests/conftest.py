@@ -17,12 +17,13 @@ _q_cache = {}
 
 
 def get_group(name, side="fn"):
-    """Construction cache shared across tests; objects are immutable."""
-    key = (name, side)
-    if key not in _q_cache:
-        q = function_algebra(builtin_table(name))
-        _q_cache[key] = q if side == "fn" else dual(q)
-    return _q_cache[key]
+    """Construction cache shared across tests; objects are immutable.  The
+    dual side is the memoised dual of the cached function algebra."""
+    if side != "fn":
+        return dual(get_group(name))
+    if name not in _q_cache:
+        _q_cache[name] = function_algebra(builtin_table(name))
+    return _q_cache[name]
 
 
 @pytest.fixture

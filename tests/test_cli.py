@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from qglab import qgcore
 from qglab.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS, main
 from qglab.report import CheckRecord, CheckReport, format_float
-from qglab.suites import SUITE_NAMES, RunConfig, run_suites
+from qglab.suites import CONSTRUCTIONS, SUITE_NAMES, RunConfig, run_suites
 from qglab.tensorlin import DimensionCapError
 
 
@@ -67,6 +68,29 @@ class TestRunSuites:
         )
         report = run_suites(cfg)
         assert {r.construction for r in report.records} == {"function-algebra"}
+
+    def test_one_object_per_side(self, monkeypatch):
+        built = []
+        check = qgcore._check_construction
+
+        def counting(q, *args, **kwargs):
+            built.append(q.kind)
+            return check(q, *args, **kwargs)
+
+        monkeypatch.setattr(qgcore, "_check_construction", counting)
+        run_suites(RunConfig(group_source="S3"))
+        assert sorted(built) == sorted([qgcore.KIND_FUNCTION, qgcore.KIND_DUAL])
+
+    @pytest.mark.parametrize("group, suites", [("S3", ("obad", "dual")), ("Z3", SUITE_NAMES)])
+    def test_both_equals_union_of_single_constructions(self, group, suites):
+        # both constructions share one function-algebra object; no cached state
+        # of one construction may change the records of the other
+        both = run_suites(RunConfig(group_source=group, suites=suites, seed=7))
+        union = CheckReport(seed=7)
+        for construction in CONSTRUCTIONS:
+            cfg = RunConfig(group_source=group, construction=construction, suites=suites, seed=7)
+            union.extend(run_suites(cfg).records)
+        assert both.to_json_bytes() == union.to_json_bytes()
 
 
 class TestReportFormat:

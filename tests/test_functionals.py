@@ -7,7 +7,6 @@ import pytest
 from conftest import get_group
 
 from qglab.funalg import (
-    BiFunctional,
     Functional,
     algebra_decomposition,
     block_decompose,
@@ -19,7 +18,6 @@ from qglab.funalg import (
     sup_norm_estimate,
     tensor_algebra_decomposition,
     tensor_predual_norm,
-    tensor_vector_state,
     vector_state,
 )
 from qglab.groups import builtin_table
@@ -52,7 +50,7 @@ class TestVectorStates:
     def test_two_evaluation_routes(self, z2, rng):
         v = random_unit_vector(rng, 2)
         wv = z2.W @ np.kron(v, v)
-        f = tensor_vector_state(wv)
+        f = vector_state(wv)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         direct = inner(x @ wv, wv)
         assert abs(f.value(x) - direct) <= 1e-12
@@ -121,14 +119,14 @@ class TestModuleActions:
     def test_unit_acts_trivially(self, s3, rng):
         unit = delta_state(6, 0)  # the point mass at the identity
         v = random_unit_vector(rng, 36)
-        x = tensor_vector_state(v)
+        x = vector_state(v)
         out = module_action_left(s3, unit, x)
         decomp = tensor_algebra_decomposition(s3)
         assert tensor_predual_norm(out - x, decomp) <= 1e-10
 
     def test_unital_pairing(self, z3, rng):
         a = vector_state(random_unit_vector(rng, 3))
-        x = tensor_vector_state(random_unit_vector(rng, 9))
+        x = vector_state(random_unit_vector(rng, 9))
         out = module_action_left(z3, a, x)
         expected = a.value(np.eye(3)) * x.value(np.eye(9))
         assert abs(out.value(np.eye(9)) - expected) <= 1e-12
@@ -140,7 +138,7 @@ class TestModuleActions:
         zeta = random_unit_vector(rng, n)
         v = random_unit_vector(rng, n * n)
         a = vector_state(zeta)
-        x = tensor_vector_state(v)
+        x = vector_state(v)
         basis = tensor_ortho_basis(s3)
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         lam = sum(c * b for c, b in zip(coeff, basis))
@@ -159,7 +157,7 @@ class TestProductMap:
     def test_elementary_tensor_is_convolution(self, s3, rng):
         za = random_unit_vector(rng, 6)
         zb = random_unit_vector(rng, 6)
-        x = BiFunctional(np.kron(vector_state(za).rho, vector_state(zb).rho))
+        x = Functional(np.kron(vector_state(za).rho, vector_state(zb).rho))
         lhs = product_map(s3, x)
         rhs = convolve(s3, vector_state(za), vector_state(zb))
         assert predual_norm(lhs - rhs, algebra_decomposition(s3)) <= 1e-11
@@ -168,16 +166,16 @@ class TestProductMap:
         from qglab.qgcore import comultiply
 
         v = random_unit_vector(rng, 9)
-        x = tensor_vector_state(v)
+        x = vector_state(v)
         out = product_map(z3, x)
         for s in range(3):
             es = np.diag(np.eye(3)[s])
             assert abs(out.value(es) - x.value(comultiply(z3, es))) <= 1e-12
 
     def test_linearity(self, z3, rng):
-        x = tensor_vector_state(random_unit_vector(rng, 9))
-        y = tensor_vector_state(random_unit_vector(rng, 9))
-        combo = product_map(z3, BiFunctional(2.0 * x.rho - 1j * y.rho))
+        x = vector_state(random_unit_vector(rng, 9))
+        y = vector_state(random_unit_vector(rng, 9))
+        combo = product_map(z3, Functional(2.0 * x.rho - 1j * y.rho))
         parts = Functional(2.0 * product_map(z3, x).rho - 1j * product_map(z3, y).rho)
         assert np.abs(combo.rho - parts.rho).max() <= 1e-12
 
@@ -271,13 +269,13 @@ class TestTensorPredualNorm:
         q = get_group("Z3")
         decomp = tensor_algebra_decomposition(q)
         z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        x = BiFunctional(np.diag(z))
+        x = Functional(np.diag(z))
         assert abs(tensor_predual_norm(x, decomp) - np.abs(z).sum()) <= 1e-10
 
     def test_vector_state_norm(self, rng):
         q = get_group("Z3")
         v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        x = tensor_vector_state(v)
+        x = vector_state(v)
         decomp = tensor_algebra_decomposition(q)
         assert abs(tensor_predual_norm(x, decomp) - np.linalg.norm(v) ** 2) <= 1e-9
 
@@ -288,7 +286,7 @@ class TestTensorPredualNorm:
         product = [np.kron(a, b) for a in q.algebra_basis for b in q.algebra_basis]
         decomp = tensor_algebra_decomposition(q)
         rho = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        block_value = tensor_predual_norm(BiFunctional(rho), decomp)
+        block_value = tensor_predual_norm(Functional(rho), decomp)
         oracle = sup_norm_estimate(rho, product, rng, samples=20_000, ascent_steps=60)
         assert oracle <= block_value + 1e-9
         assert abs(block_value - oracle) <= 1e-4

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ALL_GROUPS, SMALL_GROUPS, get_group
 
+from qglab import qgcore
 from qglab.groups import builtin_table
 from qglab.qgcore import (
     FiniteQuantumGroup,
@@ -183,6 +184,25 @@ class TestDual:
         expected = np.zeros(6)
         expected[0] = 1.0
         assert np.linalg.norm(qd.haar_vector - expected) <= 1e-10
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_bidual_is_the_same_object(self, name, side):
+        q = get_group(name, side)
+        qd = dual(q)
+        assert dual(q) is qd
+        assert dual(qd) is q
+
+    def test_failed_dual_check_caches_nothing(self, monkeypatch):
+        q = function_algebra(builtin_table("Z2"))
+
+        def reject(candidate, tol=1e-10):
+            raise ValueError(f"{candidate.name}: rejected")
+
+        monkeypatch.setattr(qgcore, "_check_construction", reject)
+        with pytest.raises(ValueError, match="rejected"):
+            dual(q)
+        assert "dual" not in q._cache
 
     def test_bidual_haar_vector_is_uniform(self, z3):
         qdd = dual(dual(z3))
