@@ -16,7 +16,6 @@ from .diagonals import (
 from .dualside import (
     DualContext,
     build_approximate_identity,
-    build_dual_diagonal,
     certify_identity_bound,
     certify_quasicentral_bound,
     dual_context,
@@ -61,7 +60,6 @@ __all__ = [
     "block_decompose",
     "build_approximate_identity",
     "build_diagonal",
-    "build_dual_diagonal",
     "builtin_table",
     "certify_commutator_bound",
     "certify_identity_bound",

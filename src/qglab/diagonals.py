@@ -304,15 +304,12 @@ def dual_quasicentral_residual(
     ``xi`` on the dual side; it tends to zero with the invariance defects.
     """
     n = q.dim
-    der = derived_unitaries(q)
-    what = der.what
-    # opposite of the dual: conjugate What by the dual pair's Jhat (= q.J)
-    what_op = q.J.tensor(q.J).conjugate(what)
+    qd = dual(q)
     v0 = np.kron(zeta, xi)
-    v1 = dagger(what_op) @ what @ v0
+    v1 = dagger(derived_unitaries(qd).wop) @ qd.W @ v0
     rho0 = _second_leg_functional(v0, n)
     rho1 = _second_leg_functional(v1, n)
-    return predual_norm(Functional(rho1 - rho0), algebra_decomposition(dual(q)))
+    return predual_norm(Functional(rho1 - rho0), algebra_decomposition(qd))
 
 
 def _second_leg_functional(v: np.ndarray, n: int) -> np.ndarray:

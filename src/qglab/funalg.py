@@ -127,7 +127,6 @@ class BlockDecomposition:
     """Simultaneous block diagonalization of a *-algebra of matrices."""
 
     blocks: list[Block]
-    ortho_basis: list[np.ndarray]
 
     @property
     def block_sizes(self) -> list[int]:
@@ -221,7 +220,6 @@ def block_decompose(
     if rng is None:
         rng = np.random.default_rng(0)
     ortho = span_basis(basis)
-    d = ortho[0].shape[0]
     center = _center_basis(ortho)
     last_error: Exception | None = None
     for _ in range(retries):
@@ -240,21 +238,23 @@ def block_decompose(
                 comp = [dagger(p) @ b @ p for b in ortho]
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
-            decomp = BlockDecomposition(blocks=blocks, ortho_basis=ortho)
-            _validate_decomposition(decomp, tol)
+            decomp = BlockDecomposition(blocks=blocks)
+            _validate_decomposition(decomp, ortho, tol)
             return decomp
         except DecompositionError as exc:
             last_error = exc
     raise DecompositionError(f"block decomposition failed after {retries} draws: {last_error}")
 
 
-def _validate_decomposition(decomp: BlockDecomposition, tol: float) -> None:
-    d = decomp.ortho_basis[0].shape[0]
+def _validate_decomposition(
+    decomp: BlockDecomposition, ortho: list[np.ndarray], tol: float
+) -> None:
+    d = ortho[0].shape[0]
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
     for block in decomp.blocks:
         compressed = []
-        for b in decomp.ortho_basis:
+        for b in ortho:
             c = dagger(block.isometry) @ b @ block.isometry
             x = block.compress(b) / block.multiplicity
             recon = np.kron(x, np.eye(block.multiplicity))

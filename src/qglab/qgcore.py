@@ -93,6 +93,7 @@ class DerivedUnitaries(NamedTuple):
     what: np.ndarray         # dual unitary Sigma W* Sigma
     v: np.ndarray            # right unitary
     vhat: np.ndarray         # dual right unitary (equals wprime)
+    wprime_op: np.ndarray    # opposite of the commutant (K (x) K) W (K (x) K), K = J Jhat
 
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
@@ -232,12 +233,15 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
         jj = q.J.tensor(q.J)
         jhjh = q.Jhat.tensor(q.Jhat)
         what = f @ dagger(q.W) @ f
+        k = q.J.compose(q.Jhat)  # the linear involution J Jhat
+        kk = np.kron(k, k)
         q._cache["derived"] = DerivedUnitaries(
             wprime=jj.conjugate(q.W),
             wop=jhjh.conjugate(q.W),
             what=what,
             v=jhjh.conjugate(what),
             vhat=jj.conjugate(q.W),
+            wprime_op=kk @ q.W @ kk,
         )
     return q._cache["derived"]
 

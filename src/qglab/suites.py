@@ -3,7 +3,9 @@ two constructions and assemble a deterministic certificate report.
 
 Suite names are part of the command-line contract:
 ``structure, lemma32, lemma42, lemma43, theta, thm33, obad, dual, thm44``.
-Each record carries the label of the statement it certifies.
+Each suite function returns its measurements as ``(check, residual,
+tolerance, detail)`` tuples; ``run_suites`` turns them into records carrying
+the suite, group, construction and the label of the statement certified.
 """
 
 from __future__ import annotations
@@ -42,19 +44,27 @@ CONSTRUCTIONS = ("function-algebra", "group-algebra")
 
 DEFAULT_EPSILONS = (0.01, 0.1, 0.3)
 
-# statement labels carried by certificate records
-ANCHOR_RELATIONS = "Proposition 2.2"
-ANCHOR_COMULT = "definition of the comultiplication"
-ANCHOR_W_MEMBER = "definition of the multiplicative unitary"
-ANCHOR_LEMMA_PENT = "Lemma 3.2"
-ANCHOR_THETA = "Lemma 3.4"
-ANCHOR_THM_COMM = "Theorem 3.3"
-ANCHOR_COR_MAIN = "Corollary 3.6"
-ANCHOR_REMARK = "Corollary 3.6 closing remark"
-ANCHOR_COR_DUAL = "Corollary 4.1"
-ANCHOR_LEMMA_QC = "Lemma 4.2"
-ANCHOR_LEMMA_BAI = "Lemma 4.3"
-ANCHOR_THM_QC = "Theorem 4.4"
+# statement label of each suite's records; CHECK_ANCHORS names the checks that
+# certify a different statement from the rest of their suite
+ANCHORS = {
+    "structure": "Proposition 2.2",
+    "lemma32": "Lemma 3.2",
+    "lemma42": "Lemma 4.2",
+    "lemma43": "Lemma 4.3",
+    "theta": "Lemma 3.4",
+    "thm33": "Theorem 3.3",
+    "obad": "Corollary 3.6",
+    "dual": "Corollary 4.1",
+    "thm44": "Theorem 4.4",
+}
+CHECK_ANCHORS = {
+    ("structure", "W_in_doubled_algebra"): "definition of the multiplicative unitary",
+    ("structure", "coassociativity"): "definition of the comultiplication",
+    ("dual", "quasicentral_identity_defect"): "Corollary 3.6 closing remark",
+}
+
+# what a suite function returns for each check: (check, residual, tolerance, detail)
+Measurement = tuple[str, float, float | None, dict | None]
 
 
 @dataclass(frozen=True)
@@ -112,114 +122,62 @@ def _basis_states(q: qgcore.FiniteQuantumGroup) -> list[funalg.Functional]:
     return [funalg.vector_state(np.eye(q.dim)[s]) for s in range(q.dim)]
 
 
-def run_structure(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
-    records = []
-    tol = _tol(cfg, 1e-10)
-    three_leg_ok = q.dim ** 3 <= max_tensor_entries()
-    residuals = qgcore.structure_identity_residuals(q)
-    for check, value in sorted(residuals.items()):
-        if check == "pentagonal" and not three_leg_ok:
-            continue
-        anchor = ANCHOR_W_MEMBER if check == "W_in_doubled_algebra" else ANCHOR_RELATIONS
-        check_tol = _tol(cfg, 1e-8) if check == "W_in_doubled_algebra" else tol
-        records.append(
-            CheckRecord(
-                suite="structure",
-                check=check,
-                group=group,
-                construction=construction,
-                anchor=anchor,
-                residual=value,
-                tolerance=check_tol,
-            )
-        )
-    if three_leg_ok:
-        x = _random_element(q.ortho_basis, rng)
-        records.append(
-            CheckRecord(
-                suite="structure",
-                check="coassociativity",
-                group=group,
-                construction=construction,
-                anchor=ANCHOR_COMULT,
-                residual=qgcore.coassociativity_residual(q, x),
-                tolerance=tol,
-            )
-        )
-    return records
+def _exact_diagonal(q) -> tuple[diagonals.DiagonalCandidate, float, float]:
+    """The diagonal of ``q`` at its exact nets, with its module-commutator and
+    approximate-identity residuals, each a max over the basis vector states."""
+    xi, eta = diagonals.exact_nets(q)
+    cand = diagonals.build_diagonal(q, xi, eta)
+    r1 = r2 = 0.0
+    for a in _basis_states(q):
+        m1, m2 = diagonals.diagonal_residuals(q, cand, a)
+        r1, r2 = max(r1, m1), max(r2, m2)
+    return cand, r1, r2
 
 
-def run_lemma32(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
-    ctx = dualside.dual_context(q)
+def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
     tol = _tol(cfg, 1e-10)
-    r1, r2, r3 = dualside.pentagonal_consequence_residuals(ctx, rng, cfg.draws)
-    names = ("exchange_first", "exchange_second", "modular_sandwich")
-    return [
-        CheckRecord(
-            suite="lemma32",
-            check=name,
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_LEMMA_PENT,
-            residual=value,
-            tolerance=tol,
-            detail={"draws": cfg.draws},
-        )
-        for name, value in zip(names, (r1, r2, r3))
+    out = [
+        (check, value, _tol(cfg, 1e-8) if check == "W_in_doubled_algebra" else tol, None)
+        for check, value in sorted(qgcore.structure_identity_residuals(q).items())
     ]
+    if q.dim ** 3 <= max_tensor_entries():
+        x = _random_element(q.ortho_basis, rng)
+        out.append(("coassociativity", qgcore.coassociativity_residual(q, x), tol, None))
+    return out
 
 
-def run_lemma42(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
+def run_lemma32(q, cfg: RunConfig, rng) -> list[Measurement]:
+    ctx = dualside.dual_context(q)
+    residuals = dualside.pentagonal_consequence_residuals(ctx, rng, cfg.draws)
+    names = ("exchange_first", "exchange_second", "modular_sandwich")
+    draws = {"draws": cfg.draws}
+    return [(name, value, _tol(cfg, 1e-10), draws) for name, value in zip(names, residuals)]
+
+
+def run_lemma42(q, cfg: RunConfig, rng) -> list[Measurement]:
     ctx = dualside.dual_context(q)
     tol = _tol(cfg, 1e-10)
     main, comm = dualside.quasicentral_exchange_residual(ctx, rng, cfg.draws)
     consistency = dualside.commutant_opposite_consistency(ctx)
-    mk = lambda check, value, t: CheckRecord(
-        suite="lemma42",
-        check=check,
-        group=group,
-        construction=construction,
-        anchor=ANCHOR_LEMMA_QC,
-        residual=value,
-        tolerance=t,
-        detail={"draws": cfg.draws},
-    )
+    draws = {"draws": cfg.draws}
     return [
-        mk("exchange_identity", main, tol),
-        mk("leg_commutation", comm, _tol(cfg, 1e-12)),
-        mk("commutant_opposite_consistency", consistency, tol),
+        ("exchange_identity", main, tol, draws),
+        ("leg_commutation", comm, _tol(cfg, 1e-12), draws),
+        ("commutant_opposite_consistency", consistency, tol, draws),
     ]
 
 
-def run_lemma43(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
+def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
     ctx = dualside.dual_context(q)
-    tol = _tol(cfg, 1e-10)
     main, comm = dualside.identity_shift_exchange_residual(ctx, rng, cfg.draws)
+    draws = {"draws": cfg.draws}
     return [
-        CheckRecord(
-            suite="lemma43",
-            check="exchange_identity",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_LEMMA_BAI,
-            residual=main,
-            tolerance=tol,
-            detail={"draws": cfg.draws},
-        ),
-        CheckRecord(
-            suite="lemma43",
-            check="leg_commutation",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_LEMMA_BAI,
-            residual=comm,
-            tolerance=_tol(cfg, 1e-12),
-            detail={"draws": cfg.draws},
-        ),
+        ("exchange_identity", main, _tol(cfg, 1e-10), draws),
+        ("leg_commutation", comm, _tol(cfg, 1e-12), draws),
     ]
 
 
-def run_theta(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
+def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     n = q.dim
     unital = choi = member = 0.0
     for _ in range(cfg.theta_draws):
@@ -236,51 +194,26 @@ def run_theta(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
     x = _random_element(q.ortho_basis, rng)
     y = _random_element(q.ortho_basis, rng)
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
-    mk = lambda check, value, t, detail=None: CheckRecord(
-        suite="theta",
-        check=check,
-        group=group,
-        construction=construction,
-        anchor=ANCHOR_THETA,
-        residual=value,
-        tolerance=t,
-        detail=detail,
-    )
     # The factored simple-tensor form only holds on commutative algebras (with
     # the star-left conjugation and matching weight); elsewhere the residuals
     # of all four convention variants are recorded without assertion.
     simple_tol = _tol(cfg, 1e-10) if qgcore.algebra_is_commutative(q) else None
+    draws = {"draws": cfg.theta_draws}
     return [
-        mk("unitality", unital, _tol(cfg, 1e-10), {"draws": cfg.theta_draws}),
-        mk("choi_negativity", choi, _tol(cfg, 1e-9), {"draws": cfg.theta_draws}),
-        mk("range_in_algebra", member, _tol(cfg, 1e-9), {"draws": cfg.theta_draws}),
-        mk(
-            "simple_tensor_identity",
-            variants["sandwich_star_left/plain"],
-            simple_tol,
-            dict(variants),
-        ),
+        ("unitality", unital, _tol(cfg, 1e-10), draws),
+        ("choi_negativity", choi, _tol(cfg, 1e-9), draws),
+        ("range_in_algebra", member, _tol(cfg, 1e-9), draws),
+        ("simple_tensor_identity", variants["sandwich_star_left/plain"], simple_tol, dict(variants)),
     ]
 
 
-def run_thm33(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
-    records = []
+def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
     xi_exact, eta_exact = diagonals.exact_nets(q)
     zeta = random_unit_vector(rng, q.dim)
     lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
     cert = diagonals.certify_commutator_bound(q, zeta, xi_exact, eta_exact, lam, slack=slack)
-    records.append(
-        CheckRecord(
-            suite="thm33",
-            check="commutator_pairing_exact_nets",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_THM_COMM,
-            residual=cert.lhs,
-            tolerance=slack,
-        )
-    )
+    out = [("commutator_pairing_exact_nets", cert.lhs, slack, None)]
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
             diagonals.perturbed_vector(xi_exact.vector, eps, rng), f"perturbed t={eps}"
@@ -296,49 +229,24 @@ def run_thm33(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
             worst = max(worst, cert.lhs - cert.bound)
             worst_eps = max(worst_eps, cert.eps)
-        records.append(
-            CheckRecord(
-                suite="thm33",
-                check=f"commutator_bound_margin_t_{eps:g}",
-                group=group,
-                construction=construction,
-                anchor=ANCHOR_THM_COMM,
-                residual=worst,
-                tolerance=slack,
-                detail={"draws": cfg.bound_draws, "max_measured_eps": worst_eps},
-            )
-        )
-    return records
+        detail = {"draws": cfg.bound_draws, "max_measured_eps": worst_eps}
+        out.append((f"commutator_bound_margin_t_{eps:g}", worst, slack, detail))
+    return out
 
 
-def run_obad(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
+def run_obad(q, cfg: RunConfig, rng) -> list[Measurement]:
     tol = _tol(cfg, 1e-10)
-    xi, eta = diagonals.exact_nets(q)
-    cand = diagonals.build_diagonal(q, xi, eta)
-    r1 = r2 = 0.0
-    for a in _basis_states(q):
-        m1, m2 = diagonals.diagonal_residuals(q, cand, a)
-        r1, r2 = max(r1, m1), max(r2, m2)
+    cand, r1, r2 = _exact_diagonal(q)
     norm_defect = abs(cand.bifunctional.value(np.eye(q.dim ** 2)) - 1.0)
-    mk = lambda check, value: CheckRecord(
-        suite="obad",
-        check=check,
-        group=group,
-        construction=construction,
-        anchor=ANCHOR_COR_MAIN,
-        residual=value,
-        tolerance=tol,
-        detail={"states": q.dim},
-    )
+    states = {"states": q.dim}
     return [
-        mk("module_commutator", r1),
-        mk("approximate_identity", r2),
-        mk("state_normalization", norm_defect),
+        ("module_commutator", r1, tol, states),
+        ("approximate_identity", r2, tol, states),
+        ("state_normalization", norm_defect, tol, states),
     ]
 
 
-def run_dual(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
-    records = []
+def run_dual(q, cfg: RunConfig, rng) -> list[Measurement]:
     tol = _tol(cfg, 1e-10)
     ctx = dualside.dual_context(q)
     n = q.dim
@@ -348,62 +256,34 @@ def run_dual(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Chec
         zeta = random_unit_vector(rng, n)
         f1, f2 = dualside.flip_relation_residuals(ctx, xi, zeta)
         flip1, flip2 = max(flip1, f1), max(flip2, f2)
-    mk = lambda check, value, t, detail=None: CheckRecord(
-        suite="dual",
-        check=check,
-        group=group,
-        construction=construction,
-        anchor=ANCHOR_COR_DUAL,
-        residual=value,
-        tolerance=t,
-        detail=detail,
-    )
-    records.append(mk("flip_relation_dual", flip1, tol, {"draws": cfg.draws}))
-    records.append(mk("flip_relation_dual_commutant", flip2, tol, {"draws": cfg.draws}))
+    draws = {"draws": cfg.draws}
+    out = [
+        ("flip_relation_dual", flip1, tol, draws),
+        ("flip_relation_dual_commutant", flip2, tol, draws),
+    ]
 
     # exact_nets already returns the role-correct pair for q's unitary:
     # xi right invariant, eta left invariant
     xi, eta = diagonals.exact_nets(q)
     zeta = random_unit_vector(rng, n)
     c1, c2, c3, c4 = dualside.dual_net_residuals(ctx, xi.vector, eta.vector, zeta)
-    abelian = q.table is not None and q.table.is_abelian()
-    records.append(mk("right_invariance_exact", c1, tol))
-    records.append(mk("left_invariance_exact", c2, tol))
-    if abelian:
-        records.append(mk("opposite_comparison_left", c3, tol))
-        records.append(mk("opposite_comparison_right", c4, tol))
+    out += [("right_invariance_exact", c1, tol, None), ("left_invariance_exact", c2, tol, None)]
+    if q.table is not None and q.table.is_abelian():
+        out += [("opposite_comparison_left", c3, tol, None), ("opposite_comparison_right", c4, tol, None)]
     else:
-        records.append(
-            mk("opposite_comparison_logged", 0.0, None, {"c3": c3, "c4": c4})
-        )
+        out.append(("opposite_comparison_logged", 0.0, None, {"c3": c3, "c4": c4}))
 
-    # dual diagonal at the dual-role exact nets: point mass first, uniform second
-    xi_d, eta_d = diagonals.exact_nets(ctx.qhat)
-    cand = dualside.build_dual_diagonal(ctx, xi_d, eta_d)
-    r1 = r2 = 0.0
-    for a in _basis_states(ctx.qhat):
-        m1, m2 = diagonals.diagonal_residuals(ctx.qhat, cand, a)
-        r1, r2 = max(r1, m1), max(r2, m2)
-    records.append(mk("dual_module_commutator", r1, tol, {"states": n}))
-    records.append(mk("dual_approximate_identity", r2, tol, {"states": n}))
+    # the dual diagonal is the diagonal of the dual at its own exact nets
+    _, r1, r2 = _exact_diagonal(ctx.qhat)
+    states = {"states": n}
+    out += [("dual_module_commutator", r1, tol, states), ("dual_approximate_identity", r2, tol, states)]
 
     remark = diagonals.dual_quasicentral_residual(q, zeta, xi.vector)
-    records.append(
-        CheckRecord(
-            suite="dual",
-            check="quasicentral_identity_defect",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_REMARK,
-            residual=remark,
-            tolerance=_tol(cfg, 1e-9),
-        )
-    )
-    return records
+    out.append(("quasicentral_identity_defect", remark, _tol(cfg, 1e-9), None))
+    return out
 
 
-def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[CheckRecord]:
-    records = []
+def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
     ctx = dualside.dual_context(q)
     n = q.dim
     slack = _tol(cfg, 1e-9)
@@ -417,18 +297,7 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
         zeta = random_unit_vector(rng, n)
         x = _random_element(q.ortho_basis, rng)
         oracle = max(oracle, dualside.slice_convention_residual(ctx, u, zeta, x))
-    records.append(
-        CheckRecord(
-            suite="thm44",
-            check="slice_convention_oracle",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_THM_QC,
-            residual=oracle,
-            tolerance=tol,
-            detail={"draws": cfg.draws},
-        )
-    )
+    out = [("slice_convention_oracle", oracle, tol, {"draws": cfg.draws})]
 
     xi_exact, eta_exact = diagonals.exact_nets(q)
     u_exact = dualside.build_approximate_identity(ctx, xi_exact, eta_exact)
@@ -437,18 +306,7 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
     for a in _basis_states(q):
         diff = funalg.convolve(q, u_exact.functional, a) - a
         ident = max(ident, funalg.predual_norm(diff, decomp))
-    records.append(
-        CheckRecord(
-            suite="thm44",
-            check="exact_identity",
-            group=group,
-            construction=construction,
-            anchor=ANCHOR_THM_QC,
-            residual=ident,
-            tolerance=tol,
-            detail={"states": n},
-        )
-    )
+    out.append(("exact_identity", ident, tol, {"states": n}))
 
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
@@ -469,32 +327,10 @@ def run_thm44(q, cfg: RunConfig, rng, group: str, construction: str) -> list[Che
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
             qc_margin = max(qc_margin, qcert.lhs - qcert.bound)
             consistency = max(consistency, qcert.consistency)
-        records.append(
-            CheckRecord(
-                suite="thm44",
-                check=f"identity_bound_margin_t_{eps:g}",
-                group=group,
-                construction=construction,
-                anchor=ANCHOR_THM_QC,
-                residual=bai_margin,
-                tolerance=slack,
-                detail={"draws": cfg.bound_draws},
-            )
-        )
-        records.append(
-            CheckRecord(
-                suite="thm44",
-                check=f"quasicentral_bound_margin_t_{eps:g}",
-                group=group,
-                construction=construction,
-                anchor=ANCHOR_THM_QC,
-                residual=qc_margin,
-                tolerance=slack,
-                detail={"draws": cfg.bound_draws, "pairing_consistency": consistency},
-            )
-        )
-    return records
-
+        out.append((f"identity_bound_margin_t_{eps:g}", bai_margin, slack, {"draws": cfg.bound_draws}))
+        detail = {"draws": cfg.bound_draws, "pairing_consistency": consistency}
+        out.append((f"quasicentral_bound_margin_t_{eps:g}", qc_margin, slack, detail))
+    return out
 
 SUITE_FUNCS = {
     "structure": run_structure,
@@ -529,6 +365,18 @@ def run_suites(cfg: RunConfig) -> CheckReport:
     for construction in _constructions(cfg.construction):
         q = fa if construction == "function-algebra" else qgcore.dual(fa)
         for suite in cfg.suites:
-            rng = _rng(cfg, suite, construction)
-            report.extend(SUITE_FUNCS[suite](q, cfg, rng, table.name, construction))
+            measurements = SUITE_FUNCS[suite](q, cfg, _rng(cfg, suite, construction))
+            report.extend([
+                CheckRecord(
+                    suite=suite,
+                    check=check,
+                    group=table.name,
+                    construction=construction,
+                    anchor=CHECK_ANCHORS.get((suite, check), ANCHORS[suite]),
+                    residual=residual,
+                    tolerance=tolerance,
+                    detail=detail,
+                )
+                for check, residual, tolerance, detail in measurements
+            ])
     return report

@@ -22,7 +22,6 @@ from qglab.diagonals import (
 )
 from qglab.dualside import (
     build_approximate_identity,
-    build_dual_diagonal,
     certify_identity_bound,
     certify_quasicentral_bound,
     dual_context,
@@ -284,7 +283,7 @@ def test_criterion_8_dual_diagonal(constructions):
         q = constructions[(name, "function-algebra")]
         ctx = dual_context(q)
         xi, eta = exact_nets(ctx.qhat)
-        cand = build_dual_diagonal(ctx, xi, eta)
+        cand = build_diagonal(ctx.qhat, xi, eta)
         for s in range(q.dim):
             r1, r2 = diagonal_residuals(ctx.qhat, cand, vector_state(np.eye(q.dim)[s]))
             worst = max(worst, r1, r2)

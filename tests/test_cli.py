@@ -43,6 +43,58 @@ class TestRunSuites:
         for record in report.records:
             assert record.anchor
 
+    def test_anchor_map_pinned(self):
+        margins = [f"{kind}_bound_margin_t_{t}" for t in ("0.01", "0.1", "0.3")
+                   for kind in ("identity", "quasicentral")]
+        labels = {
+            "Proposition 2.2": ("structure", [
+                "commutant_equals_dual_right", "conjugate_relation", "dual_of_opposite",
+                "dual_right_unitary", "dual_unitary", "modular_commutation",
+                "opposite_from_modular", "opposite_from_right", "pentagonal", "right_unitary",
+                "unitarity_V", "unitarity_W", "unitarity_What", "unitarity_Wop",
+                "unitarity_Wprime",
+            ]),
+            "definition of the multiplicative unitary": ("structure", ["W_in_doubled_algebra"]),
+            "definition of the comultiplication": ("structure", ["coassociativity"]),
+            "Lemma 3.2": ("lemma32", ["exchange_first", "exchange_second", "modular_sandwich"]),
+            "Lemma 4.2": ("lemma42", [
+                "commutant_opposite_consistency", "exchange_identity", "leg_commutation",
+            ]),
+            "Lemma 4.3": ("lemma43", ["exchange_identity", "leg_commutation"]),
+            "Lemma 3.4": ("theta", [
+                "choi_negativity", "range_in_algebra", "simple_tensor_identity", "unitality",
+            ]),
+            "Theorem 3.3": ("thm33", [
+                "commutator_bound_margin_t_0.01", "commutator_bound_margin_t_0.1",
+                "commutator_bound_margin_t_0.3", "commutator_pairing_exact_nets",
+            ]),
+            "Corollary 3.6": ("obad", [
+                "approximate_identity", "module_commutator", "state_normalization",
+            ]),
+            "Corollary 4.1": ("dual", [
+                "dual_approximate_identity", "dual_module_commutator", "flip_relation_dual",
+                "flip_relation_dual_commutant", "left_invariance_exact",
+                "opposite_comparison_left", "opposite_comparison_right",
+                "right_invariance_exact",
+            ]),
+            "Corollary 3.6 closing remark": ("dual", ["quasicentral_identity_defect"]),
+            "Theorem 4.4": ("thm44", ["exact_identity", "slice_convention_oracle"] + margins),
+        }
+        expected = {
+            (suite, check): anchor
+            for anchor, (suite, checks) in labels.items()
+            for check in checks
+        }
+        report = run_suites(RunConfig("Z3", seed=7))
+        for construction in CONSTRUCTIONS:
+            got = {
+                (r.suite, r.check): r.anchor
+                for r in report.records
+                if r.construction == construction
+            }
+            assert got == expected, construction
+        assert len(report.records) == 2 * len(expected)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suites(RunConfig(group_source="Z2", suites=("nonsense",)))

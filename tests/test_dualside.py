@@ -1,16 +1,21 @@
-"""Dual-side exchange identities, the dual diagonal, and the quasi-central
+"""Dual-side exchange identities, the diagonal of the dual, and the quasi-central
 approximate identity with its certified bounds."""
 
 import numpy as np
 import pytest
 
-from conftest import SMALL_GROUPS, get_group
+from conftest import ALL_GROUPS, SMALL_GROUPS, get_group
 
-from qglab.diagonals import NetVector, diagonal_residuals, exact_nets, perturbed_vector
+from qglab.diagonals import (
+    NetVector,
+    build_diagonal,
+    diagonal_residuals,
+    exact_nets,
+    perturbed_vector,
+)
 from qglab.dualside import (
     _modular_sandwich,
     build_approximate_identity,
-    build_dual_diagonal,
     certify_identity_bound,
     certify_quasicentral_bound,
     commutant_opposite_consistency,
@@ -23,8 +28,8 @@ from qglab.dualside import (
     slice_convention_residual,
 )
 from qglab.funalg import algebra_decomposition, convolve, predual_norm, vector_state
-from qglab.qgcore import tensor_ortho_basis
-from qglab.tensorlin import operator_norm, random_unit_vector
+from qglab.qgcore import derived_unitaries, dual, tensor_ortho_basis
+from qglab.tensorlin import dagger, flip_matrix, operator_norm, random_unit_vector
 
 
 def random_algebra(q, rng):
@@ -41,11 +46,30 @@ def random_doubled(q, rng):
 
 
 class TestDualContext:
+    @pytest.mark.parametrize("name", ALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_closure_relation(self, side):
-        q = get_group("S3", side)
+    def test_read_from_dual_equals_formulas(self, name, side):
+        # the dual-side unitaries read from dual(q) equal, bit for bit, their
+        # formulas in q's own W, J and Jhat
+        q = get_group(name, side)
         ctx = dual_context(q)
-        assert operator_norm(ctx.w_dual_comm - ctx.w_op_dual) <= 1e-10
+        n = q.dim
+        f = flip_matrix(n, n)
+        k = q.J.compose(q.Jhat)
+        kk = np.kron(k, k)
+        what = f @ dagger(q.W) @ f
+        wop = q.Jhat.tensor(q.Jhat).conjugate(q.W)
+        assert ctx.qhat is dual(q)
+        assert np.array_equal(ctx.w_comm_op, kk @ q.W @ kk)
+        assert np.array_equal(ctx.w_dual, what)
+        assert np.array_equal(ctx.w_dual_comm, q.Jhat.tensor(q.Jhat).conjugate(what))
+        assert np.array_equal(derived_unitaries(ctx.qhat).wop, q.J.tensor(q.J).conjugate(what))
+        # the dual diagonal: commutant unitary of the dual versus the dual of
+        # the opposite
+        xi, eta = exact_nets(ctx.qhat)
+        w_op_dual = f @ dagger(wop) @ f
+        expected = dagger(w_op_dual) @ np.kron(xi.vector, eta.vector)
+        assert np.array_equal(build_diagonal(ctx.qhat, xi, eta).vector, expected)
 
     def test_function_algebra_collapses(self, s3):
         ctx = dual_context(s3)
@@ -59,8 +83,7 @@ class TestDualContext:
 
     def test_all_unitaries_unitary(self, s3_dual):
         ctx = dual_context(s3_dual)
-        for u in (ctx.w, ctx.w_comm, ctx.w_op, ctx.w_comm_op, ctx.w_dual,
-                  ctx.w_dual_comm, ctx.w_op_dual):
+        for u in (ctx.w, ctx.w_comm, ctx.w_op, ctx.w_comm_op, ctx.w_dual, ctx.w_dual_comm):
             assert operator_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-10
 
 
@@ -158,27 +181,16 @@ class TestDualDiagonal:
         q = get_group(name)
         ctx = dual_context(q)
         xi, eta = exact_nets(ctx.qhat)
-        cand = build_dual_diagonal(ctx, xi, eta)
+        cand = build_diagonal(ctx.qhat, xi, eta)
         for s in range(q.dim):
             r1, r2 = diagonal_residuals(ctx.qhat, cand, vector_state(np.eye(q.dim)[s]))
             assert r1 <= 1e-10, (name, s, r1)
             assert r2 <= 1e-10, (name, s, r2)
 
-    def test_matches_direct_construction_on_dual(self, s3):
-        from qglab.diagonals import build_diagonal
-
-        ctx = dual_context(s3)
-        xi, eta = exact_nets(ctx.qhat)
-        via_opposite = build_dual_diagonal(ctx, xi, eta)
-        via_dual_commutant = build_diagonal(ctx.qhat, xi, eta)
-        assert np.abs(
-            via_opposite.bifunctional.rho - via_dual_commutant.bifunctional.rho
-        ).max() <= 1e-12
-
     def test_z3_diagonal_vector_is_pair_sum(self, z3):
         ctx = dual_context(z3)
         xi, eta = exact_nets(ctx.qhat)
-        cand = build_dual_diagonal(ctx, xi, eta)
+        cand = build_diagonal(ctx.qhat, xi, eta)
         expected = np.zeros(9)
         for a in range(3):
             expected[a * 3 + a] = 1 / np.sqrt(3)
@@ -188,13 +200,13 @@ class TestDualDiagonal:
         q = get_group("Z1")
         ctx = dual_context(q)
         xi, eta = exact_nets(ctx.qhat)
-        cand = build_dual_diagonal(ctx, xi, eta)
+        cand = build_diagonal(ctx.qhat, xi, eta)
         assert abs(cand.bifunctional.value(np.eye(1)) - 1.0) <= 1e-14
 
     def test_state_normalization(self, s3, rng):
         ctx = dual_context(s3)
-        cand = build_dual_diagonal(
-            ctx,
+        cand = build_diagonal(
+            ctx.qhat,
             NetVector(random_unit_vector(rng, 6), "r"),
             NetVector(random_unit_vector(rng, 6), "r"),
         )
