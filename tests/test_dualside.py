@@ -45,7 +45,22 @@ def random_doubled(q, rng):
     return lam / operator_norm(lam)
 
 
+def dual_of_opposite(q):
+    """``(W_op)^``: the multiplicative unitary of the dual of the opposite,
+    ``Sigma W_op* Sigma`` with ``W_op = (Jhat (x) Jhat) W (Jhat (x) Jhat)``."""
+    f = flip_matrix(q.dim, q.dim)
+    wop = q.Jhat.tensor(q.Jhat).conjugate(q.W)
+    return f @ dagger(wop) @ f
+
+
 class TestDualContext:
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_closure_relation(self, side):
+        # the commutant unitary of the dual is the dual of the opposite
+        q = get_group("S3", side)
+        ctx = dual_context(q)
+        assert operator_norm(ctx.w_dual_comm - dual_of_opposite(q)) <= 1e-10
+
     @pytest.mark.parametrize("name", ALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_read_from_dual_equals_formulas(self, name, side):
@@ -58,7 +73,6 @@ class TestDualContext:
         k = q.J.compose(q.Jhat)
         kk = np.kron(k, k)
         what = f @ dagger(q.W) @ f
-        wop = q.Jhat.tensor(q.Jhat).conjugate(q.W)
         assert ctx.qhat is dual(q)
         assert np.array_equal(ctx.w_comm_op, kk @ q.W @ kk)
         assert np.array_equal(ctx.w_dual, what)
@@ -67,8 +81,7 @@ class TestDualContext:
         # the dual diagonal: commutant unitary of the dual versus the dual of
         # the opposite
         xi, eta = exact_nets(ctx.qhat)
-        w_op_dual = f @ dagger(wop) @ f
-        expected = dagger(w_op_dual) @ np.kron(xi.vector, eta.vector)
+        expected = dagger(dual_of_opposite(q)) @ np.kron(xi.vector, eta.vector)
         assert np.array_equal(build_diagonal(ctx.qhat, xi, eta).vector, expected)
 
     def test_function_algebra_collapses(self, s3):
@@ -186,6 +199,15 @@ class TestDualDiagonal:
             r1, r2 = diagonal_residuals(ctx.qhat, cand, vector_state(np.eye(q.dim)[s]))
             assert r1 <= 1e-10, (name, s, r1)
             assert r2 <= 1e-10, (name, s, r2)
+
+    def test_matches_direct_construction_on_dual(self, s3):
+        # the vector state of (W_op)^* (xi (x) eta), built straight from the
+        # dual of the opposite, is the diagonal build_diagonal gives on dual(q)
+        ctx = dual_context(s3)
+        xi, eta = exact_nets(ctx.qhat)
+        direct = vector_state(dagger(dual_of_opposite(s3)) @ np.kron(xi.vector, eta.vector))
+        via_dual_commutant = build_diagonal(ctx.qhat, xi, eta)
+        assert np.abs(direct.rho - via_dual_commutant.bifunctional.rho).max() <= 1e-12
 
     def test_z3_diagonal_vector_is_pair_sum(self, z3):
         ctx = dual_context(z3)
