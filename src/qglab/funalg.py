@@ -249,24 +249,22 @@ def block_decompose(
 def _validate_decomposition(
     decomp: BlockDecomposition, ortho: list[np.ndarray], tol: float
 ) -> None:
+    """Check that every block compresses the algebra to ``x (x) 1`` with ``x``
+    ranging over all of ``M_size``; one stacked pass over the basis per block."""
     d = ortho[0].shape[0]
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
+    stack = np.stack(ortho)
     for block in decomp.blocks:
-        compressed = []
-        for b in ortho:
-            c = dagger(block.isometry) @ b @ block.isometry
-            x = block.compress(b) / block.multiplicity
-            recon = np.kron(x, np.eye(block.multiplicity))
-            if np.abs(recon - c).max() > tol:
-                raise DecompositionError("compression is not of product form x (x) 1")
-            compressed.append(x)
-        stacked = np.stack([x.reshape(-1) for x in compressed])
-        rank = int(np.linalg.matrix_rank(stacked, tol=1e-8))
-        if rank != block.size ** 2:
-            raise DecompositionError(
-                f"compressed algebra has dimension {rank}, expected {block.size ** 2}"
-            )
+        s, m = block.size, block.multiplicity
+        c = (dagger(block.isometry) @ stack @ block.isometry).reshape(-1, s, m, s, m)
+        x = np.einsum("kpjqj->kpq", c) / m
+        recon = np.einsum("kpq,jl->kpjql", x, np.eye(m))
+        if np.abs(recon - c).max() > tol:
+            raise DecompositionError("compression is not of product form x (x) 1")
+        rank = int(np.linalg.matrix_rank(x.reshape(len(ortho), s * s), tol=1e-8))
+        if rank != s ** 2:
+            raise DecompositionError(f"compressed algebra has dimension {rank}, expected {s ** 2}")
 
 
 def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
@@ -374,9 +372,25 @@ def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
 
 
 def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
-    """Block decomposition of ``M (x) M``, cached on the quantum group object."""
+    """Block decomposition of ``M (x) M``, cached on the quantum group object.
+
+    By Artin-Wedderburn the blocks of ``A (x) B`` are the products of the
+    blocks of the factors: ``M_{s_a} (x) M_{s_b} = M_{s_a s_b}`` with
+    multiplicity ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns
+    regrouped so the matrix index ``(p_a, p_b)`` is slow and the multiplicity
+    index ``(j_a, j_b)`` fast.  So the decomposition is read off that of ``M``,
+    with no random draw on ``M (x) M``, and validated against its basis.
+    """
     if "tensor_decomp" not in q._cache:
-        q._cache["tensor_decomp"] = block_decompose(
-            tensor_ortho_basis(q), rng=np.random.default_rng(q.dim + 2)
-        )
+        factor = algebra_decomposition(q).blocks
+        blocks = []
+        for a in factor:
+            for b in factor:
+                iso = np.kron(a.isometry, b.isometry)
+                iso = iso.reshape(-1, a.size, a.multiplicity, b.size, b.multiplicity)
+                iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
+                blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
+        decomp = BlockDecomposition(blocks=blocks)
+        _validate_decomposition(decomp, tensor_ortho_basis(q), 1e-8)
+        q._cache["tensor_decomp"] = decomp
     return q._cache["tensor_decomp"]

@@ -16,6 +16,7 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -143,10 +144,15 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     point mass at the identity).
 
     The dual is built once per object and cached on it, and ``q`` is recorded
-    as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality).
+    as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality)
+    while ``q`` is alive.  The link back to ``q`` is a weak reference, so the
+    pair forms no reference cycle and is freed as soon as ``q`` is dropped.
     """
-    if "dual" in q._cache:
-        return q._cache["dual"]
+    cached = q._cache.get("dual")
+    if isinstance(cached, weakref.ref):
+        cached = cached()
+    if cached is not None:
+        return cached
     n = q.dim
     f = flip_matrix(n, n)
     what = f @ dagger(q.W) @ f
@@ -168,7 +174,7 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         table=q.table,
     )
     _check_construction(qd)
-    qd._cache["dual"] = q
+    qd._cache["dual"] = weakref.ref(q)
     q._cache["dual"] = qd
     return qd
 

@@ -1,9 +1,14 @@
 """Command-line interface, report determinism, and the exit-status contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qglab
 from qglab import qgcore
 from qglab.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS, main
 from qglab.report import CheckRecord, CheckReport, format_float
@@ -143,6 +148,31 @@ class TestRunSuites:
             cfg = RunConfig(group_source=group, construction=construction, suites=suites, seed=7)
             union.extend(run_suites(cfg).records)
         assert both.to_json_bytes() == union.to_json_bytes()
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_module_commutator_independent_of_blas_threads(self, construction):
+        # the doubled-algebra decomposition has no random eigensolver step, so
+        # the module commutator records do not depend on the BLAS thread count
+        def records(threads):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=str(threads),
+                PYTHONPATH=str(Path(qglab.__file__).parents[1]),
+            )
+            out = subprocess.run(
+                [sys.executable, "-m", "qglab.cli", "verify", "--group", "S3",
+                 "--construction", construction, "--suites", "obad,dual", "--seed", "7"],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            return [
+                json.dumps(r, sort_keys=True)
+                for r in json.loads(out)["records"]
+                if r["check"] in ("module_commutator", "dual_module_commutator")
+            ]
+
+        one = records(1)
+        assert len(one) == 2
+        assert one == records(2)
 
 
 class TestReportFormat:

@@ -6,8 +6,13 @@ import pytest
 
 from conftest import get_group
 
+from qglab import funalg
 from qglab.funalg import (
+    Block,
+    BlockDecomposition,
+    DecompositionError,
     Functional,
+    _validate_decomposition,
     algebra_decomposition,
     block_decompose,
     convolve,
@@ -21,8 +26,8 @@ from qglab.funalg import (
     vector_state,
 )
 from qglab.groups import builtin_table
-from qglab.qgcore import tensor_ortho_basis
-from qglab.tensorlin import apply_leg, inner, random_unit_vector
+from qglab.qgcore import dual, function_algebra, tensor_ortho_basis
+from qglab.tensorlin import apply_leg, dagger, inner, random_unit_vector
 
 
 def delta_state(n, s):
@@ -290,3 +295,98 @@ class TestTensorPredualNorm:
         oracle = sup_norm_estimate(rho, product, rng, samples=20_000, ascent_steps=60)
         assert oracle <= block_value + 1e-9
         assert abs(block_value - oracle) <= 1e-4
+
+
+def _sorted_shapes(decomp):
+    return sorted((b.size, b.multiplicity) for b in decomp.blocks)
+
+
+def _validate_by_loop(decomp, ortho, tol):
+    """Reference for ``_validate_decomposition``: the same two conditions,
+    one basis element at a time."""
+    if decomp.total_dim != ortho[0].shape[0]:
+        raise DecompositionError("block dimensions do not tile the space")
+    for block in decomp.blocks:
+        compressed = []
+        for b in ortho:
+            c = dagger(block.isometry) @ b @ block.isometry
+            x = block.compress(b) / block.multiplicity
+            if np.abs(np.kron(x, np.eye(block.multiplicity)) - c).max() > tol:
+                raise DecompositionError("compression is not of product form x (x) 1")
+            compressed.append(x.reshape(-1))
+        if np.linalg.matrix_rank(np.stack(compressed), tol=1e-8) != block.size ** 2:
+            raise DecompositionError("compressed algebra is not the full matrix algebra")
+
+
+class TestTensorDecompositionProductForm:
+    """The decomposition of ``M (x) M`` read off that of ``M`` against the one
+    found by the random algorithm on the basis of ``M (x) M``."""
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
+    def test_matches_random_decomposition(self, name, side, rng):
+        q = get_group(name, side)
+        n = q.dim
+        product = tensor_algebra_decomposition(q)
+        random = block_decompose(tensor_ortho_basis(q), np.random.default_rng(n + 2))
+        assert _sorted_shapes(product) == _sorted_shapes(random)
+        for _ in range(3):
+            rho = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+            x = Functional(rho)
+            expected = tensor_predual_norm(x, random)
+            assert abs(tensor_predual_norm(x, product) - expected) <= 1e-12 * expected
+
+    def test_no_random_draw_on_doubled_algebra(self, monkeypatch):
+        q = function_algebra(builtin_table("S3"))
+        qd = dual(q)
+        decomposed, validated = [], []
+        decompose, validate = funalg.block_decompose, funalg._validate_decomposition
+
+        def counting_decompose(basis, *args, **kwargs):
+            decomposed.append(basis[0].shape[0])
+            return decompose(basis, *args, **kwargs)
+
+        def recording_validate(decomp, ortho, tol):
+            validated.append((decomp, ortho))
+            return validate(decomp, ortho, tol)
+
+        monkeypatch.setattr(funalg, "block_decompose", counting_decompose)
+        monkeypatch.setattr(funalg, "_validate_decomposition", recording_validate)
+        for obj in (q, qd):
+            decomp = tensor_algebra_decomposition(obj)
+            assert any(d is decomp and o is tensor_ortho_basis(obj) for d, o in validated)
+        # only the factor decompositions of M, on 6 dimensions, draw at random
+        assert decomposed == [6, 6]
+
+    @staticmethod
+    def _with_isometries(q, isometries):
+        blocks = tensor_algebra_decomposition(q).blocks
+        return BlockDecomposition(
+            [Block(b.size, b.multiplicity, iso) for b, iso in zip(blocks, isometries)]
+        )
+
+    @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
+    def test_product_form_accepted(self, validate):
+        q = get_group("S3", "dual")
+        validate(tensor_algebra_decomposition(q), tensor_ortho_basis(q), 1e-8)
+
+    @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
+    def test_untransposed_kron_layout_rejected(self, validate):
+        q = get_group("S3", "dual")
+        factor = algebra_decomposition(q).blocks
+        isometries = [np.kron(a.isometry, b.isometry) for a in factor for b in factor]
+        with pytest.raises(DecompositionError, match="product form"):
+            validate(self._with_isometries(q, isometries), tensor_ortho_basis(q), 1e-8)
+
+    @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
+    def test_column_swapped_between_blocks_rejected(self, validate):
+        q = get_group("S3", "dual")
+        isometries = [b.isometry.copy() for b in tensor_algebra_decomposition(q).blocks]
+        widest = sorted(range(len(isometries)), key=lambda i: isometries[i].shape[1])
+        i, j = widest[-1], widest[-2]
+        isometries[i][:, 0], isometries[j][:, 0] = (
+            isometries[j][:, 0].copy(),
+            isometries[i][:, 0].copy(),
+        )
+        with pytest.raises(DecompositionError):
+            validate(self._with_isometries(q, isometries), tensor_ortho_basis(q), 1e-8)

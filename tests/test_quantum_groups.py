@@ -1,6 +1,8 @@
 """Construction of quantum groups from Cayley tables, their duals, and the
 structural identity catalog."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from conftest import ALL_GROUPS, SMALL_GROUPS, get_group
 
 from qglab import qgcore
+from qglab.funalg import tensor_algebra_decomposition
 from qglab.groups import builtin_table
 from qglab.qgcore import (
     KIND_FUNCTION,
@@ -197,6 +200,20 @@ class TestDual:
         qd = dual(q)
         assert dual(q) is qd
         assert dual(qd) is q
+
+    def test_pair_freed_without_cyclic_collector(self):
+        # the dual links back to q weakly, so q and its dual form no cycle
+        # and reference counting alone frees them
+        q = function_algebra(builtin_table("S3"))
+        qd = dual(q)
+        tensor_algebra_decomposition(qd)
+        refs = [weakref.ref(q), weakref.ref(qd)]
+        gc.disable()
+        try:
+            del q, qd
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_failed_dual_check_caches_nothing(self, monkeypatch):
         q = function_algebra(builtin_table("Z2"))
