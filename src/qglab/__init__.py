@@ -36,7 +36,6 @@ from .qgcore import (
     derived_unitaries,
     dual,
     function_algebra,
-    membership_residual,
     structure_identity_residuals,
 )
 from .report import CheckRecord, CheckReport
@@ -75,7 +74,6 @@ __all__ = [
     "function_algebra",
     "left_invariance_residual",
     "load_group",
-    "membership_residual",
     "parse_cayley",
     "predual_norm",
     "right_invariance_residual",

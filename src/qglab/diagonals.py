@@ -50,8 +50,6 @@ __all__ = [
     "CommutatorCertificate",
     "right_invariance_residual",
     "left_invariance_residual",
-    "commutant_mismatch_first",
-    "commutant_mismatch_second",
     "commutant_compression",
     "compression_kraus_factor",
     "compression_choi_matrix",
@@ -63,6 +61,9 @@ __all__ = [
     "perturbed_vector",
     "dual_quasicentral_residual",
 ]
+
+# relative residual above which a certifier rejects an operator as outside its algebra
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,24 +103,6 @@ def left_invariance_residual(
     """``|| W (eta (x) zeta) - eta (x) zeta ||`` (the co-amenability defect)."""
     v = np.kron(eta, zeta)
     return float(np.linalg.norm(q.W @ v - v))
-
-
-def commutant_mismatch_first(
-    q: FiniteQuantumGroup, xi: np.ndarray, zeta: np.ndarray
-) -> float:
-    """``|| W*(xi (x) zeta) - W'*(xi (x) zeta) ||``."""
-    wprime = derived_unitaries(q).wprime
-    v = np.kron(xi, zeta)
-    return float(np.linalg.norm(dagger(q.W) @ v - dagger(wprime) @ v))
-
-
-def commutant_mismatch_second(
-    q: FiniteQuantumGroup, eta: np.ndarray, zeta: np.ndarray
-) -> float:
-    """``|| W*(zeta (x) eta) - W'*(zeta (x) eta) ||``."""
-    wprime = derived_unitaries(q).wprime
-    v = np.kron(zeta, eta)
-    return float(np.linalg.norm(dagger(q.W) @ v - dagger(wprime) @ v))
 
 
 def commutant_compression(
@@ -237,7 +220,6 @@ def certify_commutator_bound(
     eta: NetVector,
     lam: np.ndarray,
     slack: float = 1e-9,
-    membership_tol: float = 1e-8,
 ) -> CommutatorCertificate:
     """Certify ``|(omega_zeta . x - x . omega_zeta)(Lam)| <= 3 eps ||Lam||`` for
     the candidate diagonal ``x`` built from ``(xi, eta)``.
@@ -247,7 +229,7 @@ def certify_commutator_bound(
     convolution commutator of ``omega_zeta`` and ``omega_eta``.
     """
     res = projection_residual(tensor_ortho_basis(q), lam)
-    if res > membership_tol:
+    if res > MEMBERSHIP_TOL:
         raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
     eps1 = right_invariance_residual(q, xi.vector, zeta)
     wz = vector_state(zeta)

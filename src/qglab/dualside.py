@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonals import NetVector, _second_leg_functional
+from .diagonals import (
+    MEMBERSHIP_TOL,
+    NetVector,
+    _second_leg_functional,
+    left_invariance_residual,
+    right_invariance_residual,
+)
 from .funalg import Functional, convolve, vector_state
 from .qgcore import FiniteQuantumGroup, derived_unitaries, dual, tensor_ortho_basis
 from .tensorlin import (
@@ -113,19 +119,13 @@ def dual_net_residuals(
     """The four dual-diagonal hypothesis residuals: right/left invariance of the
     pair and the two opposite-unitary comparisons."""
     w, wop = ctx.w, ctx.w_op
-    vzx = np.kron(zeta, xi)
-    vez = np.kron(eta, zeta)
     vze = np.kron(zeta, eta)
     vxz = np.kron(xi, zeta)
-    c1 = float(np.linalg.norm(w @ vzx - vzx))
-    c2 = float(np.linalg.norm(w @ vez - vez))
+    c1 = right_invariance_residual(ctx.q, xi, zeta)
+    c2 = left_invariance_residual(ctx.q, eta, zeta)
     c3 = float(np.linalg.norm(w @ vze - wop @ vze))
     c4 = float(np.linalg.norm(w @ vxz - wop @ vxz))
     return c1, c2, c3, c4
-
-
-def _random_three_leg(rng: np.random.Generator, n: int) -> np.ndarray:
-    return random_unit_vector(rng, n ** 3)
 
 
 def _modular_sandwich(q: FiniteQuantumGroup, v: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def _modular_sandwich(q: FiniteQuantumGroup, v: np.ndarray) -> np.ndarray:
 
 
 def pentagonal_consequence_residuals(
-    ctx: DualContext, rng: np.random.Generator, draws: int = 50
+    ctx: DualContext, rng: np.random.Generator, draws: int
 ) -> tuple[float, float, float]:
     """Three unconditional exchange identities between ``W`` and ``W'`` (and the
     modular sandwich form of ``W*W*``), as max vector residuals over random
@@ -149,7 +149,7 @@ def pentagonal_consequence_residuals(
     w, wp = ctx.w, ctx.w_comm
     r1 = r2 = r3 = 0.0
     for _ in range(draws):
-        v = _random_three_leg(rng, n)
+        v = random_unit_vector(rng, n ** 3)
         lhs = apply_leg(w, (1, 2), apply_leg(dagger(wp), (2, 3), v, dims), dims)
         rhs = apply_leg(dagger(wp), (2, 3), apply_leg(w, (1, 3), apply_leg(w, (1, 2), v, dims), dims), dims)
         r1 = max(r1, float(np.linalg.norm(lhs - rhs)))
@@ -170,7 +170,7 @@ def pentagonal_consequence_residuals(
 
 
 def quasicentral_exchange_residual(
-    ctx: DualContext, rng: np.random.Generator, draws: int = 50
+    ctx: DualContext, rng: np.random.Generator, draws: int
 ) -> tuple[float, float]:
     """The exchange identity behind the quasi-central bound, plus the
     commutation it relies on (``W'_13`` with ``W'^op*_23``); both as max
@@ -180,7 +180,7 @@ def quasicentral_exchange_residual(
     wp, wpo, w = ctx.w_comm, ctx.w_comm_op, ctx.w
     main = comm = 0.0
     for _ in range(draws):
-        v = _random_three_leg(rng, n)
+        v = random_unit_vector(rng, n ** 3)
         lhs = apply_leg(
             dagger(wpo), (1, 3),
             apply_leg(wp, (1, 3), apply_leg(dagger(wpo), (2, 3), apply_leg(w, (2, 3), v, dims), dims), dims),
@@ -201,7 +201,7 @@ def quasicentral_exchange_residual(
 
 
 def identity_shift_exchange_residual(
-    ctx: DualContext, rng: np.random.Generator, draws: int = 50
+    ctx: DualContext, rng: np.random.Generator, draws: int
 ) -> tuple[float, float]:
     """The exchange identity behind the approximate-identity bound, plus the
     first-leg commutation it relies on (``W_13`` with ``W'^op*_12``)."""
@@ -210,7 +210,7 @@ def identity_shift_exchange_residual(
     w, wp, wpo = ctx.w, ctx.w_comm, ctx.w_comm_op
     main = comm = 0.0
     for _ in range(draws):
-        v = _random_three_leg(rng, n)
+        v = random_unit_vector(rng, n ** 3)
         lhs = apply_leg(w, (2, 3), apply_leg(w, (1, 2), apply_leg(dagger(wpo), (1, 2), v, dims), dims), dims)
         t = apply_leg(dagger(wp), (1, 3), v, dims)
         t = apply_leg(w, (2, 3), t, dims)
@@ -290,13 +290,12 @@ def certify_identity_bound(
     zeta: np.ndarray,
     x: np.ndarray,
     slack: float = 1e-9,
-    membership_tol: float = 1e-8,
 ) -> IdentityBoundCertificate:
     """Certify ``|X(u * omega_zeta) - X(omega_zeta)| <= 2 ||X|| (t1 + t2)`` where
     ``t1 = ||W W'* (xi (x) zeta) - xi (x) zeta||`` and ``t2`` is the triple-leg
     left-invariance defect of ``eta`` against ``W'*_13``."""
     res = projection_residual(ctx.q.ortho_basis, x)
-    if res > membership_tol:
+    if res > MEMBERSHIP_TOL:
         raise ValueError(f"X is not in the algebra (residual {res:.3e})")
     n = ctx.dim
     dims = (n, n, n)
@@ -332,7 +331,6 @@ def certify_quasicentral_bound(
     zeta: np.ndarray,
     lam: np.ndarray,
     slack: float = 1e-9,
-    membership_tol: float = 1e-8,
 ) -> QuasicentralBoundCertificate:
     """Certify the quasi-central pairing residual
     ``|(omega_zeta (x) u)(W'* W'^op Lam W'^op* W' - Lam)|`` against
@@ -343,7 +341,7 @@ def certify_quasicentral_bound(
     the three-leg contraction; their agreement is reported as ``consistency``.
     """
     res = projection_residual(tensor_ortho_basis(ctx.q), lam)
-    if res > membership_tol:
+    if res > MEMBERSHIP_TOL:
         raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
     n = ctx.dim
     dims = (n, n, n)

@@ -141,7 +141,7 @@ class DecompositionError(RuntimeError):
     """Random draws failed to split the algebra; retried and gave up."""
 
 
-def _center_basis(basis: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _center_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
     """Basis of the center of the spanned algebra, via the commutator kernel."""
     k = len(basis)
     gram = np.zeros((k, k), dtype=complex)
@@ -149,7 +149,7 @@ def _center_basis(basis: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray
         comm = np.stack([(bk @ b - b @ bk).reshape(-1) for bk in basis])
         gram += comm.conj() @ comm.T
     w, v = np.linalg.eigh(gram)
-    keep = w < tol * max(1.0, float(w[-1]))
+    keep = w < 1e-9 * max(1.0, float(w[-1]))
     out = []
     for i in range(k):
         if keep[i]:
@@ -204,25 +204,24 @@ def _split_block(
     return size, mult, np.concatenate(cols, axis=1)
 
 
-def block_decompose(
-    basis: list[np.ndarray],
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-    retries: int = 5,
-) -> BlockDecomposition:
+# entrywise tolerance of the product-form validation, and the number of random
+# draws block_decompose tries before it gives up
+DECOMPOSE_TOL = 1e-8
+DECOMPOSE_RETRIES = 5
+
+
+def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockDecomposition:
     """Artin-Wedderburn decomposition of the *-algebra spanned by ``basis``.
 
     A random self-adjoint central element splits ``H`` into the central
     subspaces; a random self-adjoint algebra element inside each block splits
     off the multiplicity.  Degenerate random draws are retried with fresh
-    randomness up to ``retries`` times.
+    randomness up to ``DECOMPOSE_RETRIES`` times.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     ortho = span_basis(basis)
     center = _center_basis(ortho)
     last_error: Exception | None = None
-    for _ in range(retries):
+    for _ in range(DECOMPOSE_RETRIES):
         try:
             z = _random_hermitian(center, rng)
             w, v = np.linalg.eigh(z)
@@ -239,11 +238,11 @@ def block_decompose(
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
             decomp = BlockDecomposition(blocks=blocks)
-            _validate_decomposition(decomp, ortho, tol)
+            _validate_decomposition(decomp, ortho, DECOMPOSE_TOL)
             return decomp
         except DecompositionError as exc:
             last_error = exc
-    raise DecompositionError(f"block decomposition failed after {retries} draws: {last_error}")
+    raise DecompositionError(f"block decomposition failed after {DECOMPOSE_RETRIES} draws: {last_error}")
 
 
 def _validate_decomposition(
@@ -391,6 +390,6 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
                 iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
                 blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
         decomp = BlockDecomposition(blocks=blocks)
-        _validate_decomposition(decomp, tensor_ortho_basis(q), 1e-8)
+        _validate_decomposition(decomp, tensor_ortho_basis(q), DECOMPOSE_TOL)
         q._cache["tensor_decomp"] = decomp
     return q._cache["tensor_decomp"]

@@ -68,7 +68,7 @@ def _validate(name: str, order: int, table) -> None:
     for i in rng:
         for j in rng:
             v = table[i][j]
-            if not isinstance(v, int) or not 0 <= v < order:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < order:
                 raise GroupTableError(
                     f"{name}: entry table[{i}][{j}] = {v!r} is not an index in [0, {order})"
                 )
@@ -120,8 +120,8 @@ def parse_cayley(data: bytes | str) -> GroupTable:
     table = obj["table"]
     if not isinstance(name, str):
         raise GroupTableError("group name must be a string")
-    if not isinstance(order, int):
-        raise GroupTableError("group order must be an integer")
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise GroupTableError(f"group order must be an integer, got {order!r}")
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise GroupTableError("group table must be a list of rows")
     return GroupTable(name=name, order=order, table=tuple(tuple(row) for row in table))
@@ -215,7 +215,8 @@ def load_group(source: str) -> GroupTable:
     try:
         with open(source, "rb") as fh:
             return parse_cayley(fh.read())
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise GroupTableError(
-            f"{source!r} is neither a builtin group ({', '.join(BUILTIN_NAMES)}) nor a readable file"
+            f"{source!r} is neither a builtin group ({', '.join(BUILTIN_NAMES)}) "
+            f"nor a readable file ({exc.strerror or exc})"
         ) from exc

@@ -44,7 +44,6 @@ __all__ = [
     "coassociativity_residual",
     "derived_unitaries",
     "structure_identity_residuals",
-    "membership_residual",
     "left_fixed_vector",
     "DEFAULT_TOL",
 ]
@@ -82,10 +81,6 @@ class FiniteQuantumGroup:
         if "ortho_basis" not in self._cache:
             self._cache["ortho_basis"] = span_basis(self.algebra_basis)
         return self._cache["ortho_basis"]
-
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim)
 
 
 class DerivedUnitaries(NamedTuple):
@@ -125,11 +120,11 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     return q
 
 
-def _check_construction(q: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> None:
+def _check_construction(q: FiniteQuantumGroup) -> None:
     worst = max(structure_identity_residuals(q).values())
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise ValueError(
-            f"{q.name} ({q.kind}): structural identity residual {worst:.3e} exceeds {tol:.1e}"
+            f"{q.name} ({q.kind}): structural identity residual {worst:.3e} exceeds {DEFAULT_TOL:.1e}"
         )
 
 
@@ -210,12 +205,8 @@ def left_fixed_vector(w: np.ndarray, dim: int) -> np.ndarray:
     return v
 
 
-def comultiply(q: FiniteQuantumGroup, x: np.ndarray, check: bool = False) -> np.ndarray:
+def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
     """The comultiplication ``G(x) = W* (1 (x) x) W`` on ``H (x) H``."""
-    if check:
-        res = membership_residual(q.algebra_basis, x)
-        if res > 1e-8:
-            raise ValueError(f"operator is not in the algebra (membership residual {res:.3e})")
     n = q.dim
     return dagger(q.W) @ np.kron(np.eye(n), x) @ q.W
 
@@ -252,13 +243,6 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
     return q._cache["derived"]
 
 
-def membership_residual(basis: list[np.ndarray], x: np.ndarray) -> float:
-    """Normalized least-squares distance from ``x`` to the span of ``basis``."""
-    if not basis:
-        raise ValueError("empty basis")
-    return projection_residual(span_basis(basis), x)
-
-
 def tensor_ortho_basis(q: FiniteQuantumGroup) -> list[np.ndarray]:
     """Orthonormal basis of ``M (x) M`` built from the orthonormal basis of ``M``."""
     if "tensor_ortho" not in q._cache:
@@ -268,14 +252,14 @@ def tensor_ortho_basis(q: FiniteQuantumGroup) -> list[np.ndarray]:
     return q._cache["tensor_ortho"]
 
 
-def algebra_is_commutative(q: FiniteQuantumGroup, tol: float = 1e-10) -> bool:
+def algebra_is_commutative(q: FiniteQuantumGroup) -> bool:
     if "commutative" not in q._cache:
         basis = q.ortho_basis
         worst = max(
             (operator_norm(a @ b - b @ a) for a in basis for b in basis),
             default=0.0,
         )
-        q._cache["commutative"] = worst <= tol
+        q._cache["commutative"] = worst <= DEFAULT_TOL
     return q._cache["commutative"]
 
 

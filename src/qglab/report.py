@@ -72,9 +72,6 @@ class CheckReport:
     seed: int
     records: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
-
     def extend(self, records: list[CheckRecord]) -> None:
         self.records.extend(records)
 

@@ -358,6 +358,11 @@ def run_suites(cfg: RunConfig) -> CheckReport:
     for suite in cfg.suites:
         if suite not in SUITE_FUNCS:
             raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    for name in ("draws", "bound_draws", "theta_draws"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
     table = load_group(cfg.group_source)
     _check_caps(table.order, tuple(cfg.suites))
     report = CheckReport(seed=cfg.seed)

@@ -23,7 +23,6 @@ __all__ = [
     "DimensionCapError",
     "AntilinearOp",
     "max_tensor_entries",
-    "kron",
     "dagger",
     "inner",
     "flip_matrix",
@@ -34,7 +33,6 @@ __all__ = [
     "operator_norm",
     "unitarity_residual",
     "slice_first",
-    "slice_second",
     "span_basis",
     "projection_residual",
     "random_unit_vector",
@@ -64,18 +62,6 @@ def max_tensor_entries() -> int:
     if value <= 0:
         raise DimensionCapError(f"QGLAB_MAX_DIM must be positive, got {value}")
     return value
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of operators, ``(a (x) b)(v (x) w) = av (x) bw``."""
-    out_rows = a.shape[0] * b.shape[0]
-    cap = max_tensor_entries() ** 2
-    if out_rows * a.shape[1] * b.shape[1] > cap:
-        raise DimensionCapError(
-            f"kron output {out_rows}x{a.shape[1] * b.shape[1]} exceeds the "
-            f"dense cap ({cap} entries); raise QGLAB_MAX_DIM to override"
-        )
-    return np.kron(a, b)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -193,38 +179,24 @@ def unitarity_residual(a: np.ndarray) -> float:
     return operator_norm(dagger(a) @ a - np.eye(a.shape[0]))
 
 
-def slice_first(x: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Slice away the first leg of an operator on ``H1 (x) H2``.
-
-    Returns the matrix of ``(omega (x) id)(x)`` where ``omega(T) = <Tu, v>``
-    (``v`` defaults to ``u``, the vector-state case):
-    ``out[k, l] = <x (u (x) e_l), v (x) e_k>``.
+def slice_first(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Slice away the first leg of an operator on ``H1 (x) H2`` with the vector
+    state of ``u``: the matrix of ``(omega_u (x) id)(x)``,
+    ``out[k, l] = <x (u (x) e_l), u (x) e_k>``.
     """
-    if v is None:
-        v = u
     d1 = u.shape[0]
     d2 = x.shape[0] // d1
     x4 = x.reshape(d1, d2, d1, d2)
-    return np.einsum("a,abcd,c->bd", v.conj(), x4, u)
+    return np.einsum("a,abcd,c->bd", u.conj(), x4, u)
 
 
-def slice_second(x: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Slice away the second leg: ``out[k, l] = <x (e_l (x) u), e_k (x) v>``."""
-    if v is None:
-        v = u
-    d2 = u.shape[0]
-    d1 = x.shape[0] // d2
-    x4 = x.reshape(d1, d2, d1, d2)
-    return np.einsum("b,abcd,d->ac", v.conj(), x4, u)
-
-
-def span_basis(mats: list[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
+def span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of the span of the given matrices."""
     if not mats:
         raise ValueError("empty matrix list")
     stacked = np.stack([m.reshape(-1) for m in mats]).astype(complex)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int((s > tol * s[0]).sum()) if s.size else 0
+    rank = int((s > 1e-10 * s[0]).sum()) if s.size else 0
     shape = mats[0].shape
     return [vh[i].reshape(shape) for i in range(rank)]
 
@@ -254,10 +226,6 @@ class AntilinearOp:
 
     u: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.u @ v.conj()
 
@@ -274,7 +242,3 @@ class AntilinearOp:
         for op in others:
             u = np.kron(u, op.u)
         return AntilinearOp(u)
-
-    def involution_residual(self) -> float:
-        """``J^2 = 1`` holds iff ``u @ conj(u) = 1``."""
-        return operator_norm(self.u @ self.u.conj() - np.eye(self.dim))

@@ -3,6 +3,7 @@ import pytest
 
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
+from qglab.tensorlin import projection_residual, span_basis
 
 SMALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "S3")
 ALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "S3", "D4", "Q8")
@@ -24,6 +25,11 @@ def get_group(name, side="fn"):
     if name not in _q_cache:
         _q_cache[name] = function_algebra(builtin_table(name))
     return _q_cache[name]
+
+
+def membership_residual(basis, x):
+    """Oracle: normalized least-squares distance from ``x`` to the span of ``basis``."""
+    return projection_residual(span_basis(basis), x)
 
 
 @pytest.fixture

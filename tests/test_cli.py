@@ -104,6 +104,10 @@ class TestRunSuites:
         with pytest.raises(ValueError):
             run_suites(RunConfig(group_source="Z2", suites=("nonsense",)))
 
+    def test_zero_theta_draws_rejected(self):
+        with pytest.raises(ValueError, match="theta_draws must be at least 1, got 0"):
+            run_suites(RunConfig(group_source="Z2", suites=("theta",), theta_draws=0))
+
     def test_unknown_construction_rejected(self):
         with pytest.raises(ValueError):
             run_suites(RunConfig(group_source="Z2", construction="sideways", suites=("structure",)))
@@ -211,8 +215,10 @@ class TestReportFormat:
 
     def test_summary_counts(self):
         report = CheckReport(seed=0)
-        report.add(CheckRecord("s", "a", "g", "fa", "x", residual=0.0, tolerance=1.0))
-        report.add(CheckRecord("s", "b", "g", "fa", "x", residual=2.0, tolerance=1.0))
+        report.extend([
+            CheckRecord("s", "a", "g", "fa", "x", residual=0.0, tolerance=1.0),
+            CheckRecord("s", "b", "g", "fa", "x", residual=2.0, tolerance=1.0),
+        ])
         assert report.summary() == {"total": 2, "passed": 1, "failed": 1}
         assert not report.all_passed
 
@@ -262,6 +268,32 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"name":"bad","order":2,"table":[[0,1],[1,1]]}')
         assert main(["verify", "--group", str(bad)]) == EXIT_INPUT_ERROR
+
+    def test_unreadable_group_path_exit_code(self, tmp_path, capsys):
+        assert main(["verify", "--group", str(tmp_path), "--suites", "structure"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("table", [
+        '{"name":"B2","order":2,"table":[[0,true],[true,0]]}',
+        '{"name":"B1","order":true,"table":[[0]]}',
+    ])
+    def test_boolean_table_exit_code(self, table, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(table)
+        assert main(["verify", "--group", str(path), "--suites", "structure"]) == EXIT_INPUT_ERROR
+        assert "True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, field", [("--draws", "draws"), ("--bound-draws", "bound_draws")])
+    def test_zero_draws_exit_code(self, option, field, capsys):
+        args = ["verify", "--group", "Z3", "--suites", "lemma32,thm33", option, "0"]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_negative_seed_named(self, capsys):
+        assert main(["verify", "--group", "Z2", "--suites", "structure", "--seed", "-3"]) == EXIT_INPUT_ERROR
+        assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
 
     def test_unknown_suite_exit_code(self, capsys):
         assert main(["verify", "--group", "Z2", "--suites", "bogus"]) == EXIT_INPUT_ERROR
