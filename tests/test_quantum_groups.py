@@ -272,3 +272,21 @@ class TestComultiplication:
             yp = s3.J.conjugate(b)  # an element of the commutant
             for other in (np.kron(yp, np.eye(6)), np.kron(np.eye(6), yp)):
                 assert operator_norm(gx @ other - other @ gx) <= 1e-10
+
+
+class TestMembershipResidual:
+    def test_member(self, s3):
+        assert membership_residual(s3.algebra_basis, s3.algebra_basis[0]) <= 1e-12
+
+    def test_orthogonal_unit(self, z2):
+        off = np.zeros((2, 2))
+        off[0, 1] = 1.0
+        assert abs(membership_residual(z2.algebra_basis, off) - 1.0) <= 1e-12
+
+    def test_random_combination(self, s3, rng):
+        x = random_algebra_element(s3, rng)
+        assert membership_residual(s3.algebra_basis, x) <= 1e-12
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError):
+            membership_residual([], np.eye(2))
