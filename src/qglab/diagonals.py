@@ -32,7 +32,6 @@ from .qgcore import (
     comultiply,
     derived_unitaries,
     dual,
-    tensor_ortho_basis,
 )
 from .tensorlin import (
     apply_leg,
@@ -228,7 +227,7 @@ def certify_commutator_bound(
     invariance defect of ``xi`` at ``zeta`` and the predual norm of the
     convolution commutator of ``omega_zeta`` and ``omega_eta``.
     """
-    res = projection_residual(tensor_ortho_basis(q), lam)
+    res = projection_residual((q.ortho_basis, q.ortho_basis), lam)
     if res > MEMBERSHIP_TOL:
         raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
     eps1 = right_invariance_residual(q, xi.vector, zeta)

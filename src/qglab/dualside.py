@@ -21,7 +21,7 @@ from .diagonals import (
     right_invariance_residual,
 )
 from .funalg import Functional, convolve, vector_state
-from .qgcore import FiniteQuantumGroup, derived_unitaries, dual, tensor_ortho_basis
+from .qgcore import FiniteQuantumGroup, derived_unitaries, dual
 from .tensorlin import (
     apply_leg,
     dagger,
@@ -294,7 +294,7 @@ def certify_identity_bound(
     """Certify ``|X(u * omega_zeta) - X(omega_zeta)| <= 2 ||X|| (t1 + t2)`` where
     ``t1 = ||W W'* (xi (x) zeta) - xi (x) zeta||`` and ``t2`` is the triple-leg
     left-invariance defect of ``eta`` against ``W'*_13``."""
-    res = projection_residual(ctx.q.ortho_basis, x)
+    res = projection_residual((ctx.q.ortho_basis,), x)
     if res > MEMBERSHIP_TOL:
         raise ValueError(f"X is not in the algebra (residual {res:.3e})")
     n = ctx.dim
@@ -340,7 +340,7 @@ def certify_quasicentral_bound(
     The pairing is evaluated both definitionally (pairing matrices) and through
     the three-leg contraction; their agreement is reported as ``consistency``.
     """
-    res = projection_residual(tensor_ortho_basis(ctx.q), lam)
+    res = projection_residual((ctx.q.ortho_basis, ctx.q.ortho_basis), lam)
     if res > MEMBERSHIP_TOL:
         raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
     n = ctx.dim

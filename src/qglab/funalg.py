@@ -3,8 +3,9 @@
 Functionals are stored as full pairing matrices ``rho`` on ``B(H)`` with
 ``omega(x) = Tr(rho x)``; only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
-block decomposition of ``M``.  The decomposition algorithm and the randomized
-sup oracle validating it are independent of each other.
+block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``, never
+a list of its ``n^2`` basis products.  The decomposition algorithm and the
+randomized sup oracle validating it are independent of each other.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgcore import FiniteQuantumGroup, tensor_ortho_basis
+from .qgcore import FiniteQuantumGroup
 from .tensorlin import (
+    compress_basis,
     dagger,
     operator_norm,
     partial_trace,
+    project,
     sandwich_legs,
     span_basis,
     trace_norm,
@@ -238,7 +241,7 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
             decomp = BlockDecomposition(blocks=blocks)
-            _validate_decomposition(decomp, ortho, DECOMPOSE_TOL)
+            _validate_decomposition(decomp, (ortho,), DECOMPOSE_TOL)
             return decomp
         except DecompositionError as exc:
             last_error = exc
@@ -246,22 +249,21 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
 
 
 def _validate_decomposition(
-    decomp: BlockDecomposition, ortho: list[np.ndarray], tol: float
+    decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float
 ) -> None:
-    """Check that every block compresses the algebra to ``x (x) 1`` with ``x``
-    ranging over all of ``M_size``; one stacked pass over the basis per block."""
-    d = ortho[0].shape[0]
+    """Check that every block compresses the algebra of the factor stacks to
+    ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per block."""
+    d = int(np.prod([f.shape[-1] for f in factors]))
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
-    stack = np.stack(ortho)
     for block in decomp.blocks:
         s, m = block.size, block.multiplicity
-        c = (dagger(block.isometry) @ stack @ block.isometry).reshape(-1, s, m, s, m)
+        c = compress_basis(factors, block.isometry).reshape(-1, s, m, s, m)
         x = np.einsum("kpjqj->kpq", c) / m
         recon = np.einsum("kpq,jl->kpjql", x, np.eye(m))
         if np.abs(recon - c).max() > tol:
             raise DecompositionError("compression is not of product form x (x) 1")
-        rank = int(np.linalg.matrix_rank(x.reshape(len(ortho), s * s), tol=1e-8))
+        rank = int(np.linalg.matrix_rank(x.reshape(len(x), s * s), tol=1e-8))
         if rank != s ** 2:
             raise DecompositionError(f"compressed algebra has dimension {rank}, expected {s ** 2}")
 
@@ -275,13 +277,6 @@ def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
 def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
     return float(sum(trace_norm(block.compress(x.rho)) for block in decomp.blocks))
-
-
-def _project_to_span(ortho: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x, dtype=complex)
-    for b in ortho:
-        out += np.vdot(b.reshape(-1), x.reshape(-1)) * b
-    return out
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -309,18 +304,17 @@ def sup_norm_estimate(
     d = rho.shape[0]
 
     def score(x: np.ndarray) -> float:
-        x = _project_to_span(ortho, x)
+        x = project((ortho,), x)
         top = operator_norm(x)
         if top > 1.0:
             x = x / top
         return abs(np.trace(rho @ x))
 
-    candidates = [np.eye(d, dtype=complex), _polar_unitary(_project_to_span(ortho, dagger(rho)))]
+    candidates = [np.eye(d, dtype=complex), _polar_unitary(project((ortho,), dagger(rho)))]
     coeffs = rng.standard_normal((samples, len(ortho))) + 1j * rng.standard_normal(
         (samples, len(ortho))
     )
-    stacked = np.stack(ortho)
-    ys = np.einsum("sk,kij->sij", coeffs, stacked)
+    ys = np.einsum("sk,kij->sij", coeffs, ortho)
     u, _, vh = np.linalg.svd(ys)
     polars = u @ vh
     values = np.abs(np.einsum("ij,sji->s", rho, polars))
@@ -330,7 +324,7 @@ def sup_norm_estimate(
 
     starts = [polars[i] for i in best_idx] + candidates
     for u0 in starts:
-        u0 = _project_to_span(ortho, u0)
+        u0 = project((ortho,), u0)
         top = operator_norm(u0)
         if top > 1e-12:
             u0 = u0 / max(1.0, top)
@@ -341,14 +335,12 @@ def sup_norm_estimate(
             pairing = np.trace(rho @ current)
             phase = pairing / abs(pairing) if abs(pairing) > 1e-14 else 1.0
             # Riemannian gradient direction on the unitary group of M
-            grad = _project_to_span(ortho, 1j * np.conj(phase) * dagger(rho))
+            grad = project((ortho,), 1j * np.conj(phase) * dagger(rho))
             herm = (grad @ dagger(current) + current @ dagger(grad)) / 2
-            herm = _project_to_span(ortho, (herm + dagger(herm)) / 2)
+            herm = project((ortho,), (herm + dagger(herm)) / 2)
             moved = False
             while step > 1e-9:
-                trial = _project_to_span(
-                    ortho, _polar_unitary(current + step * herm @ current)
-                )
+                trial = project((ortho,), _polar_unitary(current + step * herm @ current))
                 trial = trial / max(1.0, operator_norm(trial))
                 tval = abs(np.trace(rho @ trial))
                 if tval > value + 1e-15:
@@ -378,7 +370,7 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
     multiplicity ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns
     regrouped so the matrix index ``(p_a, p_b)`` is slow and the multiplicity
     index ``(j_a, j_b)`` fast.  So the decomposition is read off that of ``M``,
-    with no random draw on ``M (x) M``, and validated against its basis.
+    with no random draw on ``M (x) M``, and validated against ``(M, M)``.
     """
     if "tensor_decomp" not in q._cache:
         factor = algebra_decomposition(q).blocks
@@ -390,6 +382,6 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
                 iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
                 blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
         decomp = BlockDecomposition(blocks=blocks)
-        _validate_decomposition(decomp, tensor_ortho_basis(q), DECOMPOSE_TOL)
+        _validate_decomposition(decomp, (q.ortho_basis, q.ortho_basis), DECOMPOSE_TOL)
         q._cache["tensor_decomp"] = decomp
     return q._cache["tensor_decomp"]

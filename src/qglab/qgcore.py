@@ -12,6 +12,8 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
+* An algebra is its orthonormal basis stack; a product algebra is the pair of
+  its factor stacks: ``(M, M)`` for ``M (x) M``, ``(M, Mhat)`` for ``W``'s algebra.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class FiniteQuantumGroup:
 
     ``algebra_basis`` spans the von Neumann algebra ``M`` acting on ``H``; the
     Haar weight of every shipped construction is the (unnormalized) trace, so
-    ``nu = 1`` and no modular machinery beyond the two conjugations is kept.
+    the scaling constant is 1 and only the two modular conjugations are kept.
     """
 
     name: str
@@ -69,15 +71,14 @@ class FiniteQuantumGroup:
     J: AntilinearOp
     Jhat: AntilinearOp
     haar_vector: np.ndarray
-    nu: float
-    algebra_basis: list[np.ndarray]
+    algebra_basis: list[np.ndarray] | np.ndarray
     kind: str = "generic"
     table: GroupTable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def ortho_basis(self) -> list[np.ndarray]:
-        """Orthonormalized (Hilbert-Schmidt) basis of ``M``, cached."""
+    def ortho_basis(self) -> np.ndarray:
+        """Orthonormal (Hilbert-Schmidt) basis of ``M`` as a stack, cached."""
         if "ortho_basis" not in self._cache:
             self._cache["ortho_basis"] = span_basis(self.algebra_basis)
         return self._cache["ortho_basis"]
@@ -111,7 +112,6 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
         J=AntilinearOp(np.eye(n)),
         Jhat=AntilinearOp(inv),
         haar_vector=np.ones(n) / np.sqrt(n),
-        nu=1.0,
         algebra_basis=basis,
         kind=KIND_FUNCTION,
         table=table,
@@ -151,9 +151,8 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     n = q.dim
     f = flip_matrix(n, n)
     what = f @ dagger(q.W) @ f
-    raw = _slice_basis_slices(q.W, n)
-    basis = span_basis(raw)
-    if projection_residual(basis, np.eye(n)) > 1e-8:
+    basis = _slice_span(q.W, n)
+    if projection_residual((basis,), np.eye(n)) > 1e-8:
         raise ValueError(f"{q.name}: slice span of W is degenerate (identity not in span)")
     kind = {KIND_FUNCTION: KIND_DUAL, KIND_DUAL: KIND_FUNCTION}.get(q.kind, "generic")
     qd = FiniteQuantumGroup(
@@ -163,7 +162,6 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         J=q.Jhat,
         Jhat=q.J,
         haar_vector=left_fixed_vector(q.W, n),
-        nu=q.nu,
         algebra_basis=basis,
         kind=kind,
         table=q.table,
@@ -174,14 +172,11 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     return qd
 
 
-def _slice_basis_slices(w: np.ndarray, dim: int) -> list[np.ndarray]:
-    w4 = w.reshape(dim, dim, dim, dim)
-    out = []
-    for a in range(dim):
-        for c in range(dim):
-            # [(omega_{e_a, e_c} (x) id)(w)][k, l] = <w (e_a (x) e_l), e_c (x) e_k>
-            out.append(np.ascontiguousarray(w4[c, :, a, :]))
-    return out
+def _slice_span(w: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis of the span of the first-leg slices of ``w``, where
+    ``[(omega_{e_a, e_c} (x) id)(w)][k, l] = <w (e_a (x) e_l), e_c (x) e_k>``."""
+    slices = w.reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
+    return span_basis(slices.reshape(dim * dim, dim, dim))
 
 
 def left_fixed_vector(w: np.ndarray, dim: int) -> np.ndarray:
@@ -243,26 +238,6 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
     return q._cache["derived"]
 
 
-def tensor_ortho_basis(q: FiniteQuantumGroup) -> list[np.ndarray]:
-    """Orthonormal basis of ``M (x) M`` built from the orthonormal basis of ``M``."""
-    if "tensor_ortho" not in q._cache:
-        q._cache["tensor_ortho"] = [
-            np.kron(a, b) for a in q.ortho_basis for b in q.ortho_basis
-        ]
-    return q._cache["tensor_ortho"]
-
-
-def algebra_is_commutative(q: FiniteQuantumGroup) -> bool:
-    if "commutative" not in q._cache:
-        basis = q.ortho_basis
-        worst = max(
-            (operator_norm(a @ b - b @ a) for a in basis for b in basis),
-            default=0.0,
-        )
-        q._cache["commutative"] = worst <= DEFAULT_TOL
-    return q._cache["commutative"]
-
-
 def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
     n = q.dim
     dims = (n, n, n)
@@ -270,14 +245,6 @@ def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
     lhs = apply_leg(q.W, (1, 2), apply_leg(q.W, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
     rhs = apply_leg(q.W, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims)
     return operator_norm(lhs - rhs)
-
-
-def _doubled_algebra_basis(q: FiniteQuantumGroup) -> list[np.ndarray]:
-    """Orthonormal basis of ``M (x) Mhat``: Kronecker products of the
-    orthonormal bases of the two factors.  The Hilbert-Schmidt inner product
-    multiplies under ``kron``, so the products need no re-orthonormalization."""
-    dual_basis = span_basis(_slice_basis_slices(q.W, q.dim))
-    return [np.kron(a, b) for a in q.ortho_basis for b in dual_basis]
 
 
 def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
@@ -296,12 +263,8 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     out: dict[str, float] = {}
     out["unitarity_W"] = unitarity_residual(w)
     out["conjugate_relation"] = operator_norm(dagger(w) - jhat_j.conjugate(w))
-    # nu = 1 for every shipped construction, so the modular phase degenerates
-    # to commutation of the two conjugations.
-    phase = complex(q.nu) ** (1j / 4)
-    out["modular_commutation"] = operator_norm(
-        q.Jhat.compose(q.J) - phase * q.J.compose(q.Jhat)
-    )
+    # with scaling constant 1 the modular phase is 1: the conjugations commute
+    out["modular_commutation"] = operator_norm(q.Jhat.compose(q.J) - q.J.compose(q.Jhat))
     out["dual_unitary"] = operator_norm(der.what - f @ dagger(w) @ f)
     out["right_unitary"] = operator_norm(
         der.v - q.Jhat.tensor(q.Jhat).conjugate(f @ dagger(w) @ f)
@@ -323,7 +286,7 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
         ("unitarity_V", der.v),
     ]:
         out[label] = unitarity_residual(u)
-    # W sits in M (x) Mhat, recorded as a membership residual
-    out["W_in_doubled_algebra"] = projection_residual(_doubled_algebra_basis(q), w)
+    # W sits in M (x) Mhat; dual(q) is not built yet while q is checked
+    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(w, n)), w)
     q._cache["structure_residuals"] = out
     return out

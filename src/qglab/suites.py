@@ -20,6 +20,7 @@ from .groups import load_group
 from .report import CheckRecord, CheckReport
 from .tensorlin import (
     DimensionCapError,
+    combine,
     max_tensor_entries,
     operator_norm,
     projection_residual,
@@ -111,10 +112,12 @@ def _rng(cfg: RunConfig, suite: str, construction: str) -> np.random.Generator:
     )
 
 
-def _random_element(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Random norm-one element of the span of ``basis`` (of ``M`` or ``M (x) M``)."""
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    x = sum(c * b for c, b in zip(coeff, basis))
+def _random_element(factors: tuple[np.ndarray, ...], rng: np.random.Generator) -> np.ndarray:
+    """Random norm-one element of ``M`` or ``M (x) M`` given as factor stacks,
+    one complex Gaussian coefficient per basis product, second index fast."""
+    k = math.prod(len(f) for f in factors)
+    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = combine(factors, coeff)
     return x / operator_norm(x)
 
 
@@ -141,7 +144,7 @@ def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
         for check, value in sorted(qgcore.structure_identity_residuals(q).items())
     ]
     if q.dim ** 3 <= max_tensor_entries():
-        x = _random_element(q.ortho_basis, rng)
+        x = _random_element((q.ortho_basis,), rng)
         out.append(("coassociativity", qgcore.coassociativity_residual(q, x), tol, None))
     return out
 
@@ -187,17 +190,18 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
         choi_matrix = diagonals.compression_choi_matrix(q, xi)
         min_eig = float(np.linalg.eigvalsh(choi_matrix)[0])
         choi = max(choi, -min_eig)
-        lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
+        lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
         theta_lam = diagonals.commutant_compression(q, xi, lam)
-        member = max(member, projection_residual(q.ortho_basis, theta_lam))
+        member = max(member, projection_residual((q.ortho_basis,), theta_lam))
     xi = random_unit_vector(rng, n)
-    x = _random_element(q.ortho_basis, rng)
-    y = _random_element(q.ortho_basis, rng)
+    x = _random_element((q.ortho_basis,), rng)
+    y = _random_element((q.ortho_basis,), rng)
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
     # The factored simple-tensor form only holds on commutative algebras (with
     # the star-left conjugation and matching weight); elsewhere the residuals
     # of all four convention variants are recorded without assertion.
-    simple_tol = _tol(cfg, 1e-10) if qgcore.algebra_is_commutative(q) else None
+    commutative = max(funalg.algebra_decomposition(q).block_sizes) == 1
+    simple_tol = _tol(cfg, 1e-10) if commutative else None
     draws = {"draws": cfg.theta_draws}
     return [
         ("unitality", unital, _tol(cfg, 1e-10), draws),
@@ -211,7 +215,7 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
     xi_exact, eta_exact = diagonals.exact_nets(q)
     zeta = random_unit_vector(rng, q.dim)
-    lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
+    lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
     cert = diagonals.certify_commutator_bound(q, zeta, xi_exact, eta_exact, lam, slack=slack)
     out = [("commutator_pairing_exact_nets", cert.lhs, slack, None)]
     for eps in cfg.epsilons:
@@ -225,7 +229,7 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
         worst_eps = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, q.dim)
-            lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
+            lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
             worst = max(worst, cert.lhs - cert.bound)
             worst_eps = max(worst_eps, cert.eps)
@@ -295,7 +299,7 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         eta = diagonals.NetVector(random_unit_vector(rng, n), "random")
         u = dualside.build_approximate_identity(ctx, xi, eta)
         zeta = random_unit_vector(rng, n)
-        x = _random_element(q.ortho_basis, rng)
+        x = _random_element((q.ortho_basis,), rng)
         oracle = max(oracle, dualside.slice_convention_residual(ctx, u, zeta, x))
     out = [("slice_convention_oracle", oracle, tol, {"draws": cfg.draws})]
 
@@ -320,10 +324,10 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         consistency = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, n)
-            x = _random_element(q.ortho_basis, rng)
+            x = _random_element((q.ortho_basis,), rng)
             cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
             bai_margin = max(bai_margin, cert.lhs - cert.bound)
-            lam = _random_element(qgcore.tensor_ortho_basis(q), rng)
+            lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
             qc_margin = max(qc_margin, qcert.lhs - qcert.bound)
             consistency = max(consistency, qcert.consistency)
@@ -363,6 +367,11 @@ def run_suites(cfg: RunConfig) -> CheckReport:
             raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
+    for eps in cfg.epsilons:
+        if not math.isfinite(eps):
+            raise ValueError(f"epsilons must be finite, got {eps}")
+    if cfg.tol is not None and not math.isfinite(cfg.tol):
+        raise ValueError(f"tol must be finite, got {cfg.tol}")
     table = load_group(cfg.group_source)
     _check_caps(table.order, tuple(cfg.suites))
     report = CheckReport(seed=cfg.seed)

@@ -34,7 +34,10 @@ __all__ = [
     "unitarity_residual",
     "slice_first",
     "span_basis",
+    "combine",
+    "project",
     "projection_residual",
+    "compress_basis",
     "random_unit_vector",
     "normalize",
 ]
@@ -190,28 +193,55 @@ def slice_first(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("a,abcd,c->bd", u.conj(), x4, u)
 
 
-def span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of the span of the given matrices."""
-    if not mats:
+def span_basis(mats: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of the span of the matrices, stacked."""
+    if not len(mats):
         raise ValueError("empty matrix list")
     stacked = np.stack([m.reshape(-1) for m in mats]).astype(complex)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int((s > 1e-10 * s[0]).sum()) if s.size else 0
-    shape = mats[0].shape
-    return [vh[i].reshape(shape) for i in range(rank)]
+    return vh[:rank].reshape((rank,) + mats[0].shape)
 
 
-def projection_residual(ortho_basis: list[np.ndarray], x: np.ndarray) -> float:
-    """Relative distance from ``x`` to the span of an orthonormal matrix family."""
-    vec = x.reshape(-1).astype(complex)
-    nrm = np.linalg.norm(vec)
+# A product algebra is the pair ``(a, b)`` of its factors' orthonormal stacks; one
+# stack ``(a,)`` is the pair ``(a, _SCALARS)`` with a trivial second leg.
+_SCALARS = np.ones((1, 1, 1))
+
+
+def combine(factors: tuple[np.ndarray, ...], coeff: np.ndarray) -> np.ndarray:
+    """``sum_ij coeff[i, j] a_i (x) b_j`` as ``A^T C B`` on the layout realigned
+    to ``(m^2, n^2)``; ``coeff`` may be flat, ``j`` fast."""
+    a, b = (*factors, _SCALARS)[:2]
+    m, n = a.shape[-1], b.shape[-1]
+    x = a.reshape(len(a), -1).T @ coeff.reshape(len(a), len(b)) @ b.reshape(len(b), -1)
+    return x.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
+def project(factors: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Projection onto the product algebra: the coefficients are
+    ``conj(A) X conj(B)^T`` for ``x`` realigned to ``X`` of shape ``(m^2, n^2)``."""
+    a, b = (*factors, _SCALARS)[:2]
+    m, n = a.shape[-1], b.shape[-1]
+    big = x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    return combine(factors, a.reshape(len(a), -1).conj() @ big @ b.reshape(len(b), -1).conj().T)
+
+
+def projection_residual(factors: tuple[np.ndarray, ...], x: np.ndarray) -> float:
+    """Relative distance from ``x`` to the product algebra of the factor stacks."""
+    nrm = np.linalg.norm(x)
     if nrm == 0:
         return 0.0
-    proj = np.zeros_like(vec)
-    for b in ortho_basis:
-        bvec = b.reshape(-1)
-        proj += np.vdot(bvec, vec) * bvec
-    return float(np.linalg.norm(vec - proj) / nrm)
+    return float(np.linalg.norm(x - project(factors, x)) / nrm)
+
+
+def compress_basis(factors: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
+    """``v* (a_i (x) b_j) v`` for every basis product, stacked with ``j`` fast."""
+    a, b = (*factors, _SCALARS)[:2]
+    v3 = v.reshape(a.shape[-1], b.shape[-1], -1)
+    left = np.einsum("ipc,pqr->iqcr", a, v3.conj(), optimize=True)  # v* (a_i (x) 1)
+    right = np.einsum("jqd,cds->jqcs", b, v3, optimize=True)  # (1 (x) b_j) v
+    out = np.einsum("iqcr,jqcs->ijrs", left, right, optimize=True)
+    return out.reshape(len(a) * len(b), v.shape[1], v.shape[1])
 
 
 @dataclass(frozen=True)

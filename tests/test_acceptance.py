@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_algebra, random_doubled
+
 from qglab.diagonals import (
     NetVector,
     build_diagonal,
@@ -40,7 +42,7 @@ from qglab.funalg import (
     vector_state,
 )
 from qglab.groups import BUILTIN_NAMES, builtin_table
-from qglab.qgcore import dual, function_algebra, structure_identity_residuals, tensor_ortho_basis
+from qglab.qgcore import dual, function_algebra, structure_identity_residuals
 from qglab.tensorlin import operator_norm, projection_residual, random_unit_vector
 
 EPSILONS = (0.01, 0.1, 0.3)
@@ -68,19 +70,6 @@ def report(number, passed, message):
 def both_sides(name):
     q = function_algebra(builtin_table(name))
     return q, dual(q)
-
-
-def random_doubled(q, rng):
-    basis = tensor_ortho_basis(q)
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    lam = sum(ci * b for ci, b in zip(c, basis))
-    return lam / operator_norm(lam)
-
-
-def random_algebra(q, rng):
-    c = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(len(q.ortho_basis))
-    x = sum(ci * b for ci, b in zip(c, q.ortho_basis))
-    return x / operator_norm(x)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +127,7 @@ def test_criterion_3_compression_map(constructions):
             unital = operator_norm(commutant_compression(q, xi, np.eye(n * n)) - np.eye(n))
             min_eig = float(np.linalg.eigvalsh(compression_choi_matrix(q, xi))[0])
             lam = random_doubled(q, rng)
-            member = projection_residual(q.ortho_basis, commutant_compression(q, xi, lam))
+            member = projection_residual((q.ortho_basis,), commutant_compression(q, xi, lam))
             worst_unital = max(worst_unital, unital)
             worst_choi = max(worst_choi, -min_eig)
             worst_member = max(worst_member, member)

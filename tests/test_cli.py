@@ -295,6 +295,15 @@ class TestCli:
         assert main(["verify", "--group", "Z2", "--suites", "structure", "--seed", "-3"]) == EXIT_INPUT_ERROR
         assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--epsilons", "nan", "epsilons"), ("--epsilons", "inf", "epsilons"), ("--tol", "nan", "tol")],
+    )
+    def test_non_finite_input_named(self, option, value, field, capsys):
+        args = ["verify", "--group", "Z2", "--suites", "structure,thm33", option, value]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+
     def test_unknown_suite_exit_code(self, capsys):
         assert main(["verify", "--group", "Z2", "--suites", "bogus"]) == EXIT_INPUT_ERROR
 

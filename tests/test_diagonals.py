@@ -4,7 +4,7 @@ certified commutator bound."""
 import numpy as np
 import pytest
 
-from conftest import SMALL_GROUPS, get_group, membership_residual
+from conftest import SMALL_GROUPS, get_group, membership_residual, random_doubled
 
 from qglab.diagonals import (
     NetVector,
@@ -23,15 +23,8 @@ from qglab.diagonals import (
 )
 from qglab.funalg import vector_state
 from qglab.groups import builtin_table
-from qglab.qgcore import derived_unitaries, tensor_ortho_basis
+from qglab.qgcore import derived_unitaries
 from qglab.tensorlin import dagger, normalize, operator_norm, random_unit_vector
-
-
-def random_doubled(q, rng, norm_one=True):
-    basis = tensor_ortho_basis(q)
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    lam = sum(ci * b for ci, b in zip(c, basis))
-    return lam / operator_norm(lam) if norm_one else lam
 
 
 class TestInvarianceResiduals:

@@ -4,7 +4,7 @@ approximate identity with its certified bounds."""
 import numpy as np
 import pytest
 
-from conftest import ALL_GROUPS, SMALL_GROUPS, get_group
+from conftest import ALL_GROUPS, SMALL_GROUPS, get_group, random_algebra, random_doubled
 
 from qglab.diagonals import (
     NetVector,
@@ -28,21 +28,8 @@ from qglab.dualside import (
     slice_convention_residual,
 )
 from qglab.funalg import algebra_decomposition, convolve, predual_norm, vector_state
-from qglab.qgcore import derived_unitaries, dual, tensor_ortho_basis
+from qglab.qgcore import derived_unitaries, dual
 from qglab.tensorlin import dagger, flip_matrix, operator_norm, random_unit_vector
-
-
-def random_algebra(q, rng):
-    c = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(len(q.ortho_basis))
-    x = sum(ci * b for ci, b in zip(c, q.ortho_basis))
-    return x / operator_norm(x)
-
-
-def random_doubled(q, rng):
-    basis = tensor_ortho_basis(q)
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    lam = sum(ci * b for ci, b in zip(c, basis))
-    return lam / operator_norm(lam)
 
 
 def dual_of_opposite(q):

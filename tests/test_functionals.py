@@ -4,7 +4,7 @@ the quotient trace norms with their randomized sup oracle."""
 import numpy as np
 import pytest
 
-from conftest import get_group
+from conftest import get_group, random_doubled, tensor_ortho_basis
 
 from qglab import funalg
 from qglab.funalg import (
@@ -26,7 +26,7 @@ from qglab.funalg import (
     vector_state,
 )
 from qglab.groups import builtin_table
-from qglab.qgcore import dual, function_algebra, tensor_ortho_basis
+from qglab.qgcore import dual, function_algebra
 from qglab.tensorlin import apply_leg, dagger, inner, random_unit_vector
 
 
@@ -144,9 +144,7 @@ class TestModuleActions:
         v = random_unit_vector(rng, n * n)
         a = vector_state(zeta)
         x = vector_state(v)
-        basis = tensor_ortho_basis(s3)
-        coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        lam = sum(c * b for c, b in zip(coeff, basis))
+        lam = random_doubled(s3, rng, norm_one=False)
         if side == "left":
             out = module_action_left(s3, a, x)
             moved = apply_leg(s3.W, (1, 2), np.kron(zeta, v), dims)
@@ -301,9 +299,10 @@ def _sorted_shapes(decomp):
     return sorted((b.size, b.multiplicity) for b in decomp.blocks)
 
 
-def _validate_by_loop(decomp, ortho, tol):
-    """Reference for ``_validate_decomposition``: the same two conditions,
-    one basis element at a time."""
+def _validate_by_loop(decomp, factors, tol):
+    """Reference for ``_validate_decomposition`` on a factor pair: the same two
+    conditions, one dense Kronecker product of the basis at a time."""
+    ortho = [np.kron(a, b) for a in factors[0] for b in factors[1]]
     if decomp.total_dim != ortho[0].shape[0]:
         raise DecompositionError("block dimensions do not tile the space")
     for block in decomp.blocks:
@@ -346,15 +345,19 @@ class TestTensorDecompositionProductForm:
             decomposed.append(basis[0].shape[0])
             return decompose(basis, *args, **kwargs)
 
-        def recording_validate(decomp, ortho, tol):
-            validated.append((decomp, ortho))
-            return validate(decomp, ortho, tol)
+        def recording_validate(decomp, factors, tol):
+            validated.append((decomp, factors))
+            return validate(decomp, factors, tol)
 
         monkeypatch.setattr(funalg, "block_decompose", counting_decompose)
         monkeypatch.setattr(funalg, "_validate_decomposition", recording_validate)
         for obj in (q, qd):
             decomp = tensor_algebra_decomposition(obj)
-            assert any(d is decomp and o is tensor_ortho_basis(obj) for d, o in validated)
+            doubled = (obj.ortho_basis, obj.ortho_basis)
+            assert any(
+                d is decomp and len(f) == 2 and all(x is y for x, y in zip(f, doubled))
+                for d, f in validated
+            )
         # only the factor decompositions of M, on 6 dimensions, draw at random
         assert decomposed == [6, 6]
 
@@ -368,7 +371,7 @@ class TestTensorDecompositionProductForm:
     @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
     def test_product_form_accepted(self, validate):
         q = get_group("S3", "dual")
-        validate(tensor_algebra_decomposition(q), tensor_ortho_basis(q), 1e-8)
+        validate(tensor_algebra_decomposition(q), (q.ortho_basis, q.ortho_basis), 1e-8)
 
     @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
     def test_untransposed_kron_layout_rejected(self, validate):
@@ -376,7 +379,7 @@ class TestTensorDecompositionProductForm:
         factor = algebra_decomposition(q).blocks
         isometries = [np.kron(a.isometry, b.isometry) for a in factor for b in factor]
         with pytest.raises(DecompositionError, match="product form"):
-            validate(self._with_isometries(q, isometries), tensor_ortho_basis(q), 1e-8)
+            validate(self._with_isometries(q, isometries), (q.ortho_basis, q.ortho_basis), 1e-8)
 
     @pytest.mark.parametrize("validate", [_validate_decomposition, _validate_by_loop])
     def test_column_swapped_between_blocks_rejected(self, validate):
@@ -389,4 +392,4 @@ class TestTensorDecompositionProductForm:
             isometries[i][:, 0].copy(),
         )
         with pytest.raises(DecompositionError):
-            validate(self._with_isometries(q, isometries), tensor_ortho_basis(q), 1e-8)
+            validate(self._with_isometries(q, isometries), (q.ortho_basis, q.ortho_basis), 1e-8)

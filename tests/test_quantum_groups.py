@@ -16,7 +16,6 @@ from qglab.groups import builtin_table
 from qglab.qgcore import (
     KIND_FUNCTION,
     FiniteQuantumGroup,
-    _doubled_algebra_basis,
     coassociativity_residual,
     comultiply,
     derived_unitaries,
@@ -52,9 +51,6 @@ class TestFunctionAlgebra:
         assert np.array_equal(w.sum(axis=0), np.ones(36))
         assert np.array_equal(w.sum(axis=1), np.ones(36))
 
-    def test_scaling_constant_trivial(self, s3):
-        assert s3.nu == 1.0
-
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_algebra_star_closed_with_identity(self, name):
         q = get_group(name)
@@ -89,7 +85,8 @@ class TestStructureCatalog:
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_doubled_algebra_basis_is_orthonormal(self, name, side):
         q = get_group(name, side)
-        basis = _doubled_algebra_basis(q)
+        # the dense Kronecker list of the orthonormal bases of M and Mhat
+        basis = [np.kron(a, b) for a in q.ortho_basis for b in dual(q).ortho_basis]
         stacked = np.stack([b.reshape(-1) for b in basis])
         gram = stacked.conj() @ stacked.T
         assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
@@ -114,7 +111,6 @@ class TestStructureCatalog:
             J=q.J,
             Jhat=q.Jhat,
             haar_vector=q.haar_vector,
-            nu=q.nu,
             algebra_basis=q.algebra_basis,
             kind=q.kind,
             table=q.table,

@@ -277,13 +277,13 @@ class TestSpanTools:
         mats = [random_matrix(rng, 3) for _ in range(3)]
         basis = span_basis(mats)
         combo = 0.3 * mats[0] - 1.7j * mats[2]
-        assert projection_residual(basis, combo) <= 1e-12
+        assert projection_residual((basis,), combo) <= 1e-12
 
     def test_orthogonal_element(self):
         basis = span_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         off = np.zeros((2, 2))
         off[0, 1] = 1.0
-        assert abs(projection_residual(basis, off) - 1.0) <= 1e-12
+        assert abs(projection_residual((basis,), off) - 1.0) <= 1e-12
 
     def test_unitarity_residual(self, rng):
         u, _, vh = np.linalg.svd(random_matrix(rng, 3))
