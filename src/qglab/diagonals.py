@@ -34,11 +34,10 @@ from .qgcore import (
     dual,
 )
 from .tensorlin import (
-    apply_leg,
     dagger,
-    inner,
     normalize,
     operator_norm,
+    partial_trace,
     projection_residual,
     slice_first,
 )
@@ -182,20 +181,6 @@ def diagonal_residuals(
     return r1, r2
 
 
-def _commutator_pairing(
-    q: FiniteQuantumGroup, zeta: np.ndarray, dvec: np.ndarray, lam: np.ndarray
-) -> complex:
-    """``(omega_zeta . omega_d - omega_d . omega_zeta)(Lam)`` evaluated through
-    three-leg vector contractions (cheap, used by the certifier)."""
-    n = q.dim
-    dims = (n, n, n)
-    left_vec = apply_leg(q.W, (1, 2), np.kron(zeta, dvec), dims)
-    left = inner(apply_leg(lam, (2, 3), left_vec, dims), left_vec)
-    right_vec = apply_leg(q.W, (2, 3), np.kron(dvec, zeta), dims)
-    right = inner(apply_leg(lam, (1, 3), right_vec, dims), right_vec)
-    return left - right
-
-
 @dataclass(frozen=True)
 class CommutatorCertificate:
     """One certified instance of the commutator pairing bound ``3 eps ||Lam||``."""
@@ -237,7 +222,8 @@ def certify_commutator_bound(
     eps2 = predual_norm(comm, algebra_decomposition(q))
     eps = max(eps1, eps2)
     cand = build_diagonal(q, xi, eta)
-    lhs = abs(_commutator_pairing(q, zeta, cand.vector, lam))
+    x = cand.bifunctional
+    lhs = abs((module_action_left(q, wz, x) - module_action_right(q, x, wz)).value(lam))
     return CommutatorCertificate(
         eps_invariance=eps1,
         eps_commutation=eps2,
@@ -288,12 +274,10 @@ def dual_quasicentral_residual(
     qd = dual(q)
     v0 = np.kron(zeta, xi)
     v1 = dagger(derived_unitaries(qd).wop) @ qd.W @ v0
-    rho0 = _second_leg_functional(v0, n)
-    rho1 = _second_leg_functional(v1, n)
-    return predual_norm(Functional(rho1 - rho0), algebra_decomposition(qd))
+    diff = _second_leg_functional(v1, n) - _second_leg_functional(v0, n)
+    return predual_norm(diff, algebra_decomposition(qd))
 
 
-def _second_leg_functional(v: np.ndarray, n: int) -> np.ndarray:
-    """Pairing matrix of ``x -> <(1 (x) x) v, v>``."""
-    rho = np.outer(v, v.conj()).reshape(n, n, n, n)
-    return np.einsum("abad->bd", rho)
+def _second_leg_functional(v: np.ndarray, n: int) -> Functional:
+    """The functional ``x -> <(1 (x) x) v, v>``: one partial trace of ``v``."""
+    return Functional(((1.0, partial_trace(v.reshape(-1, 1), (n, n), 1)),))

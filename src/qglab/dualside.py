@@ -241,8 +241,7 @@ def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
     v = ctx.w @ dagger(ctx.w_comm_op) @ np.kron(xi.vector, eta.vector)
-    rho = _second_leg_functional(v, ctx.dim)
-    return QuasicentralIdentity(xi=xi, eta=eta, vector=v, functional=Functional(rho))
+    return QuasicentralIdentity(xi=xi, eta=eta, vector=v, functional=_second_leg_functional(v, ctx.dim))
 
 
 def slice_convention_residual(
@@ -252,7 +251,7 @@ def slice_convention_residual(
     x: np.ndarray,
 ) -> float:
     """Consistency oracle for the slice convention: ``X(u * omega_zeta)``
-    computed through pairing matrices must match the three-leg inner product
+    computed by convolution must match the three-leg inner product
     ``<X_3 W_23 W_12 W'^op*_12 (xi (x) eta (x) zeta), same>``.
 
     A wrong reading of the second-leg slice fails this loudly.
@@ -337,8 +336,9 @@ def certify_quasicentral_bound(
     ``2 ||Lam|| (r1 + r2 + r3)`` built from the three invariance defects
     entering the estimate.
 
-    The pairing is evaluated both definitionally (pairing matrices) and through
-    the three-leg contraction; their agreement is reported as ``consistency``.
+    The pairing is evaluated both definitionally (on the factors ``zeta (x) F``
+    of the terms of ``u``) and through the three-leg contraction; their
+    agreement is reported as ``consistency``.
     """
     res = projection_residual((ctx.q.ortho_basis, ctx.q.ortho_basis), lam)
     if res > MEMBERSHIP_TOL:
@@ -348,8 +348,7 @@ def certify_quasicentral_bound(
     wp, wpo, w = ctx.w_comm, ctx.w_comm_op, ctx.w
 
     conj = dagger(wp) @ wpo @ lam @ dagger(wpo) @ wp
-    rho = np.kron(np.outer(zeta, zeta.conj()), u.functional.rho)
-    lhs_def = np.trace(rho @ (conj - lam))
+    lhs_def = vector_state(zeta).tensor(u.functional).value(conj - lam)
 
     triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
     base = apply_leg(w, (2, 3), apply_leg(dagger(wpo), (2, 3), triple, dims), dims)

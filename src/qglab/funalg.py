@@ -1,11 +1,12 @@
 """The convolution algebra of a finite quantum group and its tensor square.
 
-Functionals are stored as full pairing matrices ``rho`` on ``B(H)`` with
-``omega(x) = Tr(rho x)``; only the restriction to the algebra ``M`` is
+A functional is a short signed sum of vector functionals, held as the terms
+``(c, F)`` of ``omega(x) = sum c Tr(F* x F)``: the paper's Hilbert-space vectors,
+never a pairing matrix.  Only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
-block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``, never
-a list of its ``n^2`` basis products.  The decomposition algorithm and the
-randomized sup oracle validating it are independent of each other.
+block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.  The
+decomposition algorithm and the randomized sup oracle validating it are
+independent of each other.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import numpy as np
 
 from .qgcore import FiniteQuantumGroup
 from .tensorlin import (
+    apply_leg,
     compress_basis,
     dagger,
     operator_norm,
     partial_trace,
     project,
-    sandwich_legs,
     span_basis,
     trace_norm,
 )
@@ -46,66 +47,70 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Functional:
-    """An element of the predual of ``M`` or of ``M (x) M``, paired by
-    ``omega(x) = Tr(rho x)`` against ``H`` or ``H (x) H``."""
+    """An element of the predual of ``M`` or of ``M (x) M``: the terms
+    ``(c, F)`` give ``omega(x) = sum c Tr(F* x F)`` against ``H`` or ``H (x) H``."""
 
-    rho: np.ndarray
+    terms: tuple[tuple[complex, np.ndarray], ...]
 
     def value(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ x))
+        return complex(sum(c * np.vdot(f, x @ f) for c, f in self.terms))
+
+    def tensor(self, other: "Functional") -> "Functional":
+        """``self (x) other``: the Kronecker products of the factors, formed by
+        broadcasting (the same products as ``np.kron``, without its overhead)."""
+        return Functional(tuple(
+            (c * d, (f[:, None, :, None] * g[None, :, None, :]).reshape(len(f) * len(g), -1))
+            for c, f in self.terms
+            for d, g in other.terms
+        ))
 
     def __add__(self, other: "Functional") -> "Functional":
-        return Functional(self.rho + other.rho)
+        return Functional(self.terms + other.terms)
 
     def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(self.rho - other.rho)
+        return self + other * -1.0
 
     def __mul__(self, scalar: complex) -> "Functional":
-        return Functional(self.rho * scalar)
+        return Functional(tuple((c * scalar, f) for c, f in self.terms))
 
     __rmul__ = __mul__
 
 
 def vector_state(zeta: np.ndarray) -> Functional:
-    """The vector functional ``x -> <x zeta, zeta>`` as a rank-one pairing
-    matrix; ``zeta`` on ``H (x) H`` gives a functional on the doubled algebra."""
-    return Functional(np.outer(zeta, zeta.conj()))
+    """The vector functional ``x -> <x zeta, zeta>``: one term, ``zeta`` as a
+    column; ``zeta`` on ``H (x) H`` gives a functional on the doubled algebra."""
+    return Functional(((1.0, zeta.reshape(-1, 1)),))
 
 
 def convolve(q: FiniteQuantumGroup, a: Functional, b: Functional) -> Functional:
-    """Convolution ``(a * b)(x) = (a (x) b)(G(x))``.
+    """Convolution ``(a * b)(x) = (a (x) b)(G(x))``; for the function algebra
+    of ``G`` it is the classical convolution on ``l1(G)``."""
+    return product_map(q, a.tensor(b))
 
-    On pairing matrices this is the first-leg partial trace of
-    ``W (rho_a (x) rho_b) W*``; for the function algebra of ``G`` it is the
-    classical convolution on ``l1(G)``.
-    """
-    n = q.dim
-    rho = q.W @ np.kron(a.rho, b.rho) @ dagger(q.W)
-    return Functional(partial_trace(rho, (n, n), 1))
+
+def _module_action(q: FiniteQuantumGroup, x: Functional, legs: tuple[int, int], leg: int) -> Functional:
+    """Apply ``W`` on ``legs`` of every three-leg factor of ``x`` and trace out ``leg``."""
+    dims = (q.dim,) * 3
+    return Functional(tuple(
+        (c, partial_trace(apply_leg(q.W, legs, f, dims), dims, leg)) for c, f in x.terms
+    ))
 
 
 def module_action_left(q: FiniteQuantumGroup, a: Functional, x: Functional) -> Functional:
     """``a . x``: convolution by ``a`` from the left in the first coordinate."""
-    n = q.dim
-    big = np.kron(a.rho, x.rho)
-    big = sandwich_legs(q.W, (1, 2), big, (n, n, n))
-    return Functional(partial_trace(big, (n, n * n), 1))
+    return _module_action(q, a.tensor(x), (1, 2), 1)
 
 
 def module_action_right(q: FiniteQuantumGroup, x: Functional, a: Functional) -> Functional:
     """``x . a``: convolution by ``a`` from the right in the second coordinate."""
-    n = q.dim
-    big = np.kron(x.rho, a.rho)
-    big = sandwich_legs(q.W, (2, 3), big, (n, n, n))
-    return Functional(partial_trace(big, (n, n, n), 2))
+    return _module_action(q, x.tensor(a), (2, 3), 2)
 
 
 def product_map(q: FiniteQuantumGroup, x: Functional) -> Functional:
     """Push a functional on the doubled algebra through the comultiplication,
-    ``x -> x o G``; on elementary tensors this is convolution."""
+    ``x -> x o G``: the first-leg partial trace of ``W F`` for each factor."""
     n = q.dim
-    rho = q.W @ x.rho @ dagger(q.W)
-    return Functional(partial_trace(rho, (n, n), 1))
+    return Functional(tuple((c, partial_trace(q.W @ f, (n, n), 1)) for c, f in x.terms))
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,12 @@ class Block:
     multiplicity: int
     isometry: np.ndarray
 
-    def compress(self, rho: np.ndarray) -> np.ndarray:
-        """Adjoint of the inclusion: compress a pairing matrix to the block factor."""
-        c = dagger(self.isometry) @ rho @ self.isometry
-        c4 = c.reshape(self.size, self.multiplicity, self.size, self.multiplicity)
-        return np.einsum("pjqj->pq", c4)
+    def compress(self, omega: Functional) -> np.ndarray:
+        """Adjoint of the inclusion: compress a functional to the block factor,
+        ``sum c G G*`` with ``G = iso* F`` and the multiplicity index moved
+        into the columns."""
+        gs = [(c, (dagger(self.isometry) @ f).reshape(self.size, -1)) for c, f in omega.terms]
+        return sum(c * (g @ dagger(g)) for c, g in gs)
 
 
 @dataclass(frozen=True)
@@ -271,12 +277,12 @@ def _validate_decomposition(
 def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
     """Quotient trace norm of a functional restricted to the decomposed algebra:
     the sum of trace norms of the block compressions."""
-    return float(sum(trace_norm(block.compress(omega.rho)) for block in decomp.blocks))
+    return float(sum(trace_norm(block.compress(omega)) for block in decomp.blocks))
 
 
 def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
-    return float(sum(trace_norm(block.compress(x.rho)) for block in decomp.blocks))
+    return float(sum(trace_norm(block.compress(x)) for block in decomp.blocks))
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:

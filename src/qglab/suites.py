@@ -187,12 +187,12 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
         xi = random_unit_vector(rng, n)
         theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
         unital = max(unital, operator_norm(theta_id - np.eye(n)))
-        choi_matrix = diagonals.compression_choi_matrix(q, xi)
-        min_eig = float(np.linalg.eigvalsh(choi_matrix)[0])
-        choi = max(choi, -min_eig)
         lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
         theta_lam = diagonals.commutant_compression(q, xi, lam)
         member = max(member, projection_residual((q.ortho_basis,), theta_lam))
+        # the Choi matrix, built from the Kraus factor, against the slice route
+        c = diagonals.compression_choi_matrix(q, xi).reshape(n * n, n, n * n, n)
+        choi = max(choi, operator_norm(theta_lam - np.einsum("IkJl,IJ->kl", c, lam)))
     xi = random_unit_vector(rng, n)
     x = _random_element((q.ortho_basis,), rng)
     y = _random_element((q.ortho_basis,), rng)
@@ -205,7 +205,7 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     draws = {"draws": cfg.theta_draws}
     return [
         ("unitality", unital, _tol(cfg, 1e-10), draws),
-        ("choi_negativity", choi, _tol(cfg, 1e-9), draws),
+        ("choi_consistency", choi, _tol(cfg, 1e-9), draws),
         ("range_in_algebra", member, _tol(cfg, 1e-9), draws),
         ("simple_tensor_identity", variants["sandwich_star_left/plain"], simple_tol, dict(variants)),
     ]
@@ -359,17 +359,23 @@ def _constructions(choice: str) -> tuple[str, ...]:
 
 def run_suites(cfg: RunConfig) -> CheckReport:
     """Execute the selected suites; deterministic for a fixed config and seed."""
-    for suite in cfg.suites:
+    for i, suite in enumerate(cfg.suites):
         if suite not in SUITE_FUNCS:
             raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+        if suite in cfg.suites[:i]:
+            raise ValueError(f"suite {suite!r} is repeated")
     for name in ("draws", "bound_draws", "theta_draws"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
-    for eps in cfg.epsilons:
+    labels = [f"{eps:g}" for eps in cfg.epsilons]  # the labels in the record names
+    for i, eps in enumerate(cfg.epsilons):
         if not math.isfinite(eps):
             raise ValueError(f"epsilons must be finite, got {eps}")
+        first = labels.index(labels[i])
+        if first < i:
+            raise ValueError(f"epsilons {cfg.epsilons[first]} and {eps} share the label {labels[i]}")
     if cfg.tol is not None and not math.isfinite(cfg.tol):
         raise ValueError(f"tol must be finite, got {cfg.tol}")
     table = load_group(cfg.group_source)

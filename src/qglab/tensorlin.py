@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ __all__ = [
     "inner",
     "flip_matrix",
     "apply_leg",
-    "sandwich_legs",
     "partial_trace",
     "trace_norm",
     "operator_norm",
@@ -138,28 +138,16 @@ def apply_leg(
     return out.reshape(v.shape[0], v.shape[1]) if batched else out.reshape(-1)
 
 
-def sandwich_legs(
-    op: np.ndarray,
-    legs: tuple[int, ...],
-    rho: np.ndarray,
-    dims: tuple[int, ...],
-) -> np.ndarray:
-    """Conjugate a matrix on ``prod(dims)`` by ``op`` acting on the given legs:
-    returns ``op_legs @ rho @ op_legs*``."""
-    step = apply_leg(op, legs, rho, dims)
-    return dagger(apply_leg(op, legs, dagger(step), dims))
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, ...], leg: int) -> np.ndarray:
-    """Trace out one leg (1-based) of a matrix on ``prod(dims)``."""
+def partial_trace(f: np.ndarray, dims: tuple[int, ...], leg: int) -> np.ndarray:
+    """Factor of a partial trace: for ``f`` with rows on ``prod(dims)``, the
+    matrix ``g`` with ``g g* = Tr_leg(f f*)``, tracing out one leg (1-based).
+    The traced leg moves into the columns: a transpose and a reshape."""
     nlegs = len(dims)
     if not 1 <= leg <= nlegs:
         raise ValueError(f"leg {leg} out of range for {nlegs} legs")
-    t = rho.reshape(tuple(dims) + tuple(dims))
-    axis = leg - 1
-    out = np.trace(t, axis1=axis, axis2=axis + nlegs)
-    kept = int(np.prod([d for i, d in enumerate(dims) if i != axis]))
-    return out.reshape(kept, kept)
+    kept = [i for i in range(nlegs) if i != leg - 1]
+    t = f.reshape(*dims, -1).transpose(*kept, leg - 1, nlegs)
+    return t.reshape(math.prod(dims) // dims[leg - 1], -1)
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from qglab.funalg import Functional
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
-from qglab.tensorlin import operator_norm, span_basis
+from qglab.tensorlin import dagger, operator_norm, span_basis, trace_norm
 
 SMALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "S3")
 ALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "S3", "D4", "Q8")
@@ -66,6 +67,71 @@ def random_algebra(q, rng):
     c = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(len(q.ortho_basis))
     x = sum(ci * b for ci, b in zip(c, q.ortho_basis))
     return x / operator_norm(x)
+
+
+def dense(omega):
+    """Oracle: the pairing matrix ``rho = sum c F F*`` of a functional, so that
+    ``omega(x) = Tr(rho x)``."""
+    return sum(c * (f @ dagger(f)) for c, f in omega.terms)
+
+
+def functional_from_matrix(rho):
+    """The functional ``x -> Tr(rho x)`` of an arbitrary square matrix, one term
+    per eigenvector of its Hermitian part ``h`` and of ``k`` in ``rho = h + i k``."""
+    terms = []
+    for scale, part in ((1.0, (rho + dagger(rho)) / 2), (1j, (rho - dagger(rho)) / 2j)):
+        w, v = np.linalg.eigh(part)
+        terms += [(scale * w[j], v[:, [j]]) for j in range(len(w))]
+    return Functional(tuple(terms))
+
+
+# The dense pairing-matrix route: every functional as its n^k x n^k matrix,
+# conjugated by W on the full space and traced with np.trace.
+
+def dense_partial_trace(rho, dims, leg):
+    """Oracle: trace out one leg (1-based) of a matrix on ``prod(dims)``."""
+    nlegs = len(dims)
+    t = rho.reshape(tuple(dims) + tuple(dims))
+    out = np.trace(t, axis1=leg - 1, axis2=leg - 1 + nlegs)
+    kept = int(np.prod(dims)) // dims[leg - 1]
+    return out.reshape(kept, kept)
+
+
+def _conjugate(u, rho):
+    return u @ rho @ dagger(u)
+
+
+def dense_convolve(q, rho_a, rho_b):
+    return dense_partial_trace(_conjugate(q.W, np.kron(rho_a, rho_b)), (q.dim, q.dim), 1)
+
+
+def dense_product_map(q, rho):
+    return dense_partial_trace(_conjugate(q.W, rho), (q.dim, q.dim), 1)
+
+
+def dense_module_action_left(q, rho_a, rho_x):
+    w12 = np.kron(q.W, np.eye(q.dim))
+    return dense_partial_trace(_conjugate(w12, np.kron(rho_a, rho_x)), (q.dim,) * 3, 1)
+
+
+def dense_module_action_right(q, rho_x, rho_a):
+    w23 = np.kron(np.eye(q.dim), q.W)
+    return dense_partial_trace(_conjugate(w23, np.kron(rho_x, rho_a)), (q.dim,) * 3, 2)
+
+
+def dense_second_leg(v, n):
+    """Pairing matrix of ``x -> <(1 (x) x) v, v>``."""
+    return np.einsum("abad->bd", np.outer(v, v.conj()).reshape(n, n, n, n))
+
+
+def dense_predual_norm(rho, decomp):
+    """Sum over blocks of the trace norm of ``iso* rho iso`` with the
+    multiplicity traced out."""
+    total = 0.0
+    for b in decomp.blocks:
+        c = (dagger(b.isometry) @ rho @ b.isometry).reshape(b.size, b.multiplicity, b.size, b.multiplicity)
+        total += trace_norm(np.einsum("pjqj->pq", c))
+    return total
 
 
 @pytest.fixture

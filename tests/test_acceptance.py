@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_algebra, random_doubled
+from conftest import functional_from_matrix, random_algebra, random_doubled
 
 from qglab.diagonals import (
     NetVector,
@@ -33,7 +33,6 @@ from qglab.dualside import (
     slice_convention_residual,
 )
 from qglab.funalg import (
-    Functional,
     algebra_decomposition,
     block_decompose,
     convolve,
@@ -236,7 +235,7 @@ def test_criterion_7_predual_norm_engine():
     diag_decomp = block_decompose(diag_basis, rng)
     for _ in range(50):
         rho = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        block_value = predual_norm(Functional(rho), diag_decomp)
+        block_value = predual_norm(functional_from_matrix(rho), diag_decomp)
         oracle = sup_norm_estimate(rho, diag_basis, rng, samples=2000, ascent_steps=100)
         worst = max(worst, abs(block_value - oracle))
         assert oracle <= block_value + 1e-9
@@ -252,7 +251,7 @@ def test_criterion_7_predual_norm_engine():
     sizes = s3_decomp.block_sizes
     for _ in range(50):
         rho = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        block_value = predual_norm(Functional(rho), s3_decomp)
+        block_value = predual_norm(functional_from_matrix(rho), s3_decomp)
         oracle = sup_norm_estimate(rho, lam_basis, rng, samples=2000, ascent_steps=100)
         worst = max(worst, abs(block_value - oracle))
         assert oracle <= block_value + 1e-9

@@ -67,7 +67,7 @@ class TestRunSuites:
             ]),
             "Lemma 4.3": ("lemma43", ["exchange_identity", "leg_commutation"]),
             "Lemma 3.4": ("theta", [
-                "choi_negativity", "range_in_algebra", "simple_tensor_identity", "unitality",
+                "choi_consistency", "range_in_algebra", "simple_tensor_identity", "unitality",
             ]),
             "Theorem 3.3": ("thm33", [
                 "commutator_bound_margin_t_0.01", "commutator_bound_margin_t_0.1",
@@ -154,29 +154,24 @@ class TestRunSuites:
         assert both.to_json_bytes() == union.to_json_bytes()
 
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
-    def test_module_commutator_independent_of_blas_threads(self, construction):
-        # the doubled-algebra decomposition has no random eigensolver step, so
-        # the module commutator records do not depend on the BLAS thread count
-        def records(threads):
+    def test_certificate_independent_of_blas_threads(self, construction):
+        # no record takes a spectrum or a random eigensolver step whose
+        # rounding follows the BLAS thread count, so the bytes do not either
+        def certificate(threads):
             env = dict(
                 os.environ,
                 OPENBLAS_NUM_THREADS=str(threads),
                 PYTHONPATH=str(Path(qglab.__file__).parents[1]),
             )
-            out = subprocess.run(
+            return subprocess.run(
                 [sys.executable, "-m", "qglab.cli", "verify", "--group", "S3",
-                 "--construction", construction, "--suites", "obad,dual", "--seed", "7"],
+                 "--construction", construction, "--suites", ",".join(SUITE_NAMES), "--seed", "7"],
                 env=env, capture_output=True, check=True,
             ).stdout
-            return [
-                json.dumps(r, sort_keys=True)
-                for r in json.loads(out)["records"]
-                if r["check"] in ("module_commutator", "dual_module_commutator")
-            ]
 
-        one = records(1)
-        assert len(one) == 2
-        assert one == records(2)
+        one = certificate(1)
+        assert {r["suite"] for r in json.loads(one)["records"]} == set(SUITE_NAMES)
+        assert one == certificate(2)
 
 
 class TestReportFormat:
@@ -303,6 +298,17 @@ class TestCli:
         args = ["verify", "--group", "Z2", "--suites", "structure,thm33", option, value]
         assert main(args) == EXIT_INPUT_ERROR
         assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+
+    def test_repeated_suite_named(self, capsys):
+        args = ["verify", "--group", "Z2", "--construction", "function-algebra", "--suites", "thm33,thm33"]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert "suite 'thm33' is repeated" in capsys.readouterr().err
+
+    def test_colliding_epsilon_labels_named(self, capsys):
+        args = ["verify", "--group", "Z2", "--construction", "function-algebra", "--suites", "thm33",
+                "--epsilons", "0.1,0.1000001"]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert "epsilons 0.1 and 0.1000001 share the label 0.1" in capsys.readouterr().err
 
     def test_unknown_suite_exit_code(self, capsys):
         assert main(["verify", "--group", "Z2", "--suites", "bogus"]) == EXIT_INPUT_ERROR

@@ -1,11 +1,14 @@
 """Invariance defects, the commutant compression, diagonal candidates, and the
 certified commutator bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import SMALL_GROUPS, get_group, membership_residual, random_doubled
 
+from qglab import diagonals, suites
 from qglab.diagonals import (
     NetVector,
     build_diagonal,
@@ -163,6 +166,22 @@ class TestCommutantCompression:
             out = commutant_compression(z3, xi, unit)
             assert np.abs(choi[idx[0], :, idx[1], :] - out).max() <= 1e-12
 
+    def test_choi_record_fires_on_wrong_unitary(self, monkeypatch):
+        def residual():
+            cfg = suites.RunConfig("S3", construction="group-algebra", suites=("theta",), seed=7)
+            report = suites.run_suites(cfg)
+            return next(r.residual for r in report.records if r.check == "choi_consistency")
+
+        assert residual() <= 1e-9
+        # on the group algebra W differs from W', so a Choi matrix built from W
+        # disagrees with the slice route of the compression
+        monkeypatch.setattr(
+            diagonals,
+            "compression_kraus_factor",
+            lambda q, xi: dagger(q.W) @ np.kron(xi.reshape(-1, 1), np.eye(q.dim)),
+        )
+        assert residual() > 1e-6
+
     def test_kraus_factorization(self, s3, rng):
         xi = random_unit_vector(rng, 6)
         b = compression_kraus_factor(s3, xi)
@@ -264,6 +283,18 @@ class TestDiagonalResiduals:
             r1, r2 = diagonal_residuals(q, cand, vector_state(np.eye(q.dim)[s]))
             assert r1 <= 1e-10
             assert r2 <= 1e-10
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_swapped_columns_of_w_break_module_records(self, side):
+        q = get_group("Z3", side)
+        w = q.W.copy()
+        w[:, [1, 2]] = w[:, [2, 1]]
+        # built directly with an empty cache, so no construction check rejects
+        # the broken unitary and nothing derived from the true W is reused
+        broken = replace(q, W=w, _cache={})
+        _, r1, r2 = suites._exact_diagonal(broken)
+        assert r1 > 1e-6
+        assert r2 > 1e-6
 
     def test_trivial_group_zero(self):
         q = get_group("Z1")

@@ -4,14 +4,26 @@ the quotient trace norms with their randomized sup oracle."""
 import numpy as np
 import pytest
 
-from conftest import get_group, random_doubled, tensor_ortho_basis
+from conftest import (
+    dense,
+    dense_convolve,
+    dense_module_action_left,
+    dense_module_action_right,
+    dense_predual_norm,
+    dense_product_map,
+    dense_second_leg,
+    functional_from_matrix,
+    get_group,
+    random_doubled,
+    tensor_ortho_basis,
+)
 
 from qglab import funalg
+from qglab.diagonals import _second_leg_functional
 from qglab.funalg import (
     Block,
     BlockDecomposition,
     DecompositionError,
-    Functional,
     _validate_decomposition,
     algebra_decomposition,
     block_decompose,
@@ -160,7 +172,7 @@ class TestProductMap:
     def test_elementary_tensor_is_convolution(self, s3, rng):
         za = random_unit_vector(rng, 6)
         zb = random_unit_vector(rng, 6)
-        x = Functional(np.kron(vector_state(za).rho, vector_state(zb).rho))
+        x = functional_from_matrix(np.kron(dense(vector_state(za)), dense(vector_state(zb))))
         lhs = product_map(s3, x)
         rhs = convolve(s3, vector_state(za), vector_state(zb))
         assert predual_norm(lhs - rhs, algebra_decomposition(s3)) <= 1e-11
@@ -178,9 +190,48 @@ class TestProductMap:
     def test_linearity(self, z3, rng):
         x = vector_state(random_unit_vector(rng, 9))
         y = vector_state(random_unit_vector(rng, 9))
-        combo = product_map(z3, Functional(2.0 * x.rho - 1j * y.rho))
-        parts = Functional(2.0 * product_map(z3, x).rho - 1j * product_map(z3, y).rho)
-        assert np.abs(combo.rho - parts.rho).max() <= 1e-12
+        combo = product_map(z3, functional_from_matrix(2.0 * dense(x) - 1j * dense(y)))
+        parts = 2.0 * dense(product_map(z3, x)) - 1j * dense(product_map(z3, y))
+        assert np.abs(dense(combo) - parts).max() <= 1e-12
+
+
+def random_difference(rng, d):
+    """A two-term functional: a vector state minus a complex multiple of another."""
+    u, w = random_unit_vector(rng, d), random_unit_vector(rng, d)
+    return vector_state(u) - (0.3 - 0.2j) * vector_state(w)
+
+
+class TestFactoredRoute:
+    """Every operation on the factors of the terms against the dense
+    pairing-matrix route of ``conftest``."""
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4"])
+    def test_matches_dense_route(self, name, side, rng):
+        q = get_group(name, side)
+        n = q.dim
+        a = random_difference(rng, n)
+        b = functional_from_matrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x = random_difference(rng, n * n)
+        v = random_unit_vector(rng, n * n)
+        conv, pushed = convolve(q, a, b), product_map(q, x)
+        left, right = module_action_left(q, a, x), module_action_right(q, x, a)
+        sliced = _second_leg_functional(v, n)
+        for omega, rho in [
+            (conv, dense_convolve(q, dense(a), dense(b))),
+            (pushed, dense_product_map(q, dense(x))),
+            (left, dense_module_action_left(q, dense(a), dense(x))),
+            (right, dense_module_action_right(q, dense(x), dense(a))),
+            (sliced, dense_second_leg(v, n)),
+        ]:
+            assert np.abs(dense(omega) - rho).max() <= 1e-12
+        decomp = algebra_decomposition(q)
+        for omega in (a, b, conv, pushed, sliced):
+            assert abs(predual_norm(omega, decomp) - dense_predual_norm(dense(omega), decomp)) <= 1e-12
+        decomp = tensor_algebra_decomposition(q)
+        for omega in (x, left, right):
+            expected = dense_predual_norm(dense(omega), decomp)
+            assert abs(tensor_predual_norm(omega, decomp) - expected) <= 1e-12
 
 
 class TestBlockDecompose:
@@ -224,7 +275,7 @@ class TestPredualNorm:
         q = get_group("Z4")
         decomp = algebra_decomposition(q)
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        omega = Functional(np.diag(z))
+        omega = functional_from_matrix(np.diag(z))
         assert abs(predual_norm(omega, decomp) - np.abs(z).sum()) <= 1e-10
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -240,7 +291,7 @@ class TestPredualNorm:
         basis = [np.diag(np.eye(n)[s]) for s in range(n)]
         decomp = block_decompose(basis, rng)
         rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        block_value = predual_norm(Functional(rho), decomp)
+        block_value = predual_norm(functional_from_matrix(rho), decomp)
         oracle = sup_norm_estimate(rho, basis, rng, samples=100_000, ascent_steps=60)
         assert oracle <= block_value + 1e-9  # soundness: every sample dominated
         assert abs(block_value - oracle) <= 1e-4
@@ -249,7 +300,7 @@ class TestPredualNorm:
         basis = [m.reshape(2, 2) for m in np.eye(4)]
         decomp = block_decompose(basis, rng)
         rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        block_value = predual_norm(Functional(rho), decomp)
+        block_value = predual_norm(functional_from_matrix(rho), decomp)
         oracle = sup_norm_estimate(rho, basis, rng, samples=100_000, ascent_steps=60)
         assert oracle <= block_value + 1e-9
         assert abs(block_value - oracle) <= 1e-4
@@ -260,8 +311,8 @@ class TestPredualNorm:
 
     def test_norm_axioms(self, s3, rng):
         decomp = algebra_decomposition(s3)
-        a = Functional(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        b = Functional(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        a = functional_from_matrix(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        b = functional_from_matrix(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         na, nb = predual_norm(a, decomp), predual_norm(b, decomp)
         assert abs(predual_norm(a * (-2.5j), decomp) - 2.5 * na) <= 1e-10
         assert predual_norm(a + b, decomp) <= na + nb + 1e-10
@@ -272,7 +323,7 @@ class TestTensorPredualNorm:
         q = get_group("Z3")
         decomp = tensor_algebra_decomposition(q)
         z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        x = Functional(np.diag(z))
+        x = functional_from_matrix(np.diag(z))
         assert abs(tensor_predual_norm(x, decomp) - np.abs(z).sum()) <= 1e-10
 
     def test_vector_state_norm(self, rng):
@@ -289,7 +340,7 @@ class TestTensorPredualNorm:
         product = [np.kron(a, b) for a in q.algebra_basis for b in q.algebra_basis]
         decomp = tensor_algebra_decomposition(q)
         rho = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        block_value = tensor_predual_norm(Functional(rho), decomp)
+        block_value = tensor_predual_norm(functional_from_matrix(rho), decomp)
         oracle = sup_norm_estimate(rho, product, rng, samples=20_000, ascent_steps=60)
         assert oracle <= block_value + 1e-9
         assert abs(block_value - oracle) <= 1e-4
@@ -309,7 +360,7 @@ def _validate_by_loop(decomp, factors, tol):
         compressed = []
         for b in ortho:
             c = dagger(block.isometry) @ b @ block.isometry
-            x = block.compress(b) / block.multiplicity
+            x = block.compress(functional_from_matrix(b)) / block.multiplicity
             if np.abs(np.kron(x, np.eye(block.multiplicity)) - c).max() > tol:
                 raise DecompositionError("compression is not of product form x (x) 1")
             compressed.append(x.reshape(-1))
@@ -331,7 +382,7 @@ class TestTensorDecompositionProductForm:
         assert _sorted_shapes(product) == _sorted_shapes(random)
         for _ in range(3):
             rho = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-            x = Functional(rho)
+            x = functional_from_matrix(rho)
             expected = tensor_predual_norm(x, random)
             assert abs(tensor_predual_norm(x, product) - expected) <= 1e-12 * expected
 

@@ -11,7 +11,6 @@ from qglab.tensorlin import (
     operator_norm,
     partial_trace,
     random_unit_vector,
-    sandwich_legs,
     slice_first,
     span_basis,
     projection_residual,
@@ -88,14 +87,6 @@ class TestApplyLeg:
         out = apply_leg(op, (1, 3), batch, dims)
         for j in range(5):
             assert np.linalg.norm(out[:, j] - apply_leg(op, (1, 3), batch[:, j], dims)) <= 1e-12
-
-    def test_sandwich_conjugates(self, rng):
-        dims = (2, 2, 2)
-        op = random_matrix(rng, 4)
-        rho = random_matrix(rng, 8)
-        dense = dense_leg_operator(op, (2, 3), dims)
-        out = sandwich_legs(op, (2, 3), rho, dims)
-        assert np.abs(out - dense @ rho @ dagger(dense)).max() <= 1e-12
 
 
 class TestFlip:
@@ -214,16 +205,19 @@ class TestSlices:
 
 class TestPartialTrace:
     def test_product_state(self, rng):
-        a = random_matrix(rng, 2)
-        b = random_matrix(rng, 3)
-        assert np.abs(partial_trace(np.kron(a, b), (2, 3), 1) - np.trace(a) * b).max() <= 1e-12
-        assert np.abs(partial_trace(np.kron(a, b), (2, 3), 2) - np.trace(b) * a).max() <= 1e-12
+        a = random_matrix(rng, 2, 3)
+        b = random_matrix(rng, 3, 2)
+        aa, bb = a @ dagger(a), b @ dagger(b)
+        g1 = partial_trace(np.kron(a, b), (2, 3), 1)
+        g2 = partial_trace(np.kron(a, b), (2, 3), 2)
+        assert np.abs(g1 @ dagger(g1) - np.trace(aa) * bb).max() <= 1e-12
+        assert np.abs(g2 @ dagger(g2) - np.trace(bb) * aa).max() <= 1e-12
 
     def test_three_legs(self, rng):
-        a, b, c = random_matrix(rng, 2), random_matrix(rng, 2), random_matrix(rng, 2)
-        big = np.kron(np.kron(a, b), c)
-        out = partial_trace(big, (2, 2, 2), 2)
-        assert np.abs(out - np.trace(b) * np.kron(a, c)).max() <= 1e-12
+        a, b, c = random_matrix(rng, 2, 1), random_matrix(rng, 2, 3), random_matrix(rng, 2, 2)
+        g = partial_trace(np.kron(np.kron(a, b), c), (2, 2, 2), 2)
+        expected = np.trace(b @ dagger(b)) * np.kron(a @ dagger(a), c @ dagger(c))
+        assert np.abs(g @ dagger(g) - expected).max() <= 1e-12
 
 
 class TestAntilinearOp:
