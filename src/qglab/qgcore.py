@@ -9,6 +9,9 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   ``W (e_a (x) e_b) = e_a (x) e_{a.b}``, equivalently the comultiplication
   ``G(x) = W* (1 (x) x) W`` sends a diagonal function ``f`` to
   ``f(s t)``.
+* ``W`` must be a permutation matrix, ``W e_j = e_{p[j]}``: the pentagon and
+  coassociativity residuals compose the index ``p`` on three legs rather than
+  form ``n^3 x n^3`` operators, and reject any other ``W`` with ``ValueError``.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
@@ -27,7 +30,6 @@ import numpy as np
 from .groups import GroupTable
 from .tensorlin import (
     AntilinearOp,
-    apply_leg,
     dagger,
     flip_matrix,
     max_tensor_entries,
@@ -189,8 +191,8 @@ def left_fixed_vector(w: np.ndarray, dim: int) -> np.ndarray:
     w4 = (w - np.eye(dim * dim)).reshape(dim, dim, dim, dim)
     # stack the maps v -> (W - 1)(v (x) e_j), rows indexed by (output, j)
     mat = w4.transpose(0, 1, 3, 2).reshape(dim * dim * dim, dim)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    null_dim = int((s < 1e-10 * max(1.0, s[0])).sum()) + (dim - len(s))
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    null_dim = int((s < 1e-10 * max(1.0, s[0])).sum())
     if null_dim != 1:
         raise ValueError(f"left-fixed subspace has dimension {null_dim}, expected 1")
     v = vh[-1].conj()
@@ -207,14 +209,35 @@ def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
 
 
 def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
-    """Max norm of ``(G (x) id)G(x) - (id (x) G)G(x)`` applied to the three-leg basis."""
+    """Operator norm of ``(G (x) id)G(x) - (id (x) G)G(x)`` on the three legs.
+
+    With ``K = 1 (x) G(x)`` the two sides are ``W_12* K W_12`` and
+    ``W_23* Sigma_12 K Sigma_12 W_23``: gathers of ``K`` at the permuted basis
+    indices, compared one block of ``n^2`` rows at a time.
+    """
     n = q.dim
     gx = comultiply(q, x)
-    dims = (n, n, n)
-    basis = np.eye(n ** 3)
-    lhs = apply_leg(dagger(q.W), (1, 2), apply_leg(gx, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims), dims)
-    rhs = apply_leg(dagger(q.W), (2, 3), apply_leg(gx, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
-    return operator_norm(lhs - rhs)
+    m12, _, m23 = _leg_maps(q)
+    swap12 = np.arange(n ** 3).reshape(n, n, n).transpose(1, 0, 2).reshape(-1)
+    r = swap12[m23]
+
+    def block(rows: np.ndarray) -> np.ndarray:
+        return _permuted_rows(gx, m12, rows) - _permuted_rows(gx, r, rows)
+
+    chunks = np.arange(n ** 3).reshape(n, n * n)
+    if not any(block(rows).any() for rows in chunks):
+        return 0.0
+    return operator_norm(np.vstack([block(rows) for rows in chunks]))
+
+
+def _permuted_rows(gx: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``P* (1 (x) gx) P`` for ``P e_i = e_{index[i]}`` on three
+    legs: the entries ``(1 (x) gx)[index[i], index[j]]``, gathered from ``gx``."""
+    nn = gx.shape[0]
+    i, j = index[rows][:, None], index
+    out = gx.reshape(-1).take(i % nn * nn + j % nn)
+    out[i // nn != j // nn] = 0
+    return out
 
 
 def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
@@ -238,13 +261,51 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
     return q._cache["derived"]
 
 
-def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
+def _permutation_index(q: FiniteQuantumGroup) -> np.ndarray:
+    """The index ``p`` with ``W e_j = e_{p[j]}``, cached.  Raises ``ValueError``
+    unless each column of ``W`` is one entry equal to 1 and zeros elsewhere and
+    ``p`` is a bijection."""
+    if "permutation" not in q._cache:
+        w = q.W
+        ones = w == 1
+        p = ones.argmax(axis=0)
+        if (
+            not (ones.sum(axis=0) == 1).all()
+            or np.count_nonzero(w) != len(p)
+            or not (np.bincount(p, minlength=len(p)) == 1).all()
+        ):
+            raise ValueError(f"{q.name} ({q.kind}): W is not a permutation matrix")
+        q._cache["permutation"] = p
+    return q._cache["permutation"]
+
+
+def _leg_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Images ``m12, m13, m23`` of the three-leg basis indices under ``W`` on two
+    legs: ``W_12 e_i = e_{m12[i]}`` and likewise for legs 1, 3 and legs 2, 3."""
+    p = _permutation_index(q)
     n = q.dim
-    dims = (n, n, n)
-    basis = np.eye(n ** 3)
-    lhs = apply_leg(q.W, (1, 2), apply_leg(q.W, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
-    rhs = apply_leg(q.W, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims)
-    return operator_norm(lhs - rhs)
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    m12 = p[a * n + b] * n + c
+    a13, c13 = np.divmod(p[a * n + c], n)
+    m13 = (a13 * n + b) * n + c13
+    m23 = a * n * n + p[b * n + c]
+    return m12, m13, m23
+
+
+def _permutation_matrix(m: np.ndarray, dtype) -> np.ndarray:
+    out = np.zeros((len(m), len(m)), dtype)
+    out[m, np.arange(len(m))] = 1
+    return out
+
+
+def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
+    """Operator norm of ``W_12 W_13 W_23 - W_23 W_12``, composed as index maps;
+    the matrices are formed only when the two maps differ."""
+    m12, m13, m23 = _leg_maps(q)
+    lhs, rhs = m12[m13[m23]], m23[m12]
+    if np.array_equal(lhs, rhs):
+        return 0.0
+    return operator_norm(_permutation_matrix(lhs, q.W.dtype) - _permutation_matrix(rhs, q.W.dtype))
 
 
 def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:

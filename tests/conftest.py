@@ -3,8 +3,8 @@ import pytest
 
 from qglab.funalg import Functional
 from qglab.groups import builtin_table
-from qglab.qgcore import dual, function_algebra
-from qglab.tensorlin import dagger, operator_norm, span_basis, trace_norm
+from qglab.qgcore import comultiply, dual, function_algebra
+from qglab.tensorlin import apply_leg, dagger, operator_norm, span_basis, trace_norm
 
 SMALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "S3")
 ALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "S3", "D4", "Q8")
@@ -132,6 +132,30 @@ def dense_predual_norm(rho, decomp):
         c = (dagger(b.isometry) @ rho @ b.isometry).reshape(b.size, b.multiplicity, b.size, b.multiplicity)
         total += trace_norm(np.einsum("pjqj->pq", c))
     return total
+
+
+# The dense structure residuals: two-leg operators applied to the identity on
+# all three legs, n^3 x n^3.
+
+def dense_pentagonal_residual(q):
+    """Oracle: ``||W_12 W_13 W_23 - W_23 W_12||`` from the dense matrices."""
+    n = q.dim
+    dims = (n, n, n)
+    basis = np.eye(n ** 3)
+    lhs = apply_leg(q.W, (1, 2), apply_leg(q.W, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
+    rhs = apply_leg(q.W, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims)
+    return operator_norm(lhs - rhs)
+
+
+def dense_coassociativity_residual(q, x):
+    """Oracle: ``||(G (x) id)G(x) - (id (x) G)G(x)||`` from the dense matrices."""
+    n = q.dim
+    gx = comultiply(q, x)
+    dims = (n, n, n)
+    basis = np.eye(n ** 3)
+    lhs = apply_leg(dagger(q.W), (1, 2), apply_leg(gx, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims), dims)
+    rhs = apply_leg(dagger(q.W), (2, 3), apply_leg(gx, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
+    return operator_norm(lhs - rhs)
 
 
 @pytest.fixture

@@ -2,17 +2,25 @@
 structural identity catalog."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import ALL_GROUPS, SMALL_GROUPS, get_group, membership_residual
+from conftest import (
+    ALL_GROUPS,
+    SMALL_GROUPS,
+    dense_coassociativity_residual,
+    dense_pentagonal_residual,
+    get_group,
+    membership_residual,
+)
 
 from qglab import qgcore
 from qglab.funalg import tensor_algebra_decomposition
-from qglab.groups import builtin_table
+from qglab.groups import GroupTable, builtin_table
 from qglab.qgcore import (
     KIND_FUNCTION,
     FiniteQuantumGroup,
@@ -24,12 +32,35 @@ from qglab.qgcore import (
     left_fixed_vector,
     structure_identity_residuals,
 )
-from qglab.tensorlin import dagger, flip_matrix, operator_norm
+from qglab.tensorlin import apply_leg, dagger, flip_matrix, operator_norm
 
 
 def random_algebra_element(q, rng):
     c = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(len(q.ortho_basis))
     return sum(ci * b for ci, b in zip(c, q.ortho_basis))
+
+
+def permutation_group(name, generators):
+    """Cayley table of the group the permutations generate, elements in
+    breadth-first order from the identity; ``table[i][j]`` indexes ``p_i o p_j``."""
+    identity = tuple(range(len(generators[0])))
+    elems, index = [identity], {identity: 0}
+    for p in elems:  # elems grows while it is walked
+        for g in generators:
+            h = tuple(g[k] for k in p)
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    table = tuple(tuple(index[tuple(a[k] for k in b)] for b in elems) for a in elems)
+    return GroupTable(name=name, order=len(elems), table=table)
+
+
+def swapped_columns(q, j=1, k=2):
+    """``q`` with columns ``j`` and ``k`` of ``W`` swapped, built directly so that
+    no construction check rejects it."""
+    w = q.W.copy()
+    w[:, [j, k]] = w[:, [k, j]]
+    return replace(q, W=w, _cache={})
 
 
 class TestFunctionAlgebra:
@@ -117,6 +148,95 @@ class TestStructureCatalog:
         )
         assert structure_identity_residuals(broken)["pentagonal"] > 1e-10
         assert coassociativity_residual(broken, x) > 1e-10
+
+
+class TestPermutationResiduals:
+    """Pentagon and coassociativity from the permutation index of ``W``,
+    against the dense residuals on the full three-leg space."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_equal_to_dense_oracle(self, name, side, rng):
+        q = get_group(name, side)
+        x = random_algebra_element(q, rng)
+        assert structure_identity_residuals(q)["pentagonal"] == dense_pentagonal_residual(q)
+        assert coassociativity_residual(q, x) == dense_coassociativity_residual(q, x)
+
+    @pytest.mark.parametrize("name", ["Z3", "S3", "D4"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_swapped_columns_equal_to_dense_oracle(self, name, side):
+        broken = swapped_columns(get_group(name, side))
+        x = sum((k + 1) * b for k, b in enumerate(broken.ortho_basis))
+        pentagon = structure_identity_residuals(broken)["pentagonal"]
+        assert pentagon > 1e-10
+        assert pentagon == dense_pentagonal_residual(broken)
+        coassociativity = coassociativity_residual(broken, x)
+        assert coassociativity > 1e-10
+        assert coassociativity == dense_coassociativity_residual(broken, x)
+
+    def test_defect_outside_first_row_block(self):
+        # on Z3 this swap breaks coassociativity only in rows 9-26 of the
+        # three-leg difference, so every block of rows must be checked
+        broken = swapped_columns(get_group("Z3"), 3, 4)
+        x = sum((k + 1) * b for k, b in enumerate(broken.ortho_basis))
+        coassociativity = coassociativity_residual(broken, x)
+        assert coassociativity > 1e-10
+        assert coassociativity == dense_coassociativity_residual(broken, x)
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_negated_column_rejected(self, side):
+        q = get_group("Z3", side)
+        w = q.W.copy()
+        w[:, 1] *= -1
+        broken = replace(q, W=w, _cache={})
+        assert operator_norm(dagger(w) @ w - np.eye(9)) == 0.0  # still unitary
+        x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
+        with pytest.raises(ValueError, match=r"Z3.*: W is not a permutation matrix"):
+            structure_identity_residuals(broken)
+        with pytest.raises(ValueError, match="W is not a permutation matrix"):
+            coassociativity_residual(broken, x)
+
+    @pytest.mark.parametrize("breakage", ["repeated_column", "extra_entry"])
+    def test_non_permutation_columns_rejected(self, breakage):
+        q = get_group("Z3")
+        w = q.W.copy()
+        if breakage == "repeated_column":  # every column a basis vector, two alike
+            w[:, 2] = w[:, 1]
+        else:  # a 1 in every column, one column with a second non-zero entry
+            w[np.flatnonzero(w[:, 1] == 0)[0], 1] = 1e-3
+        broken = replace(q, W=w, _cache={})
+        with pytest.raises(ValueError, match="W is not a permutation matrix"):
+            coassociativity_residual(broken, np.eye(3))
+
+    def test_leg_maps_match_dense_legs(self, s3):
+        n = s3.dim
+        eye = np.eye(n ** 3)
+        for legs, m in zip([(1, 2), (1, 3), (2, 3)], qgcore._leg_maps(s3)):
+            dense_leg = apply_leg(s3.W, legs, eye, (n, n, n))
+            assert np.array_equal(dense_leg, qgcore._permutation_matrix(m, float))
+
+
+@pytest.fixture(scope="module")
+def a4():
+    return function_algebra(permutation_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)]))
+
+
+class TestOrder12:
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_structure_residuals_exact_in_bounded_memory(self, a4, side):
+        q = a4 if side == "fn" else dual(a4)
+        assert q.dim == 12
+        x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
+        for residual in (lambda: qgcore._pentagonal_residual(q), lambda: coassociativity_residual(q, x)):
+            tracemalloc.start()
+            try:
+                value = residual()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert value == 0.0
+            # the dense residuals peak at 114 and 206 MB here
+            assert peak < 32 * 2 ** 20
 
 
 class TestDerivedUnitaries:
