@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated perturbation levels for the bound sweeps",
     )
     verify.add_argument("--seed", type=int, default=0, help="random seed (fixes the report bytes)")
-    verify.add_argument("--draws", type=int, default=50, help="random draws per identity check")
+    verify.add_argument("--draws", type=int, default=50, help="random draws per dual and thm44 check")
     verify.add_argument(
         "--bound-draws", type=int, default=100, help="random draws per certified bound sweep"
     )

@@ -3,8 +3,13 @@ unitaries of a quantum group and of its dual, and the quasi-central
 approximate identity with its two certified bounds.  The diagonal of the dual
 algebra is ``diagonals.build_diagonal`` applied to the dual object.
 
-Three-leg identities are verified as vector residuals over random draws; the
-dense three-leg operators are never materialized.
+The Lemma 3.2, 4.2 and 4.3 exchange identities are operator equalities
+between products of permutation unitaries (``W``, ``W'``, ``W'^op`` and the
+unitary parts of ``J`` and ``Jhat``); each residual composes their index maps
+and is the exact operator norm ``||A - B||``, formed only when the two maps
+differ.  An operator that is not a permutation matrix raises ``ValueError``
+naming it.  The flip relations and the certified bounds, which also act with
+algebra elements, apply the dense two-leg unitaries to vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +26,16 @@ from .diagonals import (
     right_invariance_residual,
 )
 from .funalg import Functional, convolve, vector_state
-from .qgcore import FiniteQuantumGroup, derived_unitaries, dual
+from .qgcore import (
+    FiniteQuantumGroup,
+    chain,
+    derived_unitaries,
+    dual,
+    inverse,
+    leg_map,
+    map_residual,
+    permutation_index,
+)
 from .tensorlin import (
     apply_leg,
     dagger,
@@ -29,7 +43,6 @@ from .tensorlin import (
     inner,
     operator_norm,
     projection_residual,
-    random_unit_vector,
 )
 
 __all__ = [
@@ -85,19 +98,6 @@ def dual_context(q: FiniteQuantumGroup) -> DualContext:
     )
 
 
-def commutant_opposite_consistency(ctx: DualContext) -> float:
-    """Residual between the two available expressions for the opposite of the
-    commutant unitary: conjugation of ``W`` by ``J Jhat`` on both legs versus
-    the adjoint of ``(1 (x) Jhat J) W' (1 (x) J Jhat)``."""
-    n = ctx.dim
-    k = ctx.q.J.compose(ctx.q.Jhat)
-    k2 = ctx.q.Jhat.compose(ctx.q.J)
-    one_k = np.kron(np.eye(n), k2)
-    one_k_inv = np.kron(np.eye(n), k)
-    alt = dagger(one_k @ ctx.w_comm @ one_k_inv)
-    return operator_norm(ctx.w_comm_op - alt)
-
-
 def flip_relation_residuals(
     ctx: DualContext, xi: np.ndarray, zeta: np.ndarray
 ) -> tuple[float, float]:
@@ -128,102 +128,84 @@ def dual_net_residuals(
     return c1, c2, c3, c4
 
 
-def _modular_sandwich(q: FiniteQuantumGroup, v: np.ndarray) -> np.ndarray:
-    """``(Jhat (x) Jhat (x) J) v`` one leg at a time: the three antilinear
-    factors share one complex conjugation, after which each unitary part acts
-    on its own leg, so the ``n^3 x n^3`` tensor product is never formed."""
+def _index(q: FiniteQuantumGroup, u: np.ndarray, what: str) -> np.ndarray:
+    return permutation_index(u, f"{q.name} ({q.kind}): {what}")
+
+
+def _legs(q: FiniteQuantumGroup, u: np.ndarray, what: str) -> tuple[dict, dict]:
+    """Index maps of the two-leg permutation ``u`` and of its adjoint on legs
+    ``(1, 2)``, ``(1, 3)`` and ``(2, 3)`` of three, keyed by the legs."""
+    p = _index(q, u, what)
     dims = (q.dim,) * 3
-    out = apply_leg(q.J.u, (3,), v.conj(), dims)
-    out = apply_leg(q.Jhat.u, (2,), out, dims)
-    return apply_leg(q.Jhat.u, (1,), out, dims)
+    pairs = ((1, 2), (1, 3), (2, 3))
+    return (
+        {legs: leg_map(p, legs, dims) for legs in pairs},
+        {legs: leg_map(inverse(p), legs, dims) for legs in pairs},
+    )
 
 
-def pentagonal_consequence_residuals(
-    ctx: DualContext, rng: np.random.Generator, draws: int
-) -> tuple[float, float, float]:
-    """Three unconditional exchange identities between ``W`` and ``W'`` (and the
-    modular sandwich form of ``W*W*``), as max vector residuals over random
-    three-leg draws."""
-    n = ctx.dim
-    dims = (n, n, n)
-    w, wp = ctx.w, ctx.w_comm
-    r1 = r2 = r3 = 0.0
-    for _ in range(draws):
-        v = random_unit_vector(rng, n ** 3)
-        lhs = apply_leg(w, (1, 2), apply_leg(dagger(wp), (2, 3), v, dims), dims)
-        rhs = apply_leg(dagger(wp), (2, 3), apply_leg(w, (1, 3), apply_leg(w, (1, 2), v, dims), dims), dims)
-        r1 = max(r1, float(np.linalg.norm(lhs - rhs)))
-
-        lhs = apply_leg(w, (2, 3), apply_leg(dagger(wp), (1, 2), v, dims), dims)
-        rhs = apply_leg(
-            dagger(wp), (1, 2),
-            apply_leg(dagger(wp), (1, 3), apply_leg(w, (2, 3), v, dims), dims),
-            dims,
-        )
-        r2 = max(r2, float(np.linalg.norm(lhs - rhs)))
-
-        lhs = apply_leg(dagger(w), (1, 3), apply_leg(dagger(w), (2, 3), v, dims), dims)
-        inner_vec = apply_leg(w, (1, 3), apply_leg(w, (2, 3), _modular_sandwich(ctx.q, v), dims), dims)
-        rhs = _modular_sandwich(ctx.q, inner_vec)
-        r3 = max(r3, float(np.linalg.norm(lhs - rhs)))
-    return r1, r2, r3
+def pentagonal_consequence_residuals(q: FiniteQuantumGroup) -> tuple[float, float, float]:
+    """Three unconditional exchange identities between ``W`` and ``W'``, the
+    third in the modular sandwich form ``W*_13 W*_23 = S W_13 W_23 S`` with
+    ``S = Jhat (x) Jhat (x) J``.  ``S A S`` is the linear operator
+    ``U conj(A) conj(U)`` for the unitary part ``U`` of ``S``; with ``U`` and
+    ``A`` real permutations it is the permutation ``U A U``."""
+    w, w_adj = _legs(q, q.W, "W")
+    _, wp_adj = _legs(q, derived_unitaries(q).wprime, "W'")
+    dims = (q.dim,) * 3
+    jhat, j = _index(q, q.Jhat.u, "Jhat"), _index(q, q.J.u, "J")
+    s = chain(leg_map(jhat, (1,), dims), leg_map(jhat, (2,), dims), leg_map(j, (3,), dims))
+    return (
+        map_residual(chain(w[1, 2], wp_adj[2, 3]), chain(wp_adj[2, 3], w[1, 3], w[1, 2])),
+        map_residual(chain(w[2, 3], wp_adj[1, 2]), chain(wp_adj[1, 2], wp_adj[1, 3], w[2, 3])),
+        map_residual(chain(w_adj[1, 3], w_adj[2, 3]), chain(s, w[1, 3], w[2, 3], s)),
+    )
 
 
-def quasicentral_exchange_residual(
-    ctx: DualContext, rng: np.random.Generator, draws: int
-) -> tuple[float, float]:
+def quasicentral_exchange_residual(q: FiniteQuantumGroup) -> tuple[float, float]:
     """The exchange identity behind the quasi-central bound, plus the
-    commutation it relies on (``W'_13`` with ``W'^op*_23``); both as max
-    vector residuals."""
-    n = ctx.dim
-    dims = (n, n, n)
-    wp, wpo, w = ctx.w_comm, ctx.w_comm_op, ctx.w
-    main = comm = 0.0
-    for _ in range(draws):
-        v = random_unit_vector(rng, n ** 3)
-        lhs = apply_leg(
-            dagger(wpo), (1, 3),
-            apply_leg(wp, (1, 3), apply_leg(dagger(wpo), (2, 3), apply_leg(w, (2, 3), v, dims), dims), dims),
-            dims,
-        )
-        t = apply_leg(w, (2, 3), v, dims)
-        t = apply_leg(dagger(wp), (2, 3), t, dims)
-        t = apply_leg(wp, (1, 2), t, dims)
-        t = apply_leg(wp, (2, 3), t, dims)
-        t = apply_leg(dagger(wpo), (2, 3), t, dims)
-        rhs = apply_leg(dagger(wp), (1, 2), t, dims)
-        main = max(main, float(np.linalg.norm(lhs - rhs)))
-
-        ab = apply_leg(wp, (1, 3), apply_leg(dagger(wpo), (2, 3), v, dims), dims)
-        ba = apply_leg(dagger(wpo), (2, 3), apply_leg(wp, (1, 3), v, dims), dims)
-        comm = max(comm, float(np.linalg.norm(ab - ba)))
+    commutation it relies on (``W'_13`` with ``W'^op*_23``)."""
+    der = derived_unitaries(q)
+    w, _ = _legs(q, q.W, "W")
+    wp, wp_adj = _legs(q, der.wprime, "W'")
+    _, wpo_adj = _legs(q, der.wprime_op, "W'^op")
+    main = map_residual(
+        chain(wpo_adj[1, 3], wp[1, 3], wpo_adj[2, 3], w[2, 3]),
+        chain(wp_adj[1, 2], wpo_adj[2, 3], wp[2, 3], wp[1, 2], wp_adj[2, 3], w[2, 3]),
+    )
+    comm = map_residual(chain(wp[1, 3], wpo_adj[2, 3]), chain(wpo_adj[2, 3], wp[1, 3]))
     return main, comm
 
 
-def identity_shift_exchange_residual(
-    ctx: DualContext, rng: np.random.Generator, draws: int
-) -> tuple[float, float]:
+def identity_shift_exchange_residual(q: FiniteQuantumGroup) -> tuple[float, float]:
     """The exchange identity behind the approximate-identity bound, plus the
     first-leg commutation it relies on (``W_13`` with ``W'^op*_12``)."""
-    n = ctx.dim
-    dims = (n, n, n)
-    w, wp, wpo = ctx.w, ctx.w_comm, ctx.w_comm_op
-    main = comm = 0.0
-    for _ in range(draws):
-        v = random_unit_vector(rng, n ** 3)
-        lhs = apply_leg(w, (2, 3), apply_leg(w, (1, 2), apply_leg(dagger(wpo), (1, 2), v, dims), dims), dims)
-        t = apply_leg(dagger(wp), (1, 3), v, dims)
-        t = apply_leg(w, (2, 3), t, dims)
-        t = apply_leg(w, (1, 3), t, dims)
-        t = apply_leg(dagger(wpo), (1, 2), t, dims)
-        rhs = apply_leg(w, (1, 2), t, dims)
-        main = max(main, float(np.linalg.norm(lhs - rhs)))
-
-        # W_13 and W'^op*_12 share only the first leg, where their factors commute
-        ab = apply_leg(w, (1, 3), apply_leg(dagger(wpo), (1, 2), v, dims), dims)
-        ba = apply_leg(dagger(wpo), (1, 2), apply_leg(w, (1, 3), v, dims), dims)
-        comm = max(comm, float(np.linalg.norm(ab - ba)))
+    der = derived_unitaries(q)
+    w, _ = _legs(q, q.W, "W")
+    _, wp_adj = _legs(q, der.wprime, "W'")
+    _, wpo_adj = _legs(q, der.wprime_op, "W'^op")
+    main = map_residual(
+        chain(w[2, 3], w[1, 2], wpo_adj[1, 2]),
+        chain(w[1, 2], wpo_adj[1, 2], w[1, 3], w[2, 3], wp_adj[1, 3]),
+    )
+    # W_13 and W'^op*_12 share only the first leg, where their factors commute
+    comm = map_residual(chain(w[1, 3], wpo_adj[1, 2]), chain(wpo_adj[1, 2], w[1, 3]))
     return main, comm
+
+
+def commutant_opposite_consistency(q: FiniteQuantumGroup) -> float:
+    """Residual between the two available expressions for the opposite of the
+    commutant unitary: conjugation of ``W`` by ``J Jhat`` on both legs versus
+    the adjoint of ``(1 (x) Jhat J) W' (1 (x) J Jhat)``.  With real permutation
+    unitary parts, ``J Jhat`` is the permutation ``U_J U_Jhat``."""
+    der = derived_unitaries(q)
+    dims = (q.dim, q.dim)
+    j, jhat = _index(q, q.J.u, "J"), _index(q, q.Jhat.u, "Jhat")
+    one_k = leg_map(chain(jhat, j), (2,), dims)
+    one_k_inv = leg_map(chain(j, jhat), (2,), dims)
+    wp = _index(q, der.wprime, "W'")
+    alt = inverse(chain(one_k, wp, one_k_inv))
+    return map_residual(_index(q, der.wprime_op, "W'^op"), alt)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   ``G(x) = W* (1 (x) x) W`` sends a diagonal function ``f`` to
   ``f(s t)``.
 * ``W`` must be a permutation matrix, ``W e_j = e_{p[j]}``: the pentagon and
-  coassociativity residuals compose the index ``p`` on three legs rather than
-  form ``n^3 x n^3`` operators, and reject any other ``W`` with ``ValueError``.
+  coassociativity residuals here and the lemma exchange residuals in
+  ``dualside`` compose index maps on three legs rather than form
+  ``n^3 x n^3`` operators, and reject any other ``W`` with ``ValueError``.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
@@ -217,7 +218,8 @@ def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
     """
     n = q.dim
     gx = comultiply(q, x)
-    m12, _, m23 = _leg_maps(q)
+    p, dims = _permutation_index(q), (n, n, n)
+    m12, m23 = leg_map(p, (1, 2), dims), leg_map(p, (2, 3), dims)
     swap12 = np.arange(n ** 3).reshape(n, n, n).transpose(1, 0, 2).reshape(-1)
     r = swap12[m23]
 
@@ -261,51 +263,67 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
     return q._cache["derived"]
 
 
+def permutation_index(u: np.ndarray, what: str) -> np.ndarray:
+    """The index ``p`` with ``u e_j = e_{p[j]}``.  Raises ``ValueError`` naming
+    ``what`` unless each column of ``u`` is one entry equal to 1 and zeros
+    elsewhere and ``p`` is a bijection."""
+    ones = u == 1
+    p = ones.argmax(axis=0)
+    if (
+        not (ones.sum(axis=0) == 1).all()
+        or np.count_nonzero(u) != len(p)
+        or not (np.bincount(p, minlength=len(p)) == 1).all()
+    ):
+        raise ValueError(f"{what} is not a permutation matrix")
+    return p
+
+
 def _permutation_index(q: FiniteQuantumGroup) -> np.ndarray:
-    """The index ``p`` with ``W e_j = e_{p[j]}``, cached.  Raises ``ValueError``
-    unless each column of ``W`` is one entry equal to 1 and zeros elsewhere and
-    ``p`` is a bijection."""
+    """The permutation index of ``W``, cached."""
     if "permutation" not in q._cache:
-        w = q.W
-        ones = w == 1
-        p = ones.argmax(axis=0)
-        if (
-            not (ones.sum(axis=0) == 1).all()
-            or np.count_nonzero(w) != len(p)
-            or not (np.bincount(p, minlength=len(p)) == 1).all()
-        ):
-            raise ValueError(f"{q.name} ({q.kind}): W is not a permutation matrix")
-        q._cache["permutation"] = p
+        q._cache["permutation"] = permutation_index(q.W, f"{q.name} ({q.kind}): W")
     return q._cache["permutation"]
 
 
-def _leg_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Images ``m12, m13, m23`` of the three-leg basis indices under ``W`` on two
-    legs: ``W_12 e_i = e_{m12[i]}`` and likewise for legs 1, 3 and legs 2, 3."""
-    p = _permutation_index(q)
-    n = q.dim
-    a, b, c = np.indices((n, n, n)).reshape(3, -1)
-    m12 = p[a * n + b] * n + c
-    a13, c13 = np.divmod(p[a * n + c], n)
-    m13 = (a13 * n + b) * n + c13
-    m23 = a * n * n + p[b * n + c]
-    return m12, m13, m23
+def leg_map(p: np.ndarray, legs: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """Index map of the permutation ``p`` acting on ``legs`` (numbered from 1) of
+    the basis of ``prod(dims)``, identity on the other legs."""
+    sel = [leg - 1 for leg in legs]
+    sub = tuple(dims[i] for i in sel)
+    idx = np.indices(dims).reshape(len(dims), -1)
+    idx[sel] = np.unravel_index(p[np.ravel_multi_index(tuple(idx[sel]), sub)], sub)
+    return np.ravel_multi_index(tuple(idx), dims)
 
 
-def _permutation_matrix(m: np.ndarray, dtype) -> np.ndarray:
-    out = np.zeros((len(m), len(m)), dtype)
-    out[m, np.arange(len(m))] = 1
+def chain(*maps: np.ndarray) -> np.ndarray:
+    """Index map of the operator product of the permutations, the last acting
+    first: ``chain(a, b)[i] = a[b[i]]``."""
+    out = maps[-1]
+    for m in maps[-2::-1]:
+        out = m[out]
     return out
 
 
-def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
-    """Operator norm of ``W_12 W_13 W_23 - W_23 W_12``, composed as index maps;
-    the matrices are formed only when the two maps differ."""
-    m12, m13, m23 = _leg_maps(q)
-    lhs, rhs = m12[m13[m23]], m23[m12]
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Index map of the adjoint (the inverse) of a permutation."""
+    return np.argsort(m)
+
+
+def map_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Operator norm of the difference of two permutations given as index maps:
+    exactly 0.0 when the maps agree, and the matrices are formed only when
+    they differ."""
     if np.array_equal(lhs, rhs):
         return 0.0
-    return operator_norm(_permutation_matrix(lhs, q.W.dtype) - _permutation_matrix(rhs, q.W.dtype))
+    eye = np.eye(len(lhs))  # column j of eye[:, m] is e_{m[j]}
+    return operator_norm(eye[:, lhs] - eye[:, rhs])
+
+
+def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
+    """Operator norm of ``W_12 W_13 W_23 - W_23 W_12``, composed as index maps."""
+    p, dims = _permutation_index(q), (q.dim,) * 3
+    m12, m13, m23 = (leg_map(p, legs, dims) for legs in ((1, 2), (1, 3), (2, 3)))
+    return map_residual(chain(m12, m13, m23), chain(m23, m12))
 
 
 def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:

@@ -150,33 +150,26 @@ def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 
 def run_lemma32(q, cfg: RunConfig, rng) -> list[Measurement]:
-    ctx = dualside.dual_context(q)
-    residuals = dualside.pentagonal_consequence_residuals(ctx, rng, cfg.draws)
+    residuals = dualside.pentagonal_consequence_residuals(q)
     names = ("exchange_first", "exchange_second", "modular_sandwich")
-    draws = {"draws": cfg.draws}
-    return [(name, value, _tol(cfg, 1e-10), draws) for name, value in zip(names, residuals)]
+    return [(name, value, _tol(cfg, 1e-10), None) for name, value in zip(names, residuals)]
 
 
 def run_lemma42(q, cfg: RunConfig, rng) -> list[Measurement]:
-    ctx = dualside.dual_context(q)
     tol = _tol(cfg, 1e-10)
-    main, comm = dualside.quasicentral_exchange_residual(ctx, rng, cfg.draws)
-    consistency = dualside.commutant_opposite_consistency(ctx)
-    draws = {"draws": cfg.draws}
+    main, comm = dualside.quasicentral_exchange_residual(q)
     return [
-        ("exchange_identity", main, tol, draws),
-        ("leg_commutation", comm, _tol(cfg, 1e-12), draws),
-        ("commutant_opposite_consistency", consistency, tol, draws),
+        ("exchange_identity", main, tol, None),
+        ("leg_commutation", comm, _tol(cfg, 1e-12), None),
+        ("commutant_opposite_consistency", dualside.commutant_opposite_consistency(q), tol, None),
     ]
 
 
 def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
-    ctx = dualside.dual_context(q)
-    main, comm = dualside.identity_shift_exchange_residual(ctx, rng, cfg.draws)
-    draws = {"draws": cfg.draws}
+    main, comm = dualside.identity_shift_exchange_residual(q)
     return [
-        ("exchange_identity", main, _tol(cfg, 1e-10), draws),
-        ("leg_commutation", comm, _tol(cfg, 1e-12), draws),
+        ("exchange_identity", main, _tol(cfg, 1e-10), None),
+        ("leg_commutation", comm, _tol(cfg, 1e-12), None),
     ]
 
 

@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qglab.funalg import Functional
 from qglab.groups import builtin_table
-from qglab.qgcore import comultiply, dual, function_algebra
-from qglab.tensorlin import apply_leg, dagger, operator_norm, span_basis, trace_norm
+from qglab.qgcore import comultiply, derived_unitaries, dual, function_algebra
+from qglab.tensorlin import (
+    apply_leg,
+    dagger,
+    operator_norm,
+    random_unit_vector,
+    span_basis,
+    trace_norm,
+)
 
 SMALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "S3")
 ALL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "S3", "D4", "Q8")
@@ -26,6 +35,14 @@ def get_group(name, side="fn"):
     if name not in _q_cache:
         _q_cache[name] = function_algebra(builtin_table(name))
     return _q_cache[name]
+
+
+def swapped_columns(q, j=1, k=2):
+    """``q`` with columns ``j`` and ``k`` of ``W`` swapped, built directly so that
+    no construction check rejects it."""
+    w = q.W.copy()
+    w[:, [j, k]] = w[:, [k, j]]
+    return replace(q, W=w, _cache={})
 
 
 def dense_projection_residual(ortho_basis, x):
@@ -156,6 +173,104 @@ def dense_coassociativity_residual(q, x):
     lhs = apply_leg(dagger(q.W), (1, 2), apply_leg(gx, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims), dims)
     rhs = apply_leg(dagger(q.W), (2, 3), apply_leg(gx, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
     return operator_norm(lhs - rhs)
+
+
+# The dense exchange residuals of Lemmas 3.2, 4.2 and 4.3: two-leg unitaries
+# applied with apply_leg to random three-leg vectors, each residual the max of
+# ||(A - B) v|| over the draws.
+
+def modular_sandwich(q, v):
+    """``(Jhat (x) Jhat (x) J) v`` one leg at a time: the three antilinear
+    factors share one complex conjugation, after which each unitary part acts
+    on its own leg."""
+    dims = (q.dim,) * 3
+    out = apply_leg(q.J.u, (3,), v.conj(), dims)
+    out = apply_leg(q.Jhat.u, (2,), out, dims)
+    return apply_leg(q.Jhat.u, (1,), out, dims)
+
+
+def dense_pentagonal_consequence_residuals(q, rng, draws):
+    n = q.dim
+    dims = (n, n, n)
+    w, wp = q.W, derived_unitaries(q).wprime
+    r1 = r2 = r3 = 0.0
+    for _ in range(draws):
+        v = random_unit_vector(rng, n ** 3)
+        lhs = apply_leg(w, (1, 2), apply_leg(dagger(wp), (2, 3), v, dims), dims)
+        rhs = apply_leg(dagger(wp), (2, 3), apply_leg(w, (1, 3), apply_leg(w, (1, 2), v, dims), dims), dims)
+        r1 = max(r1, float(np.linalg.norm(lhs - rhs)))
+
+        lhs = apply_leg(w, (2, 3), apply_leg(dagger(wp), (1, 2), v, dims), dims)
+        rhs = apply_leg(
+            dagger(wp), (1, 2),
+            apply_leg(dagger(wp), (1, 3), apply_leg(w, (2, 3), v, dims), dims),
+            dims,
+        )
+        r2 = max(r2, float(np.linalg.norm(lhs - rhs)))
+
+        lhs = apply_leg(dagger(w), (1, 3), apply_leg(dagger(w), (2, 3), v, dims), dims)
+        inner_vec = apply_leg(w, (1, 3), apply_leg(w, (2, 3), modular_sandwich(q, v), dims), dims)
+        rhs = modular_sandwich(q, inner_vec)
+        r3 = max(r3, float(np.linalg.norm(lhs - rhs)))
+    return r1, r2, r3
+
+
+def dense_quasicentral_exchange_residual(q, rng, draws):
+    n = q.dim
+    dims = (n, n, n)
+    der = derived_unitaries(q)
+    wp, wpo, w = der.wprime, der.wprime_op, q.W
+    main = comm = 0.0
+    for _ in range(draws):
+        v = random_unit_vector(rng, n ** 3)
+        lhs = apply_leg(
+            dagger(wpo), (1, 3),
+            apply_leg(wp, (1, 3), apply_leg(dagger(wpo), (2, 3), apply_leg(w, (2, 3), v, dims), dims), dims),
+            dims,
+        )
+        t = apply_leg(w, (2, 3), v, dims)
+        t = apply_leg(dagger(wp), (2, 3), t, dims)
+        t = apply_leg(wp, (1, 2), t, dims)
+        t = apply_leg(wp, (2, 3), t, dims)
+        t = apply_leg(dagger(wpo), (2, 3), t, dims)
+        rhs = apply_leg(dagger(wp), (1, 2), t, dims)
+        main = max(main, float(np.linalg.norm(lhs - rhs)))
+
+        ab = apply_leg(wp, (1, 3), apply_leg(dagger(wpo), (2, 3), v, dims), dims)
+        ba = apply_leg(dagger(wpo), (2, 3), apply_leg(wp, (1, 3), v, dims), dims)
+        comm = max(comm, float(np.linalg.norm(ab - ba)))
+    return main, comm
+
+
+def dense_identity_shift_exchange_residual(q, rng, draws):
+    n = q.dim
+    dims = (n, n, n)
+    der = derived_unitaries(q)
+    w, wp, wpo = q.W, der.wprime, der.wprime_op
+    main = comm = 0.0
+    for _ in range(draws):
+        v = random_unit_vector(rng, n ** 3)
+        lhs = apply_leg(w, (2, 3), apply_leg(w, (1, 2), apply_leg(dagger(wpo), (1, 2), v, dims), dims), dims)
+        t = apply_leg(dagger(wp), (1, 3), v, dims)
+        t = apply_leg(w, (2, 3), t, dims)
+        t = apply_leg(w, (1, 3), t, dims)
+        t = apply_leg(dagger(wpo), (1, 2), t, dims)
+        rhs = apply_leg(w, (1, 2), t, dims)
+        main = max(main, float(np.linalg.norm(lhs - rhs)))
+
+        ab = apply_leg(w, (1, 3), apply_leg(dagger(wpo), (1, 2), v, dims), dims)
+        ba = apply_leg(dagger(wpo), (1, 2), apply_leg(w, (1, 3), v, dims), dims)
+        comm = max(comm, float(np.linalg.norm(ab - ba)))
+    return main, comm
+
+
+def dense_commutant_opposite_consistency(q):
+    """``||W'^op - ((1 (x) Jhat J) W' (1 (x) J Jhat))*||`` from the dense matrices."""
+    n = q.dim
+    der = derived_unitaries(q)
+    one_k = np.kron(np.eye(n), q.Jhat.compose(q.J))
+    one_k_inv = np.kron(np.eye(n), q.J.compose(q.Jhat))
+    return operator_norm(der.wprime_op - dagger(one_k @ der.wprime @ one_k_inv))
 
 
 @pytest.fixture

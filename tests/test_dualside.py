@@ -1,10 +1,25 @@
 """Dual-side exchange identities, the diagonal of the dual, and the quasi-central
 approximate identity with its certified bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import ALL_GROUPS, SMALL_GROUPS, dense, get_group, random_algebra, random_doubled
+from conftest import (
+    ALL_GROUPS,
+    SMALL_GROUPS,
+    dense,
+    dense_commutant_opposite_consistency,
+    dense_identity_shift_exchange_residual,
+    dense_pentagonal_consequence_residuals,
+    dense_quasicentral_exchange_residual,
+    get_group,
+    modular_sandwich,
+    random_algebra,
+    random_doubled,
+    swapped_columns,
+)
 
 from qglab.diagonals import (
     NetVector,
@@ -14,7 +29,6 @@ from qglab.diagonals import (
     perturbed_vector,
 )
 from qglab.dualside import (
-    _modular_sandwich,
     build_approximate_identity,
     certify_identity_bound,
     certify_quasicentral_bound,
@@ -29,7 +43,7 @@ from qglab.dualside import (
 )
 from qglab.funalg import algebra_decomposition, convolve, predual_norm, vector_state
 from qglab.qgcore import derived_unitaries, dual
-from qglab.tensorlin import dagger, flip_matrix, operator_norm, random_unit_vector
+from qglab.tensorlin import AntilinearOp, dagger, flip_matrix, operator_norm, random_unit_vector
 
 
 def dual_of_opposite(q):
@@ -79,7 +93,7 @@ class TestDualContext:
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_commutant_opposite_two_routes(self, side):
         q = get_group("Q8", side)
-        assert commutant_opposite_consistency(dual_context(q)) <= 1e-10
+        assert commutant_opposite_consistency(q) <= 1e-10
 
     def test_all_unitaries_unitary(self, s3_dual):
         ctx = dual_context(s3_dual)
@@ -134,19 +148,17 @@ class TestDualNetResiduals:
 class TestExchangeIdentities:
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_pentagonal_consequences(self, name, side, rng):
-        ctx = dual_context(get_group(name, side))
-        r1, r2, r3 = pentagonal_consequence_residuals(ctx, rng, draws=20)
+    def test_pentagonal_consequences(self, name, side):
+        r1, r2, r3 = pentagonal_consequence_residuals(get_group(name, side))
         tol = 1e-12 if name == "Z2" else 1e-10
         assert r1 <= tol
         assert r2 <= tol
         assert r3 <= tol
 
-    def test_modular_sandwich_real_case(self, z2, rng):
+    def test_modular_sandwich_real_case(self, z2):
         # with plain conjugations and a real unitary the sandwich reduces to
         # entrywise conjugation, so the identity becomes the transpose relation
-        ctx = dual_context(z2)
-        _, _, r3 = pentagonal_consequence_residuals(ctx, rng, draws=20)
+        _, _, r3 = pentagonal_consequence_residuals(z2)
         assert r3 <= 1e-12
 
     @pytest.mark.parametrize("name", ["S3", "Q8"])
@@ -156,23 +168,116 @@ class TestExchangeIdentities:
         n = q.dim
         v = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
         dense = q.Jhat.tensor(q.Jhat, q.J).apply(v)
-        assert np.array_equal(_modular_sandwich(q, v), dense)
+        assert np.array_equal(modular_sandwich(q, v), dense)
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
     @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_quasicentral_exchange(self, name, side, rng):
-        ctx = dual_context(get_group(name, side))
-        main, comm = quasicentral_exchange_residual(ctx, rng, draws=20)
+    def test_quasicentral_exchange(self, name, side):
+        main, comm = quasicentral_exchange_residual(get_group(name, side))
         assert main <= (1e-12 if name == "Z2" else 1e-10)
         assert comm <= 1e-12
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
     @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_identity_shift_exchange(self, name, side, rng):
-        ctx = dual_context(get_group(name, side))
-        main, comm = identity_shift_exchange_residual(ctx, rng, draws=20)
+    def test_identity_shift_exchange(self, name, side):
+        main, comm = identity_shift_exchange_residual(get_group(name, side))
         assert main <= (1e-12 if name == "Z2" else 1e-10)
         assert comm <= 1e-12
+
+
+LEMMA_RECORDS = (
+    "lemma32/exchange_first",
+    "lemma32/exchange_second",
+    "lemma32/modular_sandwich",
+    "lemma42/exchange_identity",
+    "lemma42/leg_commutation",
+    "lemma42/commutant_opposite_consistency",
+    "lemma43/exchange_identity",
+    "lemma43/leg_commutation",
+)
+
+
+def lemma_records(q):
+    """The eight lemma records of ``q`` from the permutation index maps."""
+    values = (
+        *pentagonal_consequence_residuals(q),
+        *quasicentral_exchange_residual(q),
+        commutant_opposite_consistency(q),
+        *identity_shift_exchange_residual(q),
+    )
+    return dict(zip(LEMMA_RECORDS, values))
+
+
+def dense_lemma_records(q, rng, draws=20):
+    """The same records from dense two-leg operators on random three-leg draws."""
+    values = (
+        *dense_pentagonal_consequence_residuals(q, rng, draws),
+        *dense_quasicentral_exchange_residual(q, rng, draws),
+        dense_commutant_opposite_consistency(q),
+        *dense_identity_shift_exchange_residual(q, rng, draws),
+    )
+    return dict(zip(LEMMA_RECORDS, values))
+
+
+MUTATIONS = {
+    "swapped_W_columns": swapped_columns,
+    "J_and_Jhat_exchanged": lambda q: replace(q, J=q.Jhat, Jhat=q.J, _cache={}),
+    "Jhat_set_to_J": lambda q: replace(q, Jhat=q.J, _cache={}),
+}
+
+
+class TestLemmaIndexMaps:
+    """The lemma records as index-map equalities, against the dense route."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_equal_to_dense_oracle(self, name, side, rng):
+        q = get_group(name, side)
+        assert set(lemma_records(q).values()) == {0.0}
+        assert set(dense_lemma_records(q, rng).values()) == {0.0}
+
+    @pytest.mark.parametrize("name", ["Z3", "S3", "D4"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_swapped_columns_fire_with_dense_oracle(self, name, side, rng):
+        broken = swapped_columns(get_group(name, side))
+        exact, drawn = lemma_records(broken), dense_lemma_records(broken, rng)
+        assert any(value > 1e-10 for value in exact.values())
+        for record in LEMMA_RECORDS:
+            assert (exact[record] > 1e-10) == (drawn[record] > 1e-10), record
+            # ||A - B|| bounds every ||(A - B) v|| over unit vectors
+            assert exact[record] >= drawn[record], record
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_every_record_fires_under_some_mutation(self, name):
+        fired = dict.fromkeys(LEMMA_RECORDS, 0.0)
+        for side in ("fn", "dual"):
+            for mutate in MUTATIONS.values():
+                for record, value in lemma_records(mutate(get_group(name, side))).items():
+                    fired[record] = max(fired[record], value)
+        assert min(fired.values()) >= 1.0, fired
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("function", [pentagonal_consequence_residuals, commutant_opposite_consistency])
+    def test_complex_j_rejected_by_name(self, side, function):
+        # the two functions that read the unitary part of J
+        q = get_group("S3", side)
+        broken = replace(q, J=AntilinearOp(1j * np.eye(q.dim)), _cache={})
+        with pytest.raises(ValueError, match=r"S3\S* \(\w+\): J is not a permutation matrix"):
+            function(broken)
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("function, operator", [
+        (pentagonal_consequence_residuals, "W"),
+        (quasicentral_exchange_residual, "W"),
+        (identity_shift_exchange_residual, "W"),
+        (commutant_opposite_consistency, "W'"),
+    ])
+    def test_negated_column_of_w_rejected_by_name(self, side, function, operator):
+        q = get_group("S3", side)
+        w = q.W.copy()
+        w[:, 1] *= -1
+        with pytest.raises(ValueError, match=rf": {operator} is not a permutation matrix"):
+            function(replace(q, W=w, _cache={}))
 
 
 class TestDualDiagonal:

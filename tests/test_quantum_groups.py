@@ -16,6 +16,7 @@ from conftest import (
     dense_pentagonal_residual,
     get_group,
     membership_residual,
+    swapped_columns,
 )
 
 from qglab import qgcore
@@ -53,14 +54,6 @@ def permutation_group(name, generators):
                 elems.append(h)
     table = tuple(tuple(index[tuple(a[k] for k in b)] for b in elems) for a in elems)
     return GroupTable(name=name, order=len(elems), table=table)
-
-
-def swapped_columns(q, j=1, k=2):
-    """``q`` with columns ``j`` and ``k`` of ``W`` swapped, built directly so that
-    no construction check rejects it."""
-    w = q.W.copy()
-    w[:, [j, k]] = w[:, [k, j]]
-    return replace(q, W=w, _cache={})
 
 
 class TestFunctionAlgebra:
@@ -211,9 +204,11 @@ class TestPermutationResiduals:
     def test_leg_maps_match_dense_legs(self, s3):
         n = s3.dim
         eye = np.eye(n ** 3)
-        for legs, m in zip([(1, 2), (1, 3), (2, 3)], qgcore._leg_maps(s3)):
+        p = qgcore.permutation_index(s3.W, "W")
+        for legs in [(1, 2), (1, 3), (2, 3)]:
             dense_leg = apply_leg(s3.W, legs, eye, (n, n, n))
-            assert np.array_equal(dense_leg, qgcore._permutation_matrix(m, float))
+            m = qgcore.leg_map(p, legs, (n, n, n))
+            assert np.array_equal(dense_leg, eye[:, m])
 
 
 @pytest.fixture(scope="module")
