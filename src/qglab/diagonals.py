@@ -4,7 +4,8 @@ A unit vector pair ``(xi, eta)`` with small right/left invariance defects is
 turned into the two-leg vector ``W'* (xi (x) eta)`` whose vector state is an
 approximate diagonal for the convolution algebra.  This module measures the
 invariance defects, builds the diagonal, evaluates its bimodule residuals, and
-certifies the commutator pairing bound with its sharp constant 3.
+certifies the commutator pairing bound with its sharp constant 3.  ``W`` and
+``W'`` are applied by gathers on their index maps (``qgcore.derived_unitaries``).
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from .qgcore import (
     KIND_DUAL,
     KIND_FUNCTION,
     FiniteQuantumGroup,
+    chain,
     comultiply,
     derived_unitaries,
     dual,
+    inverse,
 )
 from .tensorlin import (
-    dagger,
     normalize,
     operator_norm,
     partial_trace,
@@ -83,7 +85,6 @@ class DiagonalCandidate:
 
     xi: NetVector
     eta: NetVector
-    vector: np.ndarray
     bifunctional: Functional
 
 
@@ -92,7 +93,7 @@ def right_invariance_residual(
 ) -> float:
     """``|| W (zeta (x) xi) - zeta (x) xi ||`` (the strong-amenability defect)."""
     v = np.kron(zeta, xi)
-    return float(np.linalg.norm(q.W @ v - v))
+    return float(np.linalg.norm(v[inverse(derived_unitaries(q).w)] - v))
 
 
 def left_invariance_residual(
@@ -100,7 +101,7 @@ def left_invariance_residual(
 ) -> float:
     """``|| W (eta (x) zeta) - eta (x) zeta ||`` (the co-amenability defect)."""
     v = np.kron(eta, zeta)
-    return float(np.linalg.norm(q.W @ v - v))
+    return float(np.linalg.norm(v[inverse(derived_unitaries(q).w)] - v))
 
 
 def commutant_compression(
@@ -108,16 +109,14 @@ def commutant_compression(
 ) -> np.ndarray:
     """The unital completely positive compression of the doubled algebra into
     ``M``: ``Lam -> (omega_xi (x) id)(W' Lam W'*)``."""
-    wprime = derived_unitaries(q).wprime
-    return slice_first(wprime @ lam @ dagger(wprime), xi)
+    r = inverse(derived_unitaries(q).wprime)
+    return slice_first(lam[np.ix_(r, r)], xi)
 
 
 def compression_kraus_factor(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarray:
     """The ``n^2 x n`` matrix ``B`` with columns ``W'*(xi (x) e_l)``; the
     compression equals ``Lam -> B* Lam B``."""
-    n = q.dim
-    wprime = derived_unitaries(q).wprime
-    return dagger(wprime) @ np.kron(xi.reshape(-1, 1), np.eye(n))
+    return np.kron(xi.reshape(-1, 1), np.eye(q.dim))[derived_unitaries(q).wprime]
 
 
 def compression_choi_matrix(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarray:
@@ -145,14 +144,16 @@ def compression_variant_residuals(
     combinations are measured so reports can record which one satisfies the
     identity rather than assuming it.
     """
-    wprime = derived_unitaries(q).wprime
+    der = derived_unitaries(q)
+    wp, wp_adj = der.wprime, inverse(der.wprime)
     lam = np.kron(x, y)
-    jjh_xi = q.J.apply(q.Jhat.apply(xi))
+    # J Jhat xi: the linear operator U_J U_Jhat, applied by a gather
+    jjh_xi = xi[inverse(chain(der.j, der.jhat))]
     factored = np.kron(x, np.eye(q.dim)) @ comultiply(q, y)
     out = {}
     for conj_label, conj in (
-        ("sandwich_star_right", wprime @ lam @ dagger(wprime)),
-        ("sandwich_star_left", dagger(wprime) @ lam @ wprime),
+        ("sandwich_star_right", lam[np.ix_(wp_adj, wp_adj)]),
+        ("sandwich_star_left", lam[np.ix_(wp, wp)]),
     ):
         for w_label, weight in (("plain", xi), ("modular", jjh_xi)):
             lhs = slice_first(conj, weight)
@@ -163,9 +164,8 @@ def compression_variant_residuals(
 
 def build_diagonal(q: FiniteQuantumGroup, xi: NetVector, eta: NetVector) -> DiagonalCandidate:
     """The candidate diagonal ``omega_{W'*(xi (x) eta)}``."""
-    wprime = derived_unitaries(q).wprime
-    v = dagger(wprime) @ np.kron(xi.vector, eta.vector)
-    return DiagonalCandidate(xi=xi, eta=eta, vector=v, bifunctional=vector_state(v))
+    v = np.kron(xi.vector, eta.vector)[derived_unitaries(q).wprime]
+    return DiagonalCandidate(xi=xi, eta=eta, bifunctional=vector_state(v))
 
 
 def diagonal_residuals(
@@ -272,8 +272,9 @@ def dual_quasicentral_residual(
     """
     n = q.dim
     qd = dual(q)
+    der = derived_unitaries(qd)
     v0 = np.kron(zeta, xi)
-    v1 = dagger(derived_unitaries(qd).wop) @ qd.W @ v0
+    v1 = v0[inverse(der.w)][der.wop]
     diff = _second_leg_functional(v1, n) - _second_leg_functional(v0, n)
     return predual_norm(diff, algebra_decomposition(qd))
 

@@ -3,13 +3,13 @@ unitaries of a quantum group and of its dual, and the quasi-central
 approximate identity with its two certified bounds.  The diagonal of the dual
 algebra is ``diagonals.build_diagonal`` applied to the dual object.
 
-The Lemma 3.2, 4.2 and 4.3 exchange identities are operator equalities
-between products of permutation unitaries (``W``, ``W'``, ``W'^op`` and the
-unitary parts of ``J`` and ``Jhat``); each residual composes their index maps
-and is the exact operator norm ``||A - B||``, formed only when the two maps
-differ.  An operator that is not a permutation matrix raises ``ValueError``
-naming it.  The flip relations and the certified bounds, which also act with
-algebra elements, apply the dense two-leg unitaries to vectors.
+Every unitary here is a permutation held as its index map
+(``qgcore.derived_unitaries``).  The Lemma 3.2, 4.2 and 4.3 exchange
+identities compare composed maps on three legs; each residual is the exact
+operator norm ``||A - B||``, formed only when the two maps differ.  The flip
+relations and the certified bounds apply the unitaries to vectors by gathers,
+``U v = v[inverse(m)]`` and ``U* v = v[m]``; only algebra elements (``x`` and
+``Lam``) act densely.
 """
 
 from __future__ import annotations
@@ -31,19 +31,13 @@ from .qgcore import (
     chain,
     derived_unitaries,
     dual,
+    flip_index,
     inverse,
     leg_map,
     map_residual,
-    permutation_index,
+    tensor_map,
 )
-from .tensorlin import (
-    apply_leg,
-    dagger,
-    flip_matrix,
-    inner,
-    operator_norm,
-    projection_residual,
-)
+from .tensorlin import apply_leg, inner, operator_norm, projection_residual
 
 __all__ = [
     "DualContext",
@@ -66,16 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualContext:
-    """A quantum group, its dual, and every unitary the dual-side checks need."""
+    """A quantum group and its dual."""
 
     q: FiniteQuantumGroup
     qhat: FiniteQuantumGroup
-    w: np.ndarray
-    w_comm: np.ndarray        # commutant unitary W'
-    w_op: np.ndarray          # opposite unitary W^op
-    w_comm_op: np.ndarray     # opposite of the commutant W'^op
-    w_dual: np.ndarray        # What
-    w_dual_comm: np.ndarray   # commutant unitary of the dual
 
     @property
     def dim(self) -> int:
@@ -83,19 +71,8 @@ class DualContext:
 
 
 def dual_context(q: FiniteQuantumGroup) -> DualContext:
-    """The unitary family of ``q`` and of its dual, read from the two objects."""
-    der = derived_unitaries(q)
-    qhat = dual(q)
-    return DualContext(
-        q=q,
-        qhat=qhat,
-        w=q.W,
-        w_comm=der.wprime,
-        w_op=der.wop,
-        w_comm_op=der.wprime_op,
-        w_dual=qhat.W,
-        w_dual_comm=derived_unitaries(qhat).wprime,
-    )
+    """``q`` with its dual, read from the memo of ``qgcore.dual``."""
+    return DualContext(q=q, qhat=dual(q))
 
 
 def flip_relation_residuals(
@@ -104,12 +81,12 @@ def flip_relation_residuals(
     """The two vector identities relating dual-side unitaries to flipped
     originals: ``What*(xi (x) zeta) = sigma(W(zeta (x) xi))`` and
     ``What'*(xi (x) zeta) = sigma(W_op(zeta (x) xi))``."""
-    n = ctx.dim
-    f = flip_matrix(n, n)
+    der, der_hat = derived_unitaries(ctx.q), derived_unitaries(ctx.qhat)
+    flip = flip_index(ctx.dim)
     v = np.kron(xi, zeta)
     w = np.kron(zeta, xi)
-    r1 = float(np.linalg.norm(dagger(ctx.w_dual) @ v - f @ (ctx.w @ w)))
-    r2 = float(np.linalg.norm(dagger(ctx.w_dual_comm) @ v - f @ (ctx.w_op @ w)))
+    r1 = float(np.linalg.norm(v[der_hat.w] - w[inverse(der.w)][flip]))
+    r2 = float(np.linalg.norm(v[der_hat.wprime] - w[inverse(der.wop)][flip]))
     return r1, r2
 
 
@@ -118,30 +95,15 @@ def dual_net_residuals(
 ) -> tuple[float, float, float, float]:
     """The four dual-diagonal hypothesis residuals: right/left invariance of the
     pair and the two opposite-unitary comparisons."""
-    w, wop = ctx.w, ctx.w_op
+    der = derived_unitaries(ctx.q)
+    w, wop = inverse(der.w), inverse(der.wop)
     vze = np.kron(zeta, eta)
     vxz = np.kron(xi, zeta)
     c1 = right_invariance_residual(ctx.q, xi, zeta)
     c2 = left_invariance_residual(ctx.q, eta, zeta)
-    c3 = float(np.linalg.norm(w @ vze - wop @ vze))
-    c4 = float(np.linalg.norm(w @ vxz - wop @ vxz))
+    c3 = float(np.linalg.norm(vze[w] - vze[wop]))
+    c4 = float(np.linalg.norm(vxz[w] - vxz[wop]))
     return c1, c2, c3, c4
-
-
-def _index(q: FiniteQuantumGroup, u: np.ndarray, what: str) -> np.ndarray:
-    return permutation_index(u, f"{q.name} ({q.kind}): {what}")
-
-
-def _legs(q: FiniteQuantumGroup, u: np.ndarray, what: str) -> tuple[dict, dict]:
-    """Index maps of the two-leg permutation ``u`` and of its adjoint on legs
-    ``(1, 2)``, ``(1, 3)`` and ``(2, 3)`` of three, keyed by the legs."""
-    p = _index(q, u, what)
-    dims = (q.dim,) * 3
-    pairs = ((1, 2), (1, 3), (2, 3))
-    return (
-        {legs: leg_map(p, legs, dims) for legs in pairs},
-        {legs: leg_map(inverse(p), legs, dims) for legs in pairs},
-    )
 
 
 def pentagonal_consequence_residuals(q: FiniteQuantumGroup) -> tuple[float, float, float]:
@@ -150,11 +112,9 @@ def pentagonal_consequence_residuals(q: FiniteQuantumGroup) -> tuple[float, floa
     ``S = Jhat (x) Jhat (x) J``.  ``S A S`` is the linear operator
     ``U conj(A) conj(U)`` for the unitary part ``U`` of ``S``; with ``U`` and
     ``A`` real permutations it is the permutation ``U A U``."""
-    w, w_adj = _legs(q, q.W, "W")
-    _, wp_adj = _legs(q, derived_unitaries(q).wprime, "W'")
-    dims = (q.dim,) * 3
-    jhat, j = _index(q, q.Jhat.u, "Jhat"), _index(q, q.J.u, "J")
-    s = chain(leg_map(jhat, (1,), dims), leg_map(jhat, (2,), dims), leg_map(j, (3,), dims))
+    der = derived_unitaries(q)
+    w, w_adj, wp_adj = der.three["w"], der.three["w*"], der.three["wprime*"]
+    s = tensor_map(tensor_map(der.jhat, der.jhat), der.j)
     return (
         map_residual(chain(w[1, 2], wp_adj[2, 3]), chain(wp_adj[2, 3], w[1, 3], w[1, 2])),
         map_residual(chain(w[2, 3], wp_adj[1, 2]), chain(wp_adj[1, 2], wp_adj[1, 3], w[2, 3])),
@@ -165,10 +125,8 @@ def pentagonal_consequence_residuals(q: FiniteQuantumGroup) -> tuple[float, floa
 def quasicentral_exchange_residual(q: FiniteQuantumGroup) -> tuple[float, float]:
     """The exchange identity behind the quasi-central bound, plus the
     commutation it relies on (``W'_13`` with ``W'^op*_23``)."""
-    der = derived_unitaries(q)
-    w, _ = _legs(q, q.W, "W")
-    wp, wp_adj = _legs(q, der.wprime, "W'")
-    _, wpo_adj = _legs(q, der.wprime_op, "W'^op")
+    three = derived_unitaries(q).three
+    w, wp, wp_adj, wpo_adj = three["w"], three["wprime"], three["wprime*"], three["wprime_op*"]
     main = map_residual(
         chain(wpo_adj[1, 3], wp[1, 3], wpo_adj[2, 3], w[2, 3]),
         chain(wp_adj[1, 2], wpo_adj[2, 3], wp[2, 3], wp[1, 2], wp_adj[2, 3], w[2, 3]),
@@ -180,10 +138,8 @@ def quasicentral_exchange_residual(q: FiniteQuantumGroup) -> tuple[float, float]
 def identity_shift_exchange_residual(q: FiniteQuantumGroup) -> tuple[float, float]:
     """The exchange identity behind the approximate-identity bound, plus the
     first-leg commutation it relies on (``W_13`` with ``W'^op*_12``)."""
-    der = derived_unitaries(q)
-    w, _ = _legs(q, q.W, "W")
-    _, wp_adj = _legs(q, der.wprime, "W'")
-    _, wpo_adj = _legs(q, der.wprime_op, "W'^op")
+    three = derived_unitaries(q).three
+    w, wp_adj, wpo_adj = three["w"], three["wprime*"], three["wprime_op*"]
     main = map_residual(
         chain(w[2, 3], w[1, 2], wpo_adj[1, 2]),
         chain(w[1, 2], wpo_adj[1, 2], w[1, 3], w[2, 3], wp_adj[1, 3]),
@@ -200,12 +156,9 @@ def commutant_opposite_consistency(q: FiniteQuantumGroup) -> float:
     unitary parts, ``J Jhat`` is the permutation ``U_J U_Jhat``."""
     der = derived_unitaries(q)
     dims = (q.dim, q.dim)
-    j, jhat = _index(q, q.J.u, "J"), _index(q, q.Jhat.u, "Jhat")
-    one_k = leg_map(chain(jhat, j), (2,), dims)
-    one_k_inv = leg_map(chain(j, jhat), (2,), dims)
-    wp = _index(q, der.wprime, "W'")
-    alt = inverse(chain(one_k, wp, one_k_inv))
-    return map_residual(_index(q, der.wprime_op, "W'^op"), alt)
+    one_k = leg_map(chain(der.jhat, der.j), (2,), dims)
+    one_k_inv = leg_map(chain(der.j, der.jhat), (2,), dims)
+    return map_residual(der.wprime_op, inverse(chain(one_k, der.wprime, one_k_inv)))
 
 
 @dataclass(frozen=True)
@@ -215,15 +168,15 @@ class QuasicentralIdentity:
 
     xi: NetVector
     eta: NetVector
-    vector: np.ndarray
     functional: Functional
 
 
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    v = ctx.w @ dagger(ctx.w_comm_op) @ np.kron(xi.vector, eta.vector)
-    return QuasicentralIdentity(xi=xi, eta=eta, vector=v, functional=_second_leg_functional(v, ctx.dim))
+    der = derived_unitaries(ctx.q)
+    v = np.kron(xi.vector, eta.vector)[der.wprime_op][inverse(der.w)]
+    return QuasicentralIdentity(xi=xi, eta=eta, functional=_second_leg_functional(v, ctx.dim))
 
 
 def slice_convention_residual(
@@ -239,14 +192,12 @@ def slice_convention_residual(
     A wrong reading of the second-leg slice fails this loudly.
     """
     n = ctx.dim
-    dims = (n, n, n)
+    three = derived_unitaries(ctx.q).three
     conv = convolve(ctx.q, u.functional, vector_state(zeta))
     lhs = conv.value(x)
     t = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
-    t = apply_leg(dagger(ctx.w_comm_op), (1, 2), t, dims)
-    t = apply_leg(ctx.w, (1, 2), t, dims)
-    t = apply_leg(ctx.w, (2, 3), t, dims)
-    rhs = inner(apply_leg(x, (3,), t, dims), t)
+    t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
+    rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
     return abs(lhs - rhs)
 
 
@@ -278,15 +229,14 @@ def certify_identity_bound(
     res = projection_residual((ctx.q.ortho_basis,), x)
     if res > MEMBERSHIP_TOL:
         raise ValueError(f"X is not in the algebra (residual {res:.3e})")
-    n = ctx.dim
-    dims = (n, n, n)
+    der = derived_unitaries(ctx.q)
     wz = vector_state(zeta)
     lhs = abs(convolve(ctx.q, u.functional, wz).value(x) - wz.value(x))
     pair = np.kron(u.xi.vector, zeta)
-    t1 = float(np.linalg.norm(ctx.w @ (dagger(ctx.w_comm) @ pair) - pair))
+    t1 = float(np.linalg.norm(pair[der.wprime][inverse(der.w)] - pair))
     triple = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
-    base = apply_leg(dagger(ctx.w_comm), (1, 3), triple, dims)
-    t2 = float(np.linalg.norm(apply_leg(ctx.w, (2, 3), base, dims) - base))
+    base = triple[der.three["wprime"][1, 3]]
+    t2 = float(np.linalg.norm(base[der.three["w*"][2, 3]] - base))
     bound = 2.0 * operator_norm(x) * (t1 + t2)
     return IdentityBoundCertificate(lhs=lhs, term_pair=t1, term_triple=t2, bound=bound, slack=slack)
 
@@ -327,24 +277,28 @@ def certify_quasicentral_bound(
         raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
     n = ctx.dim
     dims = (n, n, n)
-    wp, wpo, w = ctx.w_comm, ctx.w_comm_op, ctx.w
+    der = derived_unitaries(ctx.q)
+    # U* v = v[m] and U v = v[m*] for the maps m, m* of U and U* on three legs
+    w, w_adj, wp, wp_adj, wpo = (
+        der.three[name] for name in ("w", "w*", "wprime", "wprime*", "wprime_op")
+    )
 
-    conj = dagger(wp) @ wpo @ lam @ dagger(wpo) @ wp
+    # W'* W'^op Lam W'^op* W' is U* Lam U for U = W'^op* W'
+    r = chain(inverse(der.wprime_op), der.wprime)
+    conj = lam[np.ix_(r, r)]
     lhs_def = vector_state(zeta).tensor(u.functional).value(conj - lam)
 
     triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
-    base = apply_leg(w, (2, 3), apply_leg(dagger(wpo), (2, 3), triple, dims), dims)
-    moved = apply_leg(dagger(wpo), (1, 3), apply_leg(wp, (1, 3), base, dims), dims)
+    base = triple[wpo[2, 3]][w_adj[2, 3]]
+    moved = base[wp_adj[1, 3]][wpo[1, 3]]
     lhs_vec = inner(apply_leg(lam, (1, 3), moved, dims), moved) - inner(
         apply_leg(lam, (1, 3), base, dims), base
     )
     consistency = abs(lhs_def - lhs_vec)
 
-    t = apply_leg(w, (2, 3), triple, dims)
-    r1 = float(np.linalg.norm(apply_leg(dagger(wp), (2, 3), t, dims) - triple))
-    r2 = float(np.linalg.norm(apply_leg(wp, (1, 2), triple, dims) - triple))
-    t = apply_leg(wp, (2, 3), triple, dims)
-    r3 = float(np.linalg.norm(apply_leg(dagger(w), (2, 3), t, dims) - triple))
+    r1 = float(np.linalg.norm(triple[w_adj[2, 3]][wp[2, 3]] - triple))
+    r2 = float(np.linalg.norm(triple[wp_adj[1, 2]] - triple))
+    r3 = float(np.linalg.norm(triple[wp_adj[2, 3]][w[2, 3]] - triple))
     bound = 2.0 * operator_norm(lam) * (r1 + r2 + r3)
     return QuasicentralBoundCertificate(
         lhs=abs(lhs_def),

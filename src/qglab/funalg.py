@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qgcore import FiniteQuantumGroup
+from .qgcore import FiniteQuantumGroup, derived_unitaries, inverse
 from .tensorlin import (
-    apply_leg,
     compress_basis,
     dagger,
     operator_norm,
@@ -89,11 +88,11 @@ def convolve(q: FiniteQuantumGroup, a: Functional, b: Functional) -> Functional:
 
 
 def _module_action(q: FiniteQuantumGroup, x: Functional, legs: tuple[int, int], leg: int) -> Functional:
-    """Apply ``W`` on ``legs`` of every three-leg factor of ``x`` and trace out ``leg``."""
+    """Apply ``W`` on ``legs`` of every three-leg factor of ``x`` (a gather of
+    its rows) and trace out ``leg``."""
     dims = (q.dim,) * 3
-    return Functional(tuple(
-        (c, partial_trace(apply_leg(q.W, legs, f, dims), dims, leg)) for c, f in x.terms
-    ))
+    rows = derived_unitaries(q).three["w*"][legs]
+    return Functional(tuple((c, partial_trace(f[rows], dims, leg)) for c, f in x.terms))
 
 
 def module_action_left(q: FiniteQuantumGroup, a: Functional, x: Functional) -> Functional:
@@ -108,9 +107,11 @@ def module_action_right(q: FiniteQuantumGroup, x: Functional, a: Functional) -> 
 
 def product_map(q: FiniteQuantumGroup, x: Functional) -> Functional:
     """Push a functional on the doubled algebra through the comultiplication,
-    ``x -> x o G``: the first-leg partial trace of ``W F`` for each factor."""
+    ``x -> x o G``: the first-leg partial trace of ``W F`` for each factor,
+    ``W F`` a gather of the rows of ``F``."""
     n = q.dim
-    return Functional(tuple((c, partial_trace(q.W @ f, (n, n), 1)) for c, f in x.terms))
+    rows = inverse(derived_unitaries(q).w)
+    return Functional(tuple((c, partial_trace(f[rows], (n, n), 1)) for c, f in x.terms))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,13 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   ``W (e_a (x) e_b) = e_a (x) e_{a.b}``, equivalently the comultiplication
   ``G(x) = W* (1 (x) x) W`` sends a diagonal function ``f`` to
   ``f(s t)``.
-* ``W`` must be a permutation matrix, ``W e_j = e_{p[j]}``: the pentagon and
-  coassociativity residuals here and the lemma exchange residuals in
-  ``dualside`` compose index maps on three legs rather than form
-  ``n^3 x n^3`` operators, and reject any other ``W`` with ``ValueError``.
+* ``W`` and the unitary parts of ``J`` and ``Jhat`` must be permutation
+  matrices, ``U e_j = e_{m[j]}``.  ``derived_unitaries`` holds each unitary
+  built from them as its index map ``m``, and every unitary is applied by a
+  gather: ``U v = v[inverse(m)]``, ``U* v = v[m]`` and
+  ``U* Lam U = Lam[m][:, m]``.  Identities between unitaries compare composed
+  index maps; any other ``W``, ``J`` or ``Jhat`` is rejected with
+  ``ValueError`` naming it.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
@@ -37,7 +40,6 @@ from .tensorlin import (
     operator_norm,
     projection_residual,
     span_basis,
-    unitarity_residual,
 )
 
 __all__ = [
@@ -88,12 +90,18 @@ class FiniteQuantumGroup:
 
 
 class DerivedUnitaries(NamedTuple):
+    """Index maps ``m`` with ``U e_j = e_{m[j]}``.  For ``name`` in ``w``,
+    ``wprime`` and ``wprime_op``, ``three[name]`` and ``three[name + "*"]`` hold
+    the maps of that unitary and of its adjoint on legs ``(1, 2)``, ``(1, 3)``
+    and ``(2, 3)`` of three."""
+
+    w: np.ndarray            # W
+    j: np.ndarray            # unitary part of J
+    jhat: np.ndarray         # unitary part of Jhat
     wprime: np.ndarray       # commutant unitary (J (x) J) W (J (x) J)
     wop: np.ndarray          # opposite unitary (Jh (x) Jh) W (Jh (x) Jh)
-    what: np.ndarray         # dual unitary Sigma W* Sigma
-    v: np.ndarray            # right unitary
-    vhat: np.ndarray         # dual right unitary (equals wprime)
     wprime_op: np.ndarray    # opposite of the commutant (K (x) K) W (K (x) K), K = J Jhat
+    three: dict[str, dict[tuple[int, int], np.ndarray]]
 
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
@@ -217,9 +225,9 @@ def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
     indices, compared one block of ``n^2`` rows at a time.
     """
     n = q.dim
+    w3 = derived_unitaries(q).three["w"]
     gx = comultiply(q, x)
-    p, dims = _permutation_index(q), (n, n, n)
-    m12, m23 = leg_map(p, (1, 2), dims), leg_map(p, (2, 3), dims)
+    m12, m23 = w3[1, 2], w3[2, 3]
     swap12 = np.arange(n ** 3).reshape(n, n, n).transpose(1, 0, 2).reshape(-1)
     r = swap12[m23]
 
@@ -243,24 +251,41 @@ def _permuted_rows(gx: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.nd
 
 
 def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
-    """The commutant, opposite, dual and right unitaries attached to ``W``."""
+    """The index maps of ``W``, of the unitary parts of ``J`` and ``Jhat``, and
+    of the commutant and opposite unitaries, composed once and cached.
+
+    For a real permutation ``U``, conjugating by the antilinear ``U conj`` on
+    both sides is the permutation ``U A U``, so each derived map is a chain.
+    """
     if "derived" not in q._cache:
         n = q.dim
-        f = flip_matrix(n, n)
-        jj = q.J.tensor(q.J)
-        jhjh = q.Jhat.tensor(q.Jhat)
-        what = f @ dagger(q.W) @ f
-        k = q.J.compose(q.Jhat)  # the linear involution J Jhat
-        kk = np.kron(k, k)
-        q._cache["derived"] = DerivedUnitaries(
-            wprime=jj.conjugate(q.W),
-            wop=jhjh.conjugate(q.W),
-            what=what,
-            v=jhjh.conjugate(what),
-            vhat=jj.conjugate(q.W),
-            wprime_op=kk @ q.W @ kk,
-        )
+        label = f"{q.name} ({q.kind})"
+        w = permutation_index(q.W, f"{label}: W")
+        j = permutation_index(q.J.u, f"{label}: J")
+        jhat = permutation_index(q.Jhat.u, f"{label}: Jhat")
+        jj, jhjh, kk = (tensor_map(m, m) for m in (j, jhat, chain(j, jhat)))
+        two = {
+            "w": w,
+            "wprime": chain(jj, w, jj),
+            "wop": chain(jhjh, w, jhjh),
+            "wprime_op": chain(kk, w, kk),
+        }
+        three, pairs = {}, ((1, 2), (1, 3), (2, 3))
+        for name in ("w", "wprime", "wprime_op"):
+            for key, m in ((name, two[name]), (name + "*", inverse(two[name]))):
+                three[key] = {legs: leg_map(m, legs, (n, n, n)) for legs in pairs}
+        q._cache["derived"] = DerivedUnitaries(j=j, jhat=jhat, three=three, **two)
     return q._cache["derived"]
+
+
+def tensor_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Index map of ``A (x) B`` for the permutations ``a`` and ``b``."""
+    return (a[:, None] * len(b) + b[None, :]).reshape(-1)
+
+
+def flip_index(n: int) -> np.ndarray:
+    """Index map of the flip ``Sigma`` on ``C^n (x) C^n``, its own inverse."""
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
 def permutation_index(u: np.ndarray, what: str) -> np.ndarray:
@@ -276,13 +301,6 @@ def permutation_index(u: np.ndarray, what: str) -> np.ndarray:
     ):
         raise ValueError(f"{what} is not a permutation matrix")
     return p
-
-
-def _permutation_index(q: FiniteQuantumGroup) -> np.ndarray:
-    """The permutation index of ``W``, cached."""
-    if "permutation" not in q._cache:
-        q._cache["permutation"] = permutation_index(q.W, f"{q.name} ({q.kind}): W")
-    return q._cache["permutation"]
 
 
 def leg_map(p: np.ndarray, legs: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -321,51 +339,61 @@ def map_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
     """Operator norm of ``W_12 W_13 W_23 - W_23 W_12``, composed as index maps."""
-    p, dims = _permutation_index(q), (q.dim,) * 3
-    m12, m13, m23 = (leg_map(p, legs, dims) for legs in ((1, 2), (1, 3), (2, 3)))
+    w3 = derived_unitaries(q).three["w"]
+    m12, m13, m23 = w3[1, 2], w3[1, 3], w3[2, 3]
     return map_residual(chain(m12, m13, m23), chain(m23, m12))
 
 
 def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
-    """Residuals of the full structural relation catalog.
+    """Residuals of the structural relation catalog, all operator norms.
 
-    Keys are stable identifiers; all residuals are operator norms.  The
-    membership of ``W`` in ``M (x) Mhat`` is included as a recorded check.
+    The relations between unitaries compare composed index maps.  The
+    ``*_from_table`` records compare the maps of ``W``, ``J`` and ``Jhat``
+    with the maps written straight from the Cayley table, the one derivation
+    that does not pass through the matrices.  The membership of ``W`` in
+    ``M (x) Mhat`` is included as a recorded check.
     """
     if "structure_residuals" in q._cache:
         return q._cache["structure_residuals"]
     n = q.dim
-    w = q.W
-    f = flip_matrix(n, n)
     der = derived_unitaries(q)
-    jhat_j = q.Jhat.tensor(q.J)
+    flip = flip_index(n)
+    jhat_j = tensor_map(der.jhat, der.j)
+    jhjh = tensor_map(der.jhat, der.jhat)
+    what = chain(flip, inverse(der.w), flip)
+    # right unitary V, equal to the commutant unitary of the dual
+    v = chain(jhjh, what, jhjh)
     out: dict[str, float] = {}
-    out["unitarity_W"] = unitarity_residual(w)
-    out["conjugate_relation"] = operator_norm(dagger(w) - jhat_j.conjugate(w))
+    out["conjugate_relation"] = map_residual(inverse(der.w), chain(jhat_j, der.w, jhat_j))
     # with scaling constant 1 the modular phase is 1: the conjugations commute
-    out["modular_commutation"] = operator_norm(q.Jhat.compose(q.J) - q.J.compose(q.Jhat))
-    out["dual_unitary"] = operator_norm(der.what - f @ dagger(w) @ f)
-    out["right_unitary"] = operator_norm(
-        der.v - q.Jhat.tensor(q.Jhat).conjugate(f @ dagger(w) @ f)
-    )
-    out["dual_right_unitary"] = operator_norm(der.vhat - q.J.tensor(q.J).conjugate(w))
-    out["opposite_from_right"] = operator_norm(der.wop - f @ dagger(der.v) @ f)
-    out["opposite_from_modular"] = operator_norm(der.wop - q.Jhat.tensor(q.Jhat).conjugate(w))
-    out["commutant_equals_dual_right"] = operator_norm(der.wprime - der.vhat)
+    out["modular_commutation"] = map_residual(chain(der.jhat, der.j), chain(der.j, der.jhat))
+    out["opposite_from_right"] = map_residual(der.wop, chain(flip, inverse(v), flip))
     if n ** 3 <= max_tensor_entries():
         out["pentagonal"] = _pentagonal_residual(q)
     # commutant unitary of the dual versus the dual of the opposite
-    whatprime = q.Jhat.tensor(q.Jhat).conjugate(der.what)
-    wophat = f @ dagger(der.wop) @ f
-    out["dual_of_opposite"] = operator_norm(whatprime - wophat)
-    for label, u in [
-        ("unitarity_Wprime", der.wprime),
-        ("unitarity_Wop", der.wop),
-        ("unitarity_What", der.what),
-        ("unitarity_V", der.v),
-    ]:
-        out[label] = unitarity_residual(u)
+    out["dual_of_opposite"] = map_residual(v, chain(flip, inverse(der.wop), flip))
+    table = _table_maps(q)
+    if table is not None:
+        for label, m, got in zip(("W", "J", "Jhat"), table, (der.w, der.j, der.jhat)):
+            out[f"{label}_from_table"] = map_residual(m, got)
     # W sits in M (x) Mhat; dual(q) is not built yet while q is checked
-    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(w, n)), w)
+    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q.W, n)), q.W)
     q._cache["structure_residuals"] = out
     return out
+
+
+def _table_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Index maps of ``W``, ``J`` and ``Jhat`` written from the Cayley table:
+    on the function algebra ``W: (a, b) -> (a, ab)``, ``J = 1`` and
+    ``Jhat: s -> s^-1``; on the group algebra ``W: (b, a) -> (a^-1 b, a)``,
+    ``J: s -> s^-1`` and ``Jhat = 1``.  ``None`` for other constructions."""
+    if q.table is None or q.kind not in (KIND_FUNCTION, KIND_DUAL):
+        return None
+    n = q.dim
+    prod = np.array(q.table.table)
+    inv = np.array(q.table.inverses)
+    ident = np.arange(n)
+    first, second = np.indices((n, n)).reshape(2, -1)
+    if q.kind == KIND_FUNCTION:
+        return first * n + prod[first, second], ident, inv
+    return prod[inv[second], first] * n + second, inv, ident

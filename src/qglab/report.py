@@ -1,10 +1,10 @@
 """Machine-readable certificates.
 
 A report is a flat list of check records, each carrying the statement label it
-certifies, the measured residual, the tolerance or bound it was held to, and a
-pass flag.  Serialization is deterministic: records are sorted, floats are
-rendered as 17-significant-digit decimal strings, and repeated runs with the
-same seed produce byte-identical output.
+certifies, the measured residual, the tolerance it was held to (none for an
+informational record), and a pass flag.  Serialization is deterministic:
+records are sorted, floats are rendered as 17-significant-digit decimal
+strings, and repeated runs with the same seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "CheckReport", "format_float"]
 
-REPORT_VERSION = "0.1.0"
+REPORT_VERSION = "0.2.0"
 
 
 def format_float(x: float) -> str:
@@ -30,19 +30,11 @@ class CheckRecord:
     anchor: str
     residual: float
     tolerance: float | None = None
-    bound: float | None = None
     detail: dict | None = None
 
     @property
     def passed(self) -> bool:
-        limit = 0.0
-        if self.tolerance is not None:
-            limit += self.tolerance
-        if self.bound is not None:
-            limit += self.bound
-        if self.tolerance is None and self.bound is None:
-            return True
-        return bool(self.residual <= limit)
+        return self.tolerance is None or bool(self.residual <= self.tolerance)
 
     def sort_key(self) -> tuple:
         return (self.suite, self.group, self.construction, self.check)
@@ -56,7 +48,6 @@ class CheckRecord:
             "anchor": self.anchor,
             "residual": format_float(self.residual),
             "tolerance": None if self.tolerance is None else format_float(self.tolerance),
-            "bound": None if self.bound is None else format_float(self.bound),
             "pass": self.passed,
         }
         if self.detail is not None:

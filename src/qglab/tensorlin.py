@@ -7,8 +7,8 @@ Conventions used throughout the package:
   row-major (big-endian) leg order: the basis vector ``e_a (x) e_b`` of
   ``C^m (x) C^n`` sits at index ``a * n + b``.
 * Legs are numbered from 1, matching the subscript convention ``W_12`` used in
-  operator formulas, so ``apply_leg(W, (1, 3), v, (n, n, n))`` applies ``W`` to
-  legs 1 and 3 of a three-leg vector.
+  operator formulas, so ``apply_leg(lam, (1, 3), v, (n, n, n))`` applies ``lam``
+  to legs 1 and 3 of a three-leg vector.
 * The inner product ``<u, v>`` is linear in the first argument.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "partial_trace",
     "trace_norm",
     "operator_norm",
-    "unitarity_residual",
     "slice_first",
     "span_basis",
     "combine",
@@ -166,10 +165,6 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def unitarity_residual(a: np.ndarray) -> float:
-    return operator_norm(dagger(a) @ a - np.eye(a.shape[0]))
-
-
 def slice_first(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Slice away the first leg of an operator on ``H1 (x) H2`` with the vector
     state of ``u``: the matrix of ``(omega_u (x) id)(x)``,
@@ -236,27 +231,8 @@ def compress_basis(factors: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray
 class AntilinearOp:
     """Antilinear operator ``v -> u @ conj(v)`` with unitary ``u``.
 
-    Models modular conjugations.  Composing two antilinear operators yields a
-    linear one; conjugating a linear operator by the same antilinear operator
-    on both sides yields a linear operator.  Both case analyses are explicit
-    here so that mixed products cannot silently drop a conjugation.
+    Models modular conjugations.  Every shipped ``u`` is a real permutation,
+    and ``qgcore.derived_unitaries`` reads it as an index map.
     """
 
     u: np.ndarray
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.u @ v.conj()
-
-    def conjugate(self, a: np.ndarray) -> np.ndarray:
-        """The linear operator ``J a J`` (same antilinear ``J`` on both sides)."""
-        return self.u @ a.conj() @ self.u.conj()
-
-    def compose(self, other: "AntilinearOp") -> np.ndarray:
-        """Matrix of the linear operator ``self o other``."""
-        return self.u @ other.u.conj()
-
-    def tensor(self, *others: "AntilinearOp") -> "AntilinearOp":
-        u = self.u
-        for op in others:
-            u = np.kron(u, op.u)
-        return AntilinearOp(u)

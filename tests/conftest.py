@@ -1,14 +1,17 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from qglab.funalg import Functional
 from qglab.groups import builtin_table
-from qglab.qgcore import comultiply, derived_unitaries, dual, function_algebra
+from qglab.qgcore import comultiply, dual, function_algebra
 from qglab.tensorlin import (
+    AntilinearOp,
     apply_leg,
     dagger,
+    flip_matrix,
     operator_norm,
     random_unit_vector,
     span_basis,
@@ -43,6 +46,64 @@ def swapped_columns(q, j=1, k=2):
     w = q.W.copy()
     w[:, [j, k]] = w[:, [k, j]]
     return replace(q, W=w, _cache={})
+
+
+def unitarity_residual(a):
+    """Oracle: ``||a* a - 1||``."""
+    return operator_norm(dagger(a) @ a - np.eye(a.shape[0]))
+
+
+# Antilinear operators ``v -> u @ conj(v)`` as dense matrices: the routes the
+# index maps of ``derived_unitaries`` replace.
+
+def antilinear_apply(j, v):
+    return j.u @ v.conj()
+
+
+def antilinear_conjugate(j, a):
+    """The linear operator ``J a J`` (same antilinear ``J`` on both sides)."""
+    return j.u @ a.conj() @ j.u.conj()
+
+
+def antilinear_compose(j, k):
+    """Matrix of the linear operator ``j o k``."""
+    return j.u @ k.u.conj()
+
+
+def antilinear_tensor(*ops):
+    u = ops[0].u
+    for op in ops[1:]:
+        u = np.kron(u, op.u)
+    return AntilinearOp(u)
+
+
+class DenseUnitaries(NamedTuple):
+    wprime: np.ndarray       # commutant unitary (J (x) J) W (J (x) J)
+    wop: np.ndarray          # opposite unitary (Jh (x) Jh) W (Jh (x) Jh)
+    what: np.ndarray         # dual unitary Sigma W* Sigma
+    v: np.ndarray            # right unitary
+    vhat: np.ndarray         # dual right unitary (equals wprime)
+    wprime_op: np.ndarray    # opposite of the commutant (K (x) K) W (K (x) K), K = J Jhat
+
+
+def dense_derived_unitaries(q):
+    """Oracle: the derived unitaries as dense ``n^2 x n^2`` matrices, from the
+    matrices of ``W``, ``J`` and ``Jhat``."""
+    n = q.dim
+    f = flip_matrix(n, n)
+    jj = antilinear_tensor(q.J, q.J)
+    jhjh = antilinear_tensor(q.Jhat, q.Jhat)
+    what = f @ dagger(q.W) @ f
+    k = antilinear_compose(q.J, q.Jhat)  # the linear involution J Jhat
+    kk = np.kron(k, k)
+    return DenseUnitaries(
+        wprime=antilinear_conjugate(jj, q.W),
+        wop=antilinear_conjugate(jhjh, q.W),
+        what=what,
+        v=antilinear_conjugate(jhjh, what),
+        vhat=antilinear_conjugate(jj, q.W),
+        wprime_op=kk @ q.W @ kk,
+    )
 
 
 def dense_projection_residual(ortho_basis, x):
@@ -192,7 +253,7 @@ def modular_sandwich(q, v):
 def dense_pentagonal_consequence_residuals(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
-    w, wp = q.W, derived_unitaries(q).wprime
+    w, wp = q.W, dense_derived_unitaries(q).wprime
     r1 = r2 = r3 = 0.0
     for _ in range(draws):
         v = random_unit_vector(rng, n ** 3)
@@ -218,7 +279,7 @@ def dense_pentagonal_consequence_residuals(q, rng, draws):
 def dense_quasicentral_exchange_residual(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
-    der = derived_unitaries(q)
+    der = dense_derived_unitaries(q)
     wp, wpo, w = der.wprime, der.wprime_op, q.W
     main = comm = 0.0
     for _ in range(draws):
@@ -245,7 +306,7 @@ def dense_quasicentral_exchange_residual(q, rng, draws):
 def dense_identity_shift_exchange_residual(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
-    der = derived_unitaries(q)
+    der = dense_derived_unitaries(q)
     w, wp, wpo = q.W, der.wprime, der.wprime_op
     main = comm = 0.0
     for _ in range(draws):
@@ -267,9 +328,9 @@ def dense_identity_shift_exchange_residual(q, rng, draws):
 def dense_commutant_opposite_consistency(q):
     """``||W'^op - ((1 (x) Jhat J) W' (1 (x) J Jhat))*||`` from the dense matrices."""
     n = q.dim
-    der = derived_unitaries(q)
-    one_k = np.kron(np.eye(n), q.Jhat.compose(q.J))
-    one_k_inv = np.kron(np.eye(n), q.J.compose(q.Jhat))
+    der = dense_derived_unitaries(q)
+    one_k = np.kron(np.eye(n), antilinear_compose(q.Jhat, q.J))
+    one_k_inv = np.kron(np.eye(n), antilinear_compose(q.J, q.Jhat))
     return operator_norm(der.wprime_op - dagger(one_k @ der.wprime @ one_k_inv))
 
 

@@ -49,14 +49,12 @@ EPSILONS = (0.01, 0.1, 0.3)
 CATALOG_RELATIONS = (
     "conjugate_relation",
     "modular_commutation",
-    "dual_unitary",
-    "right_unitary",
-    "dual_right_unitary",
     "opposite_from_right",
-    "opposite_from_modular",
-    "commutant_equals_dual_right",
     "dual_of_opposite",
     "pentagonal",
+    "W_from_table",
+    "J_from_table",
+    "Jhat_from_table",
 )
 
 

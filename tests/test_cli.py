@@ -53,11 +53,8 @@ class TestRunSuites:
                    for kind in ("identity", "quasicentral")]
         labels = {
             "Proposition 2.2": ("structure", [
-                "commutant_equals_dual_right", "conjugate_relation", "dual_of_opposite",
-                "dual_right_unitary", "dual_unitary", "modular_commutation",
-                "opposite_from_modular", "opposite_from_right", "pentagonal", "right_unitary",
-                "unitarity_V", "unitarity_W", "unitarity_What", "unitarity_Wop",
-                "unitarity_Wprime",
+                "J_from_table", "Jhat_from_table", "W_from_table", "conjugate_relation",
+                "dual_of_opposite", "modular_commutation", "opposite_from_right", "pentagonal",
             ]),
             "definition of the multiplicative unitary": ("structure", ["W_in_doubled_algebra"]),
             "definition of the comultiplication": ("structure", ["coassociativity"]),
@@ -195,8 +192,9 @@ class TestReportFormat:
         assert set(obj) == {"version", "seed", "records", "summary"}
         assert obj["seed"] == 5
         record = obj["records"][0]
-        for key in ("suite", "check", "group", "construction", "anchor", "residual", "pass"):
-            assert key in record
+        assert set(record) == {
+            "suite", "check", "group", "construction", "anchor", "residual", "tolerance", "pass",
+        }
         assert isinstance(record["residual"], str)
         assert obj["summary"]["total"] == len(obj["records"])
 

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SMALL_GROUPS, get_group, membership_residual, random_doubled
+from conftest import (
+    ALL_GROUPS,
+    SMALL_GROUPS,
+    dense_derived_unitaries,
+    get_group,
+    membership_residual,
+    random_doubled,
+)
 
 from qglab import diagonals, suites
 from qglab.diagonals import (
@@ -26,8 +33,7 @@ from qglab.diagonals import (
 )
 from qglab.funalg import vector_state
 from qglab.groups import builtin_table
-from qglab.qgcore import derived_unitaries
-from qglab.tensorlin import dagger, normalize, operator_norm, random_unit_vector
+from qglab.tensorlin import dagger, normalize, operator_norm, random_unit_vector, slice_first
 
 
 class TestInvarianceResiduals:
@@ -103,9 +109,33 @@ class TestInvarianceResiduals:
 
 def commutant_mismatch(q, a, b):
     """``|| W*(a (x) b) - W'*(a (x) b) ||``, with ``W'`` the commutant unitary."""
-    wprime = derived_unitaries(q).wprime
+    wprime = dense_derived_unitaries(q).wprime
     v = np.kron(a, b)
     return float(np.linalg.norm(dagger(q.W) @ v - dagger(wprime) @ v))
+
+
+class TestGathersEqualDense:
+    """The index-map gathers against the dense products they replace, bit for bit."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_diagonal_compression_and_invariance(self, name, side, rng):
+        q = get_group(name, side)
+        n = q.dim
+        wprime = dense_derived_unitaries(q).wprime
+        xi = NetVector(random_unit_vector(rng, n), "r")
+        eta = NetVector(random_unit_vector(rng, n), "r")
+        v = dagger(wprime) @ np.kron(xi.vector, eta.vector)
+        ((_, factor),) = build_diagonal(q, xi, eta).bifunctional.terms
+        assert np.array_equal(factor[:, 0], v)
+        lam = random_doubled(q, rng)
+        compressed = slice_first(wprime @ lam @ dagger(wprime), xi.vector)
+        assert np.array_equal(commutant_compression(q, xi.vector, lam), compressed)
+        kraus = dagger(wprime) @ np.kron(xi.vector.reshape(-1, 1), np.eye(n))
+        assert np.array_equal(compression_kraus_factor(q, xi.vector), kraus)
+        pair = np.kron(eta.vector, xi.vector)
+        expected = float(np.linalg.norm(q.W @ pair - pair))
+        assert right_invariance_residual(q, xi.vector, eta.vector) == expected
 
 
 class TestCommutantMismatch:
@@ -223,7 +253,8 @@ class TestBuildDiagonal:
         cand = build_diagonal(z2, xi, eta)
         # W'* (uniform (x) e0) = (e00 + e11)/sqrt(2) classically
         expected = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-        assert np.linalg.norm(cand.vector - expected) <= 1e-12
+        ((_, factor),) = cand.bifunctional.terms
+        assert np.linalg.norm(factor[:, 0] - expected) <= 1e-12
 
     def test_state_normalization(self, s3, rng):
         xi = NetVector(random_unit_vector(rng, 6), "r")

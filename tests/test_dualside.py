@@ -9,8 +9,12 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    antilinear_apply,
+    antilinear_conjugate,
+    antilinear_tensor,
     dense,
     dense_commutant_opposite_consistency,
+    dense_derived_unitaries,
     dense_identity_shift_exchange_residual,
     dense_pentagonal_consequence_residuals,
     dense_quasicentral_exchange_residual,
@@ -19,6 +23,7 @@ from conftest import (
     random_algebra,
     random_doubled,
     swapped_columns,
+    unitarity_residual,
 )
 
 from qglab.diagonals import (
@@ -42,16 +47,28 @@ from qglab.dualside import (
     slice_convention_residual,
 )
 from qglab.funalg import algebra_decomposition, convolve, predual_norm, vector_state
-from qglab.qgcore import derived_unitaries, dual
-from qglab.tensorlin import AntilinearOp, dagger, flip_matrix, operator_norm, random_unit_vector
+from qglab.qgcore import derived_unitaries, dual, permutation_index
+from qglab.tensorlin import (
+    AntilinearOp,
+    dagger,
+    flip_matrix,
+    partial_trace,
+    random_unit_vector,
+)
 
 
 def dual_of_opposite(q):
     """``(W_op)^``: the multiplicative unitary of the dual of the opposite,
     ``Sigma W_op* Sigma`` with ``W_op = (Jhat (x) Jhat) W (Jhat (x) Jhat)``."""
     f = flip_matrix(q.dim, q.dim)
-    wop = q.Jhat.tensor(q.Jhat).conjugate(q.W)
-    return f @ dagger(wop) @ f
+    return f @ dagger(dense_derived_unitaries(q).wop) @ f
+
+
+def state_vector(omega):
+    """The vector ``zeta`` of a vector state ``omega_zeta``."""
+    ((c, f),) = omega.terms
+    assert c == 1.0 and f.shape[1] == 1
+    return f[:, 0]
 
 
 class TestDualContext:
@@ -60,35 +77,42 @@ class TestDualContext:
         # the commutant unitary of the dual is the dual of the opposite
         q = get_group("S3", side)
         ctx = dual_context(q)
-        assert operator_norm(ctx.w_dual_comm - dual_of_opposite(q)) <= 1e-10
+        expected = permutation_index(dual_of_opposite(q), "dual of the opposite")
+        assert np.array_equal(derived_unitaries(ctx.qhat).wprime, expected)
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_read_from_dual_equals_formulas(self, name, side):
-        # the dual-side unitaries read from dual(q) equal, bit for bit, their
-        # formulas in q's own W, J and Jhat
+        # the maps read from dual(q) equal the maps of their dense formulas in
+        # q's own W, J and Jhat, and the gathers equal the dense products bit
+        # for bit
         q = get_group(name, side)
         ctx = dual_context(q)
-        n = q.dim
-        f = flip_matrix(n, n)
-        k = q.J.compose(q.Jhat)
-        kk = np.kron(k, k)
-        what = f @ dagger(q.W) @ f
         assert ctx.qhat is dual(q)
-        assert np.array_equal(ctx.w_comm_op, kk @ q.W @ kk)
-        assert np.array_equal(ctx.w_dual, what)
-        assert np.array_equal(ctx.w_dual_comm, q.Jhat.tensor(q.Jhat).conjugate(what))
-        assert np.array_equal(derived_unitaries(ctx.qhat).wop, q.J.tensor(q.J).conjugate(what))
+        dense_q = dense_derived_unitaries(q)
+        what = dense_q.what
+        jj, jhjh = antilinear_tensor(q.J, q.J), antilinear_tensor(q.Jhat, q.Jhat)
+        der_hat = derived_unitaries(ctx.qhat)
+        assert np.array_equal(der_hat.w, permutation_index(what, "What"))
+        assert np.array_equal(
+            der_hat.wprime, permutation_index(antilinear_conjugate(jhjh, what), "What'")
+        )
+        assert np.array_equal(
+            der_hat.wop, permutation_index(antilinear_conjugate(jj, what), "What^op")
+        )
+        assert np.array_equal(
+            derived_unitaries(q).wprime_op, permutation_index(dense_q.wprime_op, "W'^op")
+        )
         # the dual diagonal: commutant unitary of the dual versus the dual of
         # the opposite
         xi, eta = exact_nets(ctx.qhat)
         expected = dagger(dual_of_opposite(q)) @ np.kron(xi.vector, eta.vector)
-        assert np.array_equal(build_diagonal(ctx.qhat, xi, eta).vector, expected)
+        assert np.array_equal(state_vector(build_diagonal(ctx.qhat, xi, eta).bifunctional), expected)
 
     def test_function_algebra_collapses(self, s3):
-        ctx = dual_context(s3)
-        assert np.abs(ctx.w_comm - ctx.w).max() <= 1e-12
-        assert np.abs(ctx.w_comm_op - ctx.w_op).max() <= 1e-12
+        der = derived_unitaries(s3)
+        assert np.array_equal(der.wprime, der.w)
+        assert np.array_equal(der.wprime_op, der.wop)
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_commutant_opposite_two_routes(self, side):
@@ -97,8 +121,12 @@ class TestDualContext:
 
     def test_all_unitaries_unitary(self, s3_dual):
         ctx = dual_context(s3_dual)
-        for u in (ctx.w, ctx.w_comm, ctx.w_op, ctx.w_comm_op, ctx.w_dual, ctx.w_dual_comm):
-            assert operator_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-10
+        for q in (ctx.q, ctx.qhat):
+            der, dense_q = derived_unitaries(q), dense_derived_unitaries(q)
+            for m in (der.w, der.wprime, der.wop, der.wprime_op):
+                assert np.array_equal(np.sort(m), np.arange(36))
+            for u in (q.W, dense_q.wprime, dense_q.wop, dense_q.wprime_op):
+                assert unitarity_residual(u) <= 1e-10
 
 
 class TestFlipRelations:
@@ -167,7 +195,7 @@ class TestExchangeIdentities:
         q = get_group(name, side)
         n = q.dim
         v = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
-        dense = q.Jhat.tensor(q.Jhat, q.J).apply(v)
+        dense = antilinear_apply(antilinear_tensor(q.Jhat, q.Jhat, q.J), v)
         assert np.array_equal(modular_sandwich(q, v), dense)
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
@@ -221,6 +249,7 @@ def dense_lemma_records(q, rng, draws=20):
 
 MUTATIONS = {
     "swapped_W_columns": swapped_columns,
+    "swapped_W_columns_1_n+1": lambda q: swapped_columns(q, 1, q.dim + 1),
     "J_and_Jhat_exchanged": lambda q: replace(q, J=q.Jhat, Jhat=q.J, _cache={}),
     "Jhat_set_to_J": lambda q: replace(q, Jhat=q.J, _cache={}),
 }
@@ -248,12 +277,12 @@ class TestLemmaIndexMaps:
             assert exact[record] >= drawn[record], record
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
-    def test_every_record_fires_under_some_mutation(self, name):
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_every_record_fires_under_some_mutation(self, name, side):
         fired = dict.fromkeys(LEMMA_RECORDS, 0.0)
-        for side in ("fn", "dual"):
-            for mutate in MUTATIONS.values():
-                for record, value in lemma_records(mutate(get_group(name, side))).items():
-                    fired[record] = max(fired[record], value)
+        for mutate in MUTATIONS.values():
+            for record, value in lemma_records(mutate(get_group(name, side))).items():
+                fired[record] = max(fired[record], value)
         assert min(fired.values()) >= 1.0, fired
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -270,7 +299,7 @@ class TestLemmaIndexMaps:
         (pentagonal_consequence_residuals, "W"),
         (quasicentral_exchange_residual, "W"),
         (identity_shift_exchange_residual, "W"),
-        (commutant_opposite_consistency, "W'"),
+        (commutant_opposite_consistency, "W"),
     ])
     def test_negated_column_of_w_rejected_by_name(self, side, function, operator):
         q = get_group("S3", side)
@@ -308,7 +337,7 @@ class TestDualDiagonal:
         expected = np.zeros(9)
         for a in range(3):
             expected[a * 3 + a] = 1 / np.sqrt(3)
-        assert np.linalg.norm(cand.vector - expected) <= 1e-12
+        assert np.linalg.norm(state_vector(cand.bifunctional) - expected) <= 1e-12
 
     def test_trivial_group(self):
         q = get_group("Z1")
@@ -342,7 +371,10 @@ class TestApproximateIdentity:
         xi, eta = exact_nets(z2)
         u = build_approximate_identity(ctx, xi, eta)
         expected = np.kron(np.ones(2) / np.sqrt(2), np.eye(2)[0])
-        assert np.linalg.norm(u.vector - expected) <= 1e-12
+        # the functional's one factor is the slice of W W'^op* (xi (x) eta)
+        ((_, factor),) = u.functional.terms
+        sliced = partial_trace(expected.reshape(-1, 1), (2, 2), 1)
+        assert np.linalg.norm(factor - sliced) <= 1e-12
         # the sliced functional is evaluation at the identity element
         assert abs(u.functional.value(np.diag([1.0, 0.0])) - 1.0) <= 1e-12
         assert abs(u.functional.value(np.diag([0.0, 1.0]))) <= 1e-12

@@ -12,14 +12,18 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    antilinear_compose,
+    antilinear_conjugate,
     dense_coassociativity_residual,
+    dense_derived_unitaries,
     dense_pentagonal_residual,
     get_group,
     membership_residual,
     swapped_columns,
+    unitarity_residual,
 )
 
-from qglab import qgcore
+from qglab import dualside, qgcore
 from qglab.funalg import tensor_algebra_decomposition
 from qglab.groups import GroupTable, builtin_table
 from qglab.qgcore import (
@@ -31,9 +35,10 @@ from qglab.qgcore import (
     dual,
     function_algebra,
     left_fixed_vector,
+    permutation_index,
     structure_identity_residuals,
 )
-from qglab.tensorlin import apply_leg, dagger, flip_matrix, operator_norm
+from qglab.tensorlin import AntilinearOp, apply_leg, dagger, flip_matrix, operator_norm
 
 
 def random_algebra_element(q, rng):
@@ -54,6 +59,28 @@ def permutation_group(name, generators):
                 elems.append(h)
     table = tuple(tuple(index[tuple(a[k] for k in b)] for b in elems) for a in elems)
     return GroupTable(name=name, order=len(elems), table=table)
+
+
+def cycle(n):
+    """An antilinear operator whose unitary part is the n-cycle ``s -> s + 1``."""
+    return AntilinearOp(np.roll(np.eye(n), 1, axis=0))
+
+
+# broken inputs under which every structure record fires on each side
+BROKEN_INPUTS = {
+    "swapped_W_columns_1_2": swapped_columns,
+    "swapped_W_columns_1_n+1": lambda q: swapped_columns(q, 1, q.dim + 1),
+    "J_and_Jhat_exchanged": lambda q: replace(q, J=q.Jhat, Jhat=q.J, _cache={}),
+    "Jhat_set_to_J": lambda q: replace(q, Jhat=q.J, _cache={}),
+    "n_cycle_Jhat": lambda q: replace(q, Jhat=cycle(q.dim), _cache={}),
+    "n_cycle_J": lambda q: replace(q, J=cycle(q.dim), _cache={}),
+}
+
+
+def structure_records(q):
+    """The structure suite's records of ``q``, coassociativity at a fixed element."""
+    x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
+    return {**structure_identity_residuals(q), "coassociativity": coassociativity_residual(q, x)}
 
 
 class TestFunctionAlgebra:
@@ -97,12 +124,52 @@ class TestStructureCatalog:
         residuals = structure_identity_residuals(get_group(name, "dual"))
         assert max(residuals.values()) <= 1e-10, residuals
 
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_every_record_fires_under_some_broken_input(self, name, side):
+        q = get_group(name, side)
+        fired = dict.fromkeys(structure_records(q), 0.0)
+        for mutate in BROKEN_INPUTS.values():
+            for record, value in structure_records(mutate(q)).items():
+                fired[record] = max(fired[record], value)
+        assert len(fired) == 10
+        assert min(fired.values()) > 1e-10, fired
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+    def test_opposite_group_law_fires_only_table_record(self, name):
+        # W^op is the multiplicative unitary of the opposite group: a valid
+        # quantum group on its own, so only the route from the table tells
+        q = get_group(name)
+        opposite = replace(q, W=dense_derived_unitaries(q).wop, _cache={})
+        records = structure_records(opposite)
+        assert records.pop("W_from_table") > 1e-10
+        assert max(records.values()) <= 1e-10, records
+        lemmas = (
+            *dualside.pentagonal_consequence_residuals(opposite),
+            *dualside.quasicentral_exchange_residual(opposite),
+            dualside.commutant_opposite_consistency(opposite),
+            *dualside.identity_shift_exchange_residual(opposite),
+        )
+        assert max(lemmas) == 0.0
+        # Jhat = 1 on the group algebra, so W^op = W there and the same input
+        # is the unbroken object
+        qd = get_group(name, "dual")
+        assert np.array_equal(dense_derived_unitaries(qd).wop, qd.W)
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_no_table_records_without_table(self, side):
+        q = get_group("S3", side)
+        generic = replace(q, kind="generic", _cache={})
+        records = structure_identity_residuals(generic)
+        assert not {"W_from_table", "J_from_table", "Jhat_from_table"} & set(records)
+        assert max(records.values()) <= 1e-10
+
     def test_z2_catalog_tight(self, z2):
         assert max(structure_identity_residuals(z2).values()) <= 1e-12
 
     def test_modular_conjugations_commute(self, s3):
-        k1 = s3.Jhat.compose(s3.J)
-        k2 = s3.J.compose(s3.Jhat)
+        k1 = antilinear_compose(s3.Jhat, s3.J)
+        k2 = antilinear_compose(s3.J, s3.Jhat)
         assert operator_norm(k1 - k2) <= 1e-10
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -235,25 +302,49 @@ class TestOrder12:
 
 
 class TestDerivedUnitaries:
+    """The index maps against the dense formulas they replace."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_maps_equal_dense_oracle(self, name, side):
+        q = get_group(name, side)
+        der, dense = derived_unitaries(q), dense_derived_unitaries(q)
+        assert np.array_equal(der.w, permutation_index(q.W, "W"))
+        assert np.array_equal(der.j, permutation_index(q.J.u, "J"))
+        assert np.array_equal(der.jhat, permutation_index(q.Jhat.u, "Jhat"))
+        for field in ("wprime", "wop", "wprime_op"):
+            assert np.array_equal(getattr(der, field), permutation_index(getattr(dense, field), field))
+        n = q.dim
+        eye = np.eye(n ** 3)
+        for field in ("w", "wprime", "wprime_op"):
+            u = q.W if field == "w" else getattr(dense, field)
+            for legs in [(1, 2), (1, 3), (2, 3)]:
+                dense_leg = apply_leg(u, legs, eye, (n, n, n))
+                assert np.array_equal(eye[:, der.three[field][legs]], dense_leg)
+                assert np.array_equal(eye[:, der.three[field + "*"][legs]], dense_leg.T)
+
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_commutant_equals_original_for_function_algebras(self, name):
-        q = get_group(name)
-        der = derived_unitaries(q)
-        assert np.abs(der.wprime - q.W).max() <= 1e-12
+        der = derived_unitaries(get_group(name))
+        assert np.array_equal(der.wprime, der.w)
 
     def test_dual_unitary_entrywise_z2(self, z2):
-        der = derived_unitaries(z2)
         f = flip_matrix(2, 2)
-        assert np.abs(der.what - f @ dagger(z2.W) @ f).max() == 0
+        what = derived_unitaries(dual(z2)).w
+        assert np.array_equal(what, permutation_index(f @ dagger(z2.W) @ f, "What"))
 
     def test_dual_right_unitary_equals_commutant(self, s3):
-        der = derived_unitaries(s3)
-        assert np.abs(der.vhat - der.wprime).max() <= 1e-12
+        # the right unitary of the dual, (J (x) J) Sigma What* Sigma (J (x) J),
+        # is the commutant unitary of s3
+        v_dual = dense_derived_unitaries(dual(s3)).v
+        assert np.array_equal(permutation_index(v_dual, "V"), derived_unitaries(s3).wprime)
 
-    def test_all_derived_unitary(self, s3, rng):
+    def test_all_derived_unitary(self, s3):
         der = derived_unitaries(s3)
-        for u in der:
-            assert operator_norm(dagger(u) @ u - np.eye(36)) <= 1e-12
+        for m in (der.w, der.wprime, der.wop, der.wprime_op):
+            assert np.array_equal(np.sort(m), np.arange(36))
+        for u in dense_derived_unitaries(s3):
+            assert unitarity_residual(u) <= 1e-12
 
 
 class TestDual:
@@ -380,7 +471,7 @@ class TestComultiplication:
         x = random_algebra_element(s3, rng)
         gx = comultiply(s3, x)
         for b in s3.ortho_basis[:3]:
-            yp = s3.J.conjugate(b)  # an element of the commutant
+            yp = antilinear_conjugate(s3.J, b)  # an element of the commutant
             for other in (np.kron(yp, np.eye(6)), np.kron(np.eye(6), yp)):
                 assert operator_norm(gx @ other - other @ gx) <= 1e-10
 

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    antilinear_apply,
+    antilinear_compose,
+    antilinear_conjugate,
+    antilinear_tensor,
+    unitarity_residual,
+)
+
 from qglab.tensorlin import (
     AntilinearOp,
     apply_leg,
@@ -15,7 +23,6 @@ from qglab.tensorlin import (
     span_basis,
     projection_residual,
     trace_norm,
-    unitarity_residual,
 )
 
 
@@ -221,49 +228,53 @@ class TestPartialTrace:
 
 
 class TestAntilinearOp:
+    """The dense antilinear routes kept as test oracles."""
+
     def test_plain_conjugation_fixes_real(self, rng):
         j = AntilinearOp(np.eye(3))
         a = rng.standard_normal((3, 3))
-        assert np.abs(j.conjugate(a) - a).max() <= 1e-14
+        assert np.abs(antilinear_conjugate(j, a) - a).max() <= 1e-14
 
     def test_antilinearity_on_scalars(self):
         j = AntilinearOp(np.eye(2))
-        assert np.abs(j.conjugate(1j * np.eye(2)) + 1j * np.eye(2)).max() <= 1e-14
+        assert np.abs(antilinear_conjugate(j, 1j * np.eye(2)) + 1j * np.eye(2)).max() <= 1e-14
 
     def test_conjugation_is_homomorphism(self, rng):
         u, _, vh = np.linalg.svd(random_matrix(rng, 2))
         j = AntilinearOp(u @ vh)
         a = random_matrix(rng, 2)
         b = random_matrix(rng, 2)
-        lhs = j.conjugate(a) @ j.conjugate(b)
-        rhs = j.conjugate(a @ b)
+        lhs = antilinear_conjugate(j, a) @ antilinear_conjugate(j, b)
+        rhs = antilinear_conjugate(j, a @ b)
         # J a J J b J = J (ab) J needs J involutive; enforce by symmetrizing
         sym = AntilinearOp(np.eye(2))
-        assert np.abs(sym.conjugate(a) @ sym.conjugate(b) - sym.conjugate(a @ b)).max() <= 1e-12
+        sym_ab = antilinear_conjugate(sym, a) @ antilinear_conjugate(sym, b)
+        assert np.abs(sym_ab - antilinear_conjugate(sym, a @ b)).max() <= 1e-12
 
     def test_composition_is_linear(self, rng):
         p = np.eye(3)[[1, 0, 2]]
         j1 = AntilinearOp(p)
         j2 = AntilinearOp(np.eye(3))
-        k = j1.compose(j2)
+        k = antilinear_compose(j1, j2)
         v = random_unit_vector(rng, 3)
-        assert np.linalg.norm(k @ v - j1.apply(j2.apply(v))) <= 1e-14
+        assert np.linalg.norm(k @ v - antilinear_apply(j1, antilinear_apply(j2, v))) <= 1e-14
 
     def test_isometry(self, rng):
         p = np.eye(4)[[2, 3, 0, 1]]
         j = AntilinearOp(p)
         v = random_unit_vector(rng, 4)
-        assert abs(np.linalg.norm(j.apply(v)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(antilinear_apply(j, v)) - 1.0) <= 1e-12
         # J^2 = 1 holds iff u @ conj(u) = 1
         assert operator_norm(j.u @ j.u.conj() - np.eye(4)) <= 1e-12
 
     def test_tensor(self, rng):
         p = np.eye(2)[[1, 0]]
         j = AntilinearOp(p)
-        jj = j.tensor(j)
+        jj = antilinear_tensor(j, j)
         u = random_unit_vector(rng, 2)
         v = random_unit_vector(rng, 2)
-        assert np.linalg.norm(jj.apply(np.kron(u, v)) - np.kron(j.apply(u), j.apply(v))) <= 1e-12
+        legwise = np.kron(antilinear_apply(j, u), antilinear_apply(j, v))
+        assert np.linalg.norm(antilinear_apply(jj, np.kron(u, v)) - legwise) <= 1e-12
 
 
 class TestSpanTools:
