@@ -1,6 +1,5 @@
 """Finite quantum groups from Cayley tables: the multiplicative unitary, modular
-conjugations, Haar data, the dual construction, and the structural identity
-catalog.
+conjugations, the dual construction, and the structural identity catalog.
 
 Conventions (all enforced by the identity suite rather than argued abstractly):
 
@@ -14,8 +13,10 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   built from them as its index map ``m``, and every unitary is applied by a
   gather: ``U v = v[inverse(m)]``, ``U* v = v[m]`` and
   ``U* Lam U = Lam[m][:, m]``.  Identities between unitaries compare composed
-  index maps; any other ``W``, ``J`` or ``Jhat`` is rejected with
-  ``ValueError`` naming it.
+  index maps, and the comultiplication and coassociativity are gathers at
+  them; any other ``W``, ``J`` or ``Jhat`` is rejected with ``ValueError``
+  naming it.  Beyond finding its map, the dense ``W`` is read only where its
+  slices are needed: the dual algebra and the ``W_in_doubled_algebra`` record.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
@@ -34,8 +35,6 @@ import numpy as np
 from .groups import GroupTable
 from .tensorlin import (
     AntilinearOp,
-    dagger,
-    flip_matrix,
     max_tensor_entries,
     operator_norm,
     projection_residual,
@@ -51,7 +50,6 @@ __all__ = [
     "coassociativity_residual",
     "derived_unitaries",
     "structure_identity_residuals",
-    "left_fixed_vector",
     "DEFAULT_TOL",
 ]
 
@@ -68,6 +66,8 @@ class FiniteQuantumGroup:
     ``algebra_basis`` spans the von Neumann algebra ``M`` acting on ``H``; the
     Haar weight of every shipped construction is the (unnormalized) trace, so
     the scaling constant is 1 and only the two modular conjugations are kept.
+    The invariant vectors are known in closed form from ``kind`` (see
+    ``diagonals.exact_nets``), so none is stored.
     """
 
     name: str
@@ -75,7 +75,6 @@ class FiniteQuantumGroup:
     W: np.ndarray
     J: AntilinearOp
     Jhat: AntilinearOp
-    haar_vector: np.ndarray
     algebra_basis: list[np.ndarray] | np.ndarray
     kind: str = "generic"
     table: GroupTable | None = None
@@ -122,7 +121,6 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
         W=w,
         J=AntilinearOp(np.eye(n)),
         Jhat=AntilinearOp(inv),
-        haar_vector=np.ones(n) / np.sqrt(n),
         algebra_basis=basis,
         kind=KIND_FUNCTION,
         table=table,
@@ -142,12 +140,9 @@ def _check_construction(q: FiniteQuantumGroup) -> None:
 def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """The dual quantum group on the same Hilbert space.
 
-    ``What = Sigma W* Sigma``; the dual algebra is spanned by the first-leg
-    slices of ``W``; the two modular conjugations swap.  The stored Haar vector
-    is the unit vector fixed by the first-leg action of ``W`` itself; it
-    implements the counit of the original object, which is the cyclic trace
-    vector of the dual Haar weight (for the group algebra of ``G`` this is the
-    point mass at the identity).
+    ``What = Sigma W* Sigma``, built from the index map of ``W``; the dual
+    algebra is spanned by the first-leg slices of ``W``; the two modular
+    conjugations swap.
 
     The dual is built once per object and cached on it, and ``q`` is recorded
     as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality)
@@ -160,8 +155,10 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     if cached is not None:
         return cached
     n = q.dim
-    f = flip_matrix(n, n)
-    what = f @ dagger(q.W) @ f
+    flip = flip_index(n)
+    # eye[m] is the permutation matrix of the map inverse(m), so this is
+    # Sigma W* Sigma, the map chain(flip, inverse(w), flip)
+    what = np.eye(n * n)[chain(flip, derived_unitaries(q).w, flip)]
     basis = _slice_span(q.W, n)
     if projection_residual((basis,), np.eye(n)) > 1e-8:
         raise ValueError(f"{q.name}: slice span of W is degenerate (identity not in span)")
@@ -172,7 +169,6 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         W=what,
         J=q.Jhat,
         Jhat=q.J,
-        haar_vector=left_fixed_vector(q.W, n),
         algebra_basis=basis,
         kind=kind,
         table=q.table,
@@ -190,64 +186,36 @@ def _slice_span(w: np.ndarray, dim: int) -> np.ndarray:
     return span_basis(slices.reshape(dim * dim, dim, dim))
 
 
-def left_fixed_vector(w: np.ndarray, dim: int) -> np.ndarray:
-    """Unit vector ``v`` with ``w (v (x) z) = v (x) z`` for every ``z``.
-
-    The fixed-vector equations are linear in ``v``; the solution space is
-    one-dimensional for every shipped construction and the returned vector is
-    the cyclic trace vector of the dual Haar weight.
-    """
-    w4 = (w - np.eye(dim * dim)).reshape(dim, dim, dim, dim)
-    # stack the maps v -> (W - 1)(v (x) e_j), rows indexed by (output, j)
-    mat = w4.transpose(0, 1, 3, 2).reshape(dim * dim * dim, dim)
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    null_dim = int((s < 1e-10 * max(1.0, s[0])).sum())
-    if null_dim != 1:
-        raise ValueError(f"left-fixed subspace has dimension {null_dim}, expected 1")
-    v = vh[-1].conj()
-    # fix the global phase: make the largest entry real positive
-    k = int(np.argmax(np.abs(v)))
-    v = v * (np.abs(v[k]) / v[k])
-    return v
-
-
 def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
-    """The comultiplication ``G(x) = W* (1 (x) x) W`` on ``H (x) H``."""
-    n = q.dim
-    return dagger(q.W) @ np.kron(np.eye(n), x) @ q.W
+    """The comultiplication ``G(x) = W* (1 (x) x) W`` on ``H (x) H``, gathered at
+    the index map of ``W``."""
+    w = derived_unitaries(q).w
+    return np.kron(np.eye(q.dim), x)[np.ix_(w, w)]
 
 
 def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
     """Operator norm of ``(G (x) id)G(x) - (id (x) G)G(x)`` on the three legs.
 
-    With ``K = 1 (x) G(x)`` the two sides are ``W_12* K W_12`` and
-    ``W_23* Sigma_12 K Sigma_12 W_23``: gathers of ``K`` at the permuted basis
-    indices, compared one block of ``n^2`` rows at a time.
+    With ``x3 = 1 (x) 1 (x) x`` the two sides are ``x3[a][:, a]`` and
+    ``x3[b][:, b]`` for the maps ``a = W_23 W_12`` and
+    ``b = W_23 Sigma_12 W_23``.  They agree exactly when ``x3[d p, d q]`` equals
+    ``x3[p, q]`` for ``d = b a*``.  As ``d`` is a bijection, it suffices to
+    compare the ``n^4`` pairs ``(p, q)`` that share legs 1 and 2, which hold
+    the support of ``x3``; the ``n^3 x n^3`` sides are formed only when they
+    differ.
     """
     n = q.dim
     w3 = derived_unitaries(q).three["w"]
-    gx = comultiply(q, x)
     m12, m23 = w3[1, 2], w3[2, 3]
-    swap12 = np.arange(n ** 3).reshape(n, n, n).transpose(1, 0, 2).reshape(-1)
-    r = swap12[m23]
-
-    def block(rows: np.ndarray) -> np.ndarray:
-        return _permuted_rows(gx, m12, rows) - _permuted_rows(gx, r, rows)
-
-    chunks = np.arange(n ** 3).reshape(n, n * n)
-    if not any(block(rows).any() for rows in chunks):
+    a = chain(m23, m12)
+    b = chain(m23, leg_map(flip_index(n), (1, 2), (n, n, n)), m23)
+    # d p for p = (legs 1 and 2, leg 3), split into those two parts
+    legs12, leg3 = np.divmod(chain(b, inverse(a)).reshape(n * n, n), n)
+    moved = np.where(legs12[:, :, None] == legs12[:, None, :], x[leg3[:, :, None], leg3[:, None, :]], 0)
+    if np.array_equal(moved, np.broadcast_to(x, moved.shape)):
         return 0.0
-    return operator_norm(np.vstack([block(rows) for rows in chunks]))
-
-
-def _permuted_rows(gx: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of ``P* (1 (x) gx) P`` for ``P e_i = e_{index[i]}`` on three
-    legs: the entries ``(1 (x) gx)[index[i], index[j]]``, gathered from ``gx``."""
-    nn = gx.shape[0]
-    i, j = index[rows][:, None], index
-    out = gx.reshape(-1).take(i % nn * nn + j % nn)
-    out[i // nn != j // nn] = 0
-    return out
+    x3 = np.kron(np.eye(n * n), x)
+    return operator_norm(x3[np.ix_(a, a)] - x3[np.ix_(b, b)])
 
 
 def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
@@ -370,8 +338,6 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     out["opposite_from_right"] = map_residual(der.wop, chain(flip, inverse(v), flip))
     if n ** 3 <= max_tensor_entries():
         out["pentagonal"] = _pentagonal_residual(q)
-    # commutant unitary of the dual versus the dual of the opposite
-    out["dual_of_opposite"] = map_residual(v, chain(flip, inverse(der.wop), flip))
     table = _table_maps(q)
     if table is not None:
         for label, m, got in zip(("W", "J", "Jhat"), table, (der.w, der.j, der.jhat)):

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra substrate: tensor legs, Schatten norms, slices,
-flips and antilinear operators.
+"""Dense complex linear algebra substrate: tensor legs, Schatten norms, slices
+and antilinear operators.
 
 Conventions used throughout the package:
 
@@ -26,7 +26,6 @@ __all__ = [
     "max_tensor_entries",
     "dagger",
     "inner",
-    "flip_matrix",
     "apply_leg",
     "partial_trace",
     "trace_norm",
@@ -85,16 +84,6 @@ def normalize(v: np.ndarray) -> np.ndarray:
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return normalize(v)
-
-
-def flip_matrix(dim_a: int, dim_b: int) -> np.ndarray:
-    """Unitary implementing ``v (x) w -> w (x) v`` on ``C^a (x) C^b``."""
-    d = dim_a * dim_b
-    out = np.zeros((d, d))
-    a = np.arange(dim_a).repeat(dim_b)
-    b = np.tile(np.arange(dim_b), dim_a)
-    out[b * dim_a + a, a * dim_b + b] = 1.0
-    return out
 
 
 def _split_legs(legs: tuple[int, ...], dims: tuple[int, ...]) -> tuple[list[int], list[int]]:

@@ -6,12 +6,11 @@ import pytest
 
 from qglab.funalg import Functional
 from qglab.groups import builtin_table
-from qglab.qgcore import comultiply, dual, function_algebra
+from qglab.qgcore import dual, function_algebra
 from qglab.tensorlin import (
     AntilinearOp,
     apply_leg,
     dagger,
-    flip_matrix,
     operator_norm,
     random_unit_vector,
     span_basis,
@@ -46,6 +45,31 @@ def swapped_columns(q, j=1, k=2):
     w = q.W.copy()
     w[:, [j, k]] = w[:, [k, j]]
     return replace(q, W=w, _cache={})
+
+
+def flip_matrix(dim_a, dim_b):
+    """Oracle: the unitary ``v (x) w -> w (x) v`` on ``C^a (x) C^b``."""
+    d = dim_a * dim_b
+    out = np.zeros((d, d))
+    a = np.arange(dim_a).repeat(dim_b)
+    b = np.tile(np.arange(dim_b), dim_a)
+    out[b * dim_a + a, a * dim_b + b] = 1.0
+    return out
+
+
+def left_fixed_vector(w, dim):
+    """Oracle: the unit vector ``v`` with ``w (v (x) z) = v (x) z`` for every
+    ``z``, from an SVD of the stacked maps ``v -> (w - 1)(v (x) e_j)``, with
+    its largest entry made real and positive."""
+    w4 = (w - np.eye(dim * dim)).reshape(dim, dim, dim, dim)
+    mat = w4.transpose(0, 1, 3, 2).reshape(dim * dim * dim, dim)
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    null_dim = int((s < 1e-10 * max(1.0, s[0])).sum())
+    if null_dim != 1:
+        raise ValueError(f"left-fixed subspace has dimension {null_dim}, expected 1")
+    v = vh[-1].conj()
+    k = int(np.argmax(np.abs(v)))
+    return v * (np.abs(v[k]) / v[k])
 
 
 def unitarity_residual(a):
@@ -228,7 +252,7 @@ def dense_pentagonal_residual(q):
 def dense_coassociativity_residual(q, x):
     """Oracle: ``||(G (x) id)G(x) - (id (x) G)G(x)||`` from the dense matrices."""
     n = q.dim
-    gx = comultiply(q, x)
+    gx = dagger(q.W) @ np.kron(np.eye(n), x) @ q.W
     dims = (n, n, n)
     basis = np.eye(n ** 3)
     lhs = apply_leg(dagger(q.W), (1, 2), apply_leg(gx, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims), dims)

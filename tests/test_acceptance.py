@@ -50,7 +50,6 @@ CATALOG_RELATIONS = (
     "conjugate_relation",
     "modular_commutation",
     "opposite_from_right",
-    "dual_of_opposite",
     "pentagonal",
     "W_from_table",
     "J_from_table",

@@ -54,7 +54,7 @@ class TestRunSuites:
         labels = {
             "Proposition 2.2": ("structure", [
                 "J_from_table", "Jhat_from_table", "W_from_table", "conjugate_relation",
-                "dual_of_opposite", "modular_commutation", "opposite_from_right", "pentagonal",
+                "modular_commutation", "opposite_from_right", "pentagonal",
             ]),
             "definition of the multiplicative unitary": ("structure", ["W_in_doubled_algebra"]),
             "definition of the comultiplication": ("structure", ["coassociativity"]),
@@ -169,6 +169,28 @@ class TestRunSuites:
         one = certificate(1)
         assert {r["suite"] for r in json.loads(one)["records"]} == set(SUITE_NAMES)
         assert one == certificate(2)
+
+    @pytest.mark.parametrize("group, history", [("Z5", ("Z1", "Z2", "Z3", "Z4")), ("D4", ("Q8", "S3", "Z8"))])
+    def test_certificate_independent_of_process_history(self, group, history):
+        # the last certificate a process writes is the same whether other
+        # groups ran before it in that process or not
+        script = (
+            "import sys\n"
+            "from qglab.suites import RunConfig, run_suites\n"
+            "for name in sys.argv[1:]:\n"
+            "    payload = run_suites(RunConfig(group_source=name, seed=7)).to_json_bytes()\n"
+            "sys.stdout.buffer.write(payload)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(qglab.__file__).parents[1]))
+
+        def certificate(*names):
+            return subprocess.run(
+                [sys.executable, "-c", script, *names], env=env, capture_output=True, check=True,
+            ).stdout
+
+        fresh = certificate(group)
+        assert {r["suite"] for r in json.loads(fresh)["records"]} == set(SUITE_NAMES)
+        assert certificate(*history, group) == fresh
 
 
 class TestReportFormat:

@@ -18,6 +18,7 @@ from conftest import (
     dense_identity_shift_exchange_residual,
     dense_pentagonal_consequence_residuals,
     dense_quasicentral_exchange_residual,
+    flip_matrix,
     get_group,
     modular_sandwich,
     random_algebra,
@@ -51,7 +52,6 @@ from qglab.qgcore import derived_unitaries, dual, permutation_index
 from qglab.tensorlin import (
     AntilinearOp,
     dagger,
-    flip_matrix,
     partial_trace,
     random_unit_vector,
 )

@@ -8,6 +8,7 @@ from conftest import (
     antilinear_compose,
     antilinear_conjugate,
     antilinear_tensor,
+    flip_matrix,
     unitarity_residual,
 )
 
@@ -15,7 +16,6 @@ from qglab.tensorlin import (
     AntilinearOp,
     apply_leg,
     dagger,
-    flip_matrix,
     operator_norm,
     partial_trace,
     random_unit_vector,
