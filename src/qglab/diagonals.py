@@ -17,6 +17,7 @@ import numpy as np
 from .funalg import (
     Functional,
     algebra_decomposition,
+    algebra_norm,
     convolve,
     module_action_left,
     module_action_right,
@@ -210,7 +211,9 @@ def certify_commutator_bound(
 
     ``eps`` is the max of the two measured hypothesis residuals: the right
     invariance defect of ``xi`` at ``zeta`` and the predual norm of the
-    convolution commutator of ``omega_zeta`` and ``omega_eta``.
+    convolution commutator of ``omega_zeta`` and ``omega_eta``.  ``||Lam||`` is
+    the norm of ``M (x) M`` (``funalg.algebra_norm``), equal to the operator norm
+    for the ``Lam`` that pass the membership check.
     """
     res = projection_residual((q.ortho_basis, q.ortho_basis), lam)
     if res > MEMBERSHIP_TOL:
@@ -229,7 +232,7 @@ def certify_commutator_bound(
         eps_commutation=eps2,
         eps=eps,
         lhs=lhs,
-        bound=3.0 * eps * operator_norm(lam),
+        bound=3.0 * eps * algebra_norm(lam, tensor_algebra_decomposition(q)),
         slack=slack,
     )
 

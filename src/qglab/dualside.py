@@ -25,7 +25,13 @@ from .diagonals import (
     left_invariance_residual,
     right_invariance_residual,
 )
-from .funalg import Functional, convolve, vector_state
+from .funalg import (
+    Functional,
+    algebra_norm,
+    convolve,
+    tensor_algebra_decomposition,
+    vector_state,
+)
 from .qgcore import (
     FiniteQuantumGroup,
     chain,
@@ -270,7 +276,9 @@ def certify_quasicentral_bound(
 
     The pairing is evaluated both definitionally (on the factors ``zeta (x) F``
     of the terms of ``u``) and through the three-leg contraction; their
-    agreement is reported as ``consistency``.
+    agreement is reported as ``consistency``.  ``||Lam||`` is the norm of
+    ``M (x) M`` (``funalg.algebra_norm``), equal to the operator norm for the
+    ``Lam`` that pass the membership check.
     """
     res = projection_residual((ctx.q.ortho_basis, ctx.q.ortho_basis), lam)
     if res > MEMBERSHIP_TOL:
@@ -299,7 +307,7 @@ def certify_quasicentral_bound(
     r1 = float(np.linalg.norm(triple[w_adj[2, 3]][wp[2, 3]] - triple))
     r2 = float(np.linalg.norm(triple[wp_adj[1, 2]] - triple))
     r3 = float(np.linalg.norm(triple[wp_adj[2, 3]][w[2, 3]] - triple))
-    bound = 2.0 * operator_norm(lam) * (r1 + r2 + r3)
+    bound = 2.0 * algebra_norm(lam, tensor_algebra_decomposition(ctx.q)) * (r1 + r2 + r3)
     return QuasicentralBoundCertificate(
         lhs=abs(lhs_def),
         terms=(r1, r2, r3),

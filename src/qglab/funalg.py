@@ -12,6 +12,7 @@ independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "block_decompose",
     "predual_norm",
     "tensor_predual_norm",
+    "algebra_norm",
     "sup_norm_estimate",
     "algebra_decomposition",
     "tensor_algebra_decomposition",
@@ -145,6 +147,19 @@ class BlockDecomposition:
     @property
     def total_dim(self) -> int:
         return sum(b.size * b.multiplicity for b in self.blocks)
+
+    @cached_property
+    def norm_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each block size, the columns ``V_b`` of those blocks at
+        multiplicity index 0 side by side, ``(dim, blocks * size)``, and their
+        adjoints stacked, ``(blocks, size, dim)``; built once for ``algebra_norm``."""
+        by_size: dict[int, list[np.ndarray]] = {}
+        for b in self.blocks:
+            by_size.setdefault(b.size, []).append(b.isometry[:, :: b.multiplicity])
+        return [
+            (np.concatenate(vs, axis=1), np.stack(vs).conj().transpose(0, 2, 1))
+            for _, vs in sorted(by_size.items())
+        ]
 
 
 class DecompositionError(RuntimeError):
@@ -284,6 +299,26 @@ def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
 def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
     return float(sum(trace_norm(block.compress(x)) for block in decomp.blocks))
+
+
+def algebra_norm(x: np.ndarray, decomp: BlockDecomposition) -> float:
+    """Operator norm of ``x`` in the decomposed algebra: ``max_b ||V_b* x V_b||``
+    over the blocks, ``V_b`` the columns of block ``b`` at multiplicity index 0.
+
+    Each term compresses ``x`` by an isometry, so the result is never more than
+    ``||x||``, and it equals ``||x||`` for ``x`` in the algebra.  Blocks of one
+    size share one stacked SVD; a block of size 1 is ``|v* x v|``, no SVD.
+    """
+    norms = []
+    for columns, vh in decomp.norm_plan:
+        k, size, d = vh.shape
+        y = x @ columns
+        if size == 1:
+            norms.append(np.abs(np.einsum("kd,dk->k", vh[:, 0], y)))
+        else:
+            yb = y.reshape(d, k, size).transpose(1, 0, 2)
+            norms.append(np.linalg.svd(vh @ yb, compute_uv=False)[:, 0])
+    return float(np.concatenate(norms).max())
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:

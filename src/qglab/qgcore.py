@@ -159,7 +159,7 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     # eye[m] is the permutation matrix of the map inverse(m), so this is
     # Sigma W* Sigma, the map chain(flip, inverse(w), flip)
     what = np.eye(n * n)[chain(flip, derived_unitaries(q).w, flip)]
-    basis = _slice_span(q.W, n)
+    basis = _slice_span(q)
     if projection_residual((basis,), np.eye(n)) > 1e-8:
         raise ValueError(f"{q.name}: slice span of W is degenerate (identity not in span)")
     kind = {KIND_FUNCTION: KIND_DUAL, KIND_DUAL: KIND_FUNCTION}.get(q.kind, "generic")
@@ -179,11 +179,15 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     return qd
 
 
-def _slice_span(w: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the span of the first-leg slices of ``w``, where
-    ``[(omega_{e_a, e_c} (x) id)(w)][k, l] = <w (e_a (x) e_l), e_c (x) e_k>``."""
-    slices = w.reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
-    return span_basis(slices.reshape(dim * dim, dim, dim))
+def _slice_span(q: FiniteQuantumGroup) -> np.ndarray:
+    """Orthonormal basis of the span of the first-leg slices of ``q.W``, where
+    ``[(omega_{e_a, e_c} (x) id)(W)][k, l] = <W (e_a (x) e_l), e_c (x) e_k>``;
+    computed once and cached on ``q``."""
+    if "slice_span" not in q._cache:
+        n = q.dim
+        slices = q.W.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        q._cache["slice_span"] = span_basis(slices.reshape(n * n, n, n))
+    return q._cache["slice_span"]
 
 
 def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
@@ -343,7 +347,7 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
         for label, m, got in zip(("W", "J", "Jhat"), table, (der.w, der.j, der.jhat)):
             out[f"{label}_from_table"] = map_residual(m, got)
     # W sits in M (x) Mhat; dual(q) is not built yet while q is checked
-    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q.W, n)), q.W)
+    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q)), q.W)
     q._cache["structure_residuals"] = out
     return out
 

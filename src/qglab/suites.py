@@ -21,6 +21,7 @@ from .report import CheckRecord, CheckReport
 from .tensorlin import (
     DimensionCapError,
     combine,
+    dagger,
     max_tensor_entries,
     operator_norm,
     projection_residual,
@@ -112,13 +113,20 @@ def _rng(cfg: RunConfig, suite: str, construction: str) -> np.random.Generator:
     )
 
 
-def _random_element(factors: tuple[np.ndarray, ...], rng: np.random.Generator) -> np.ndarray:
-    """Random norm-one element of ``M`` or ``M (x) M`` given as factor stacks,
-    one complex Gaussian coefficient per basis product, second index fast."""
+def _random_element(
+    q: qgcore.FiniteQuantumGroup, rng: np.random.Generator, legs: int = 1
+) -> np.ndarray:
+    """Random norm-one element of ``M`` (one leg) or ``M (x) M`` (two legs), one
+    complex Gaussian coefficient per basis product, second index fast.  The norm
+    of ``M (x) M`` is read from its blocks; ``M`` keeps the dense SVD, which at
+    ``n x n`` costs the same and builds no decomposition."""
+    factors = (q.ortho_basis,) * legs
     k = math.prod(len(f) for f in factors)
     coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     x = combine(factors, coeff)
-    return x / operator_norm(x)
+    if legs == 1:
+        return x / operator_norm(x)
+    return x / funalg.algebra_norm(x, funalg.tensor_algebra_decomposition(q))
 
 
 def _basis_states(q: qgcore.FiniteQuantumGroup) -> list[funalg.Functional]:
@@ -144,7 +152,7 @@ def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
         for check, value in sorted(qgcore.structure_identity_residuals(q).items())
     ]
     if q.dim ** 3 <= max_tensor_entries():
-        x = _random_element((q.ortho_basis,), rng)
+        x = _random_element(q, rng)
         out.append(("coassociativity", qgcore.coassociativity_residual(q, x), tol, None))
     return out
 
@@ -180,15 +188,15 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
         xi = random_unit_vector(rng, n)
         theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
         unital = max(unital, operator_norm(theta_id - np.eye(n)))
-        lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
+        lam = _random_element(q, rng, legs=2)
         theta_lam = diagonals.commutant_compression(q, xi, lam)
         member = max(member, projection_residual((q.ortho_basis,), theta_lam))
-        # the Choi matrix, built from the Kraus factor, against the slice route
-        c = diagonals.compression_choi_matrix(q, xi).reshape(n * n, n, n * n, n)
-        choi = max(choi, operator_norm(theta_lam - np.einsum("IkJl,IJ->kl", c, lam)))
+        # the Kraus route B* Lam B against the slice route
+        b = diagonals.compression_kraus_factor(q, xi)
+        choi = max(choi, operator_norm(theta_lam - dagger(b) @ lam @ b))
     xi = random_unit_vector(rng, n)
-    x = _random_element((q.ortho_basis,), rng)
-    y = _random_element((q.ortho_basis,), rng)
+    x = _random_element(q, rng)
+    y = _random_element(q, rng)
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
     # The factored simple-tensor form only holds on commutative algebras (with
     # the star-left conjugation and matching weight); elsewhere the residuals
@@ -208,7 +216,7 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
     xi_exact, eta_exact = diagonals.exact_nets(q)
     zeta = random_unit_vector(rng, q.dim)
-    lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
+    lam = _random_element(q, rng, legs=2)
     cert = diagonals.certify_commutator_bound(q, zeta, xi_exact, eta_exact, lam, slack=slack)
     out = [("commutator_pairing_exact_nets", cert.lhs, slack, None)]
     for eps in cfg.epsilons:
@@ -222,7 +230,7 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
         worst_eps = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, q.dim)
-            lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
+            lam = _random_element(q, rng, legs=2)
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
             worst = max(worst, cert.lhs - cert.bound)
             worst_eps = max(worst_eps, cert.eps)
@@ -292,7 +300,7 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         eta = diagonals.NetVector(random_unit_vector(rng, n), "random")
         u = dualside.build_approximate_identity(ctx, xi, eta)
         zeta = random_unit_vector(rng, n)
-        x = _random_element((q.ortho_basis,), rng)
+        x = _random_element(q, rng)
         oracle = max(oracle, dualside.slice_convention_residual(ctx, u, zeta, x))
     out = [("slice_convention_oracle", oracle, tol, {"draws": cfg.draws})]
 
@@ -317,10 +325,10 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         consistency = 0.0
         for _ in range(cfg.bound_draws):
             zeta = random_unit_vector(rng, n)
-            x = _random_element((q.ortho_basis,), rng)
+            x = _random_element(q, rng)
             cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
             bai_margin = max(bai_margin, cert.lhs - cert.bound)
-            lam = _random_element((q.ortho_basis, q.ortho_basis), rng)
+            lam = _random_element(q, rng, legs=2)
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
             qc_margin = max(qc_margin, qcert.lhs - qcert.bound)
             consistency = max(consistency, qcert.consistency)

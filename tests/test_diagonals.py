@@ -212,6 +212,21 @@ class TestCommutantCompression:
         )
         assert residual() > 1e-6
 
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_kraus_route_matches_choi_contraction(self, name, side, rng):
+        # the choi_consistency record compares the slice route with B* Lam B;
+        # the Choi matrix contracted with Lam is the route it replaced
+        q = get_group(name, side)
+        n = q.dim
+        for _ in range(3):
+            xi = random_unit_vector(rng, n)
+            lam = random_doubled(q, rng)
+            b = compression_kraus_factor(q, xi)
+            choi = compression_choi_matrix(q, xi).reshape(n * n, n, n * n, n)
+            contracted = np.einsum("IkJl,IJ->kl", choi, lam)
+            assert np.abs(dagger(b) @ lam @ b - contracted).max() <= 1e-13
+
     def test_kraus_factorization(self, s3, rng):
         xi = random_unit_vector(rng, 6)
         b = compression_kraus_factor(s3, xi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ALL_GROUPS,
     dense,
     dense_convolve,
     dense_module_action_left,
@@ -26,6 +27,7 @@ from qglab.funalg import (
     DecompositionError,
     _validate_decomposition,
     algebra_decomposition,
+    algebra_norm,
     block_decompose,
     convolve,
     module_action_left,
@@ -39,7 +41,15 @@ from qglab.funalg import (
 )
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
-from qglab.tensorlin import apply_leg, dagger, inner, random_unit_vector
+from qglab.tensorlin import (
+    apply_leg,
+    combine,
+    dagger,
+    inner,
+    operator_norm,
+    projection_residual,
+    random_unit_vector,
+)
 
 
 def delta_state(n, s):
@@ -366,6 +376,42 @@ def _validate_by_loop(decomp, factors, tol):
             compressed.append(x.reshape(-1))
         if np.linalg.matrix_rank(np.stack(compressed), tol=1e-8) != block.size ** 2:
             raise DecompositionError("compressed algebra is not the full matrix algebra")
+
+
+def _algebras(q):
+    """``M`` and ``M (x) M`` as factor stacks, each with its decomposition."""
+    return (
+        ((q.ortho_basis,), algebra_decomposition(q)),
+        ((q.ortho_basis,) * 2, tensor_algebra_decomposition(q)),
+    )
+
+
+@pytest.mark.parametrize("side", ["fn", "dual"])
+class TestAlgebraNorm:
+    """The norm of ``M`` and ``M (x) M`` read from their blocks against the
+    dense SVD."""
+
+    # on the group-algebra side S3, D4 and Q8 have blocks of multiplicity 2,
+    # so a wrong choice of the columns V_b fails here
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_equals_operator_norm_on_members(self, name, side, rng):
+        q = get_group(name, side)
+        for factors, decomp in _algebras(q):
+            k = int(np.prod([len(f) for f in factors]))
+            for _ in range(3):
+                x = combine(factors, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                expected = operator_norm(x)
+                assert abs(algebra_norm(x, decomp) - expected) <= 1e-13 * expected
+
+    # on Z1 every operator is in the algebra
+    @pytest.mark.parametrize("name", [g for g in ALL_GROUPS if g != "Z1"])
+    def test_below_operator_norm_off_the_algebra(self, name, side, rng):
+        q = get_group(name, side)
+        for factors, decomp in _algebras(q):
+            d = decomp.total_dim
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert projection_residual(factors, x) > 0.5
+            assert algebra_norm(x, decomp) < operator_norm(x)
 
 
 class TestTensorDecompositionProductForm:

@@ -38,8 +38,8 @@ class TestFactoredAgainstDenseList:
 
     def test_draw_from_same_stream(self, name, side):
         q = get_group(name, side)
-        for factors, dense in (((q.ortho_basis,), random_algebra), ((q.ortho_basis,) * 2, random_doubled)):
-            x = suites._random_element(factors, np.random.default_rng(11))
+        for legs, dense in ((1, random_algebra), (2, random_doubled)):
+            x = suites._random_element(q, np.random.default_rng(11), legs)
             y = dense(q, np.random.default_rng(11))
             assert np.abs(x - y).max() <= 1e-13
 

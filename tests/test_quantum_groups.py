@@ -2,6 +2,7 @@
 structural identity catalog."""
 
 import gc
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -25,7 +26,7 @@ from conftest import (
     unitarity_residual,
 )
 
-from qglab import dualside, qgcore
+from qglab import diagonals, dualside, funalg, qgcore, suites
 from qglab.diagonals import exact_nets
 from qglab.funalg import tensor_algebra_decomposition
 from qglab.groups import GroupTable, builtin_table
@@ -331,6 +332,31 @@ class TestOrder12:
         # coassociativity compares n^4 entries; gathering its two n^3 x n^3
         # sides took 10 MB here
         assert peak < 2 * 2 ** 20
+
+
+def test_exchange_suites_decompose_nothing(tmp_path, monkeypatch):
+    # the structure and lemma suites draw no element of M (x) M, so on A4 they
+    # run no block decomposition and take no block norm
+    table = permutation_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)])
+    path = tmp_path / "A4.json"
+    path.write_text(json.dumps({"name": table.name, "order": table.order, "table": table.table}))
+    calls = []
+    for name in ("block_decompose", "algebra_norm"):
+        original = getattr(funalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (funalg, diagonals, dualside, suites):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    cfg = suites.RunConfig(str(path), suites=("structure", "lemma32", "lemma42", "lemma43"))
+    report = suites.run_suites(cfg)
+    assert {r.construction for r in report.records} == {"function-algebra", "group-algebra"}
+    assert report.all_passed
+    assert calls == []
 
 
 class TestDerivedUnitaries:
