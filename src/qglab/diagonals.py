@@ -94,7 +94,7 @@ def right_invariance_residual(
 ) -> float:
     """``|| W (zeta (x) xi) - zeta (x) xi ||`` (the strong-amenability defect)."""
     v = np.kron(zeta, xi)
-    return float(np.linalg.norm(v[inverse(derived_unitaries(q).w)] - v))
+    return float(np.linalg.norm(v[inverse(q.w)] - v))
 
 
 def left_invariance_residual(
@@ -102,7 +102,7 @@ def left_invariance_residual(
 ) -> float:
     """``|| W (eta (x) zeta) - eta (x) zeta ||`` (the co-amenability defect)."""
     v = np.kron(eta, zeta)
-    return float(np.linalg.norm(v[inverse(derived_unitaries(q).w)] - v))
+    return float(np.linalg.norm(v[inverse(q.w)] - v))
 
 
 def commutant_compression(
@@ -149,7 +149,7 @@ def compression_variant_residuals(
     wp, wp_adj = der.wprime, inverse(der.wprime)
     lam = np.kron(x, y)
     # J Jhat xi: the linear operator U_J U_Jhat, applied by a gather
-    jjh_xi = xi[inverse(chain(der.j, der.jhat))]
+    jjh_xi = xi[inverse(chain(q.j, q.jhat))]
     factored = np.kron(x, np.eye(q.dim)) @ comultiply(q, y)
     out = {}
     for conj_label, conj in (
@@ -277,7 +277,7 @@ def dual_quasicentral_residual(
     qd = dual(q)
     der = derived_unitaries(qd)
     v0 = np.kron(zeta, xi)
-    v1 = v0[inverse(der.w)][der.wop]
+    v1 = v0[inverse(qd.w)][der.wop]
     diff = _second_leg_functional(v1, n) - _second_leg_functional(v0, n)
     return predual_norm(diff, algebra_decomposition(qd))
 

@@ -91,7 +91,7 @@ def flip_relation_residuals(
     flip = flip_index(ctx.dim)
     v = np.kron(xi, zeta)
     w = np.kron(zeta, xi)
-    r1 = float(np.linalg.norm(v[der_hat.w] - w[inverse(der.w)][flip]))
+    r1 = float(np.linalg.norm(v[ctx.qhat.w] - w[inverse(ctx.q.w)][flip]))
     r2 = float(np.linalg.norm(v[der_hat.wprime] - w[inverse(der.wop)][flip]))
     return r1, r2
 
@@ -101,8 +101,7 @@ def dual_net_residuals(
 ) -> tuple[float, float, float, float]:
     """The four dual-diagonal hypothesis residuals: right/left invariance of the
     pair and the two opposite-unitary comparisons."""
-    der = derived_unitaries(ctx.q)
-    w, wop = inverse(der.w), inverse(der.wop)
+    w, wop = inverse(ctx.q.w), inverse(derived_unitaries(ctx.q).wop)
     vze = np.kron(zeta, eta)
     vxz = np.kron(xi, zeta)
     c1 = right_invariance_residual(ctx.q, xi, zeta)
@@ -118,9 +117,9 @@ def pentagonal_consequence_residuals(q: FiniteQuantumGroup) -> tuple[float, floa
     ``S = Jhat (x) Jhat (x) J``.  ``S A S`` is the linear operator
     ``U conj(A) conj(U)`` for the unitary part ``U`` of ``S``; with ``U`` and
     ``A`` real permutations it is the permutation ``U A U``."""
-    der = derived_unitaries(q)
-    w, w_adj, wp_adj = der.three["w"], der.three["w*"], der.three["wprime*"]
-    s = tensor_map(tensor_map(der.jhat, der.jhat), der.j)
+    three = derived_unitaries(q).three
+    w, w_adj, wp_adj = three["w"], three["w*"], three["wprime*"]
+    s = tensor_map(tensor_map(q.jhat, q.jhat), q.j)
     return (
         map_residual(chain(w[1, 2], wp_adj[2, 3]), chain(wp_adj[2, 3], w[1, 3], w[1, 2])),
         map_residual(chain(w[2, 3], wp_adj[1, 2]), chain(wp_adj[1, 2], wp_adj[1, 3], w[2, 3])),
@@ -162,8 +161,8 @@ def commutant_opposite_consistency(q: FiniteQuantumGroup) -> float:
     unitary parts, ``J Jhat`` is the permutation ``U_J U_Jhat``."""
     der = derived_unitaries(q)
     dims = (q.dim, q.dim)
-    one_k = leg_map(chain(der.jhat, der.j), (2,), dims)
-    one_k_inv = leg_map(chain(der.j, der.jhat), (2,), dims)
+    one_k = leg_map(chain(q.jhat, q.j), (2,), dims)
+    one_k_inv = leg_map(chain(q.j, q.jhat), (2,), dims)
     return map_residual(der.wprime_op, inverse(chain(one_k, der.wprime, one_k_inv)))
 
 
@@ -180,8 +179,7 @@ class QuasicentralIdentity:
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    der = derived_unitaries(ctx.q)
-    v = np.kron(xi.vector, eta.vector)[der.wprime_op][inverse(der.w)]
+    v = np.kron(xi.vector, eta.vector)[derived_unitaries(ctx.q).wprime_op][inverse(ctx.q.w)]
     return QuasicentralIdentity(xi=xi, eta=eta, functional=_second_leg_functional(v, ctx.dim))
 
 
@@ -239,7 +237,7 @@ def certify_identity_bound(
     wz = vector_state(zeta)
     lhs = abs(convolve(ctx.q, u.functional, wz).value(x) - wz.value(x))
     pair = np.kron(u.xi.vector, zeta)
-    t1 = float(np.linalg.norm(pair[der.wprime][inverse(der.w)] - pair))
+    t1 = float(np.linalg.norm(pair[der.wprime][inverse(ctx.q.w)] - pair))
     triple = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
     base = triple[der.three["wprime"][1, 3]]
     t2 = float(np.linalg.norm(base[der.three["w*"][2, 3]] - base))

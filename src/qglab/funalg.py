@@ -112,7 +112,7 @@ def product_map(q: FiniteQuantumGroup, x: Functional) -> Functional:
     ``x -> x o G``: the first-leg partial trace of ``W F`` for each factor,
     ``W F`` a gather of the rows of ``F``."""
     n = q.dim
-    rows = inverse(derived_unitaries(q).w)
+    rows = inverse(q.w)
     return Functional(tuple((c, partial_trace(f[rows], (n, n), 1)) for c, f in x.terms))
 
 

@@ -8,15 +8,17 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   ``W (e_a (x) e_b) = e_a (x) e_{a.b}``, equivalently the comultiplication
   ``G(x) = W* (1 (x) x) W`` sends a diagonal function ``f`` to
   ``f(s t)``.
-* ``W`` and the unitary parts of ``J`` and ``Jhat`` must be permutation
-  matrices, ``U e_j = e_{m[j]}``.  ``derived_unitaries`` holds each unitary
-  built from them as its index map ``m``, and every unitary is applied by a
-  gather: ``U v = v[inverse(m)]``, ``U* v = v[m]`` and
-  ``U* Lam U = Lam[m][:, m]``.  Identities between unitaries compare composed
-  index maps, and the comultiplication and coassociativity are gathers at
-  them; any other ``W``, ``J`` or ``Jhat`` is rejected with ``ValueError``
-  naming it.  Beyond finding its map, the dense ``W`` is read only where its
-  slices are needed: the dual algebra and the ``W_in_doubled_algebra`` record.
+* ``W`` and the unitary parts of ``J`` and ``Jhat`` are permutations, held
+  only as their integer index maps ``w``, ``j`` and ``jhat``
+  (``U e_k = e_{m[k]}``); a quantum group whose maps are not permutations of
+  the right length is rejected with ``ValueError`` naming the field.
+  ``derived_unitaries`` holds each unitary built from them as its index map,
+  and every unitary is applied by a gather: ``U v = v[inverse(m)]``,
+  ``U* v = v[m]`` and ``U* Lam U = Lam[m][:, m]``.  Identities between
+  unitaries compare composed index maps, and the comultiplication and
+  coassociativity are gathers at them.  The dense ``W`` is formed only where
+  its slices are needed: the dual algebra and the ``W_in_doubled_algebra``
+  record.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
@@ -34,7 +36,6 @@ import numpy as np
 
 from .groups import GroupTable
 from .tensorlin import (
-    AntilinearOp,
     max_tensor_entries,
     operator_norm,
     projection_residual,
@@ -68,17 +69,34 @@ class FiniteQuantumGroup:
     the scaling constant is 1 and only the two modular conjugations are kept.
     The invariant vectors are known in closed form from ``kind`` (see
     ``diagonals.exact_nets``), so none is stored.
+
+    ``w``, ``j`` and ``jhat`` are the index maps (``U e_k = e_{m[k]}``) of the
+    multiplicative unitary and of the unitary parts of the two modular
+    conjugations, which are entrywise conjugation followed by ``U``.
     """
 
     name: str
     dim: int
-    W: np.ndarray
-    J: AntilinearOp
-    Jhat: AntilinearOp
+    w: np.ndarray
+    j: np.ndarray
+    jhat: np.ndarray
     algebra_basis: list[np.ndarray] | np.ndarray
     kind: str = "generic"
     table: GroupTable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, size in (("w", self.dim ** 2), ("j", self.dim), ("jhat", self.dim)):
+            m = getattr(self, name)
+            what = f"{self.name} ({self.kind}): {name}"
+            if not (isinstance(m, np.ndarray) and np.issubdtype(m.dtype, np.integer) and m.shape == (size,)):
+                raise ValueError(
+                    f"{what} must be an integer index map of shape ({size},), "
+                    f"got {np.asarray(m).dtype} of shape {np.shape(m)}"
+                )
+            # size entries cover range(size) exactly when they are a permutation
+            if not np.bincount(m[(m >= 0) & (m < size)], minlength=size).all():
+                raise ValueError(f"{what} is not a permutation of range({size})")
 
     @property
     def ortho_basis(self) -> np.ndarray:
@@ -94,9 +112,6 @@ class DerivedUnitaries(NamedTuple):
     the maps of that unitary and of its adjoint on legs ``(1, 2)``, ``(1, 3)``
     and ``(2, 3)`` of three."""
 
-    w: np.ndarray            # W
-    j: np.ndarray            # unitary part of J
-    jhat: np.ndarray         # unitary part of Jhat
     wprime: np.ndarray       # commutant unitary (J (x) J) W (J (x) J)
     wop: np.ndarray          # opposite unitary (Jh (x) Jh) W (Jh (x) Jh)
     wprime_op: np.ndarray    # opposite of the commutant (K (x) K) W (K (x) K), K = J Jhat
@@ -105,22 +120,17 @@ class DerivedUnitaries(NamedTuple):
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     """Function algebra of a finite group: diagonal ``M`` with the classical
-    comultiplication implemented by a permutation multiplicative unitary."""
+    comultiplication implemented by a permutation multiplicative unitary,
+    ``W (e_a (x) e_b) = e_a (x) e_{ab}``, ``J = 1`` and ``Jhat: s -> s^-1``."""
     n = table.order
-    w = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            w[a * n + table.product(a, b), a * n + b] = 1.0
-    inv = np.zeros((n, n))
-    for s, si in enumerate(table.inverses):
-        inv[si, s] = 1.0
+    a, b = np.indices((n, n)).reshape(2, -1)
     basis = [np.diag(np.eye(n)[s]) for s in range(n)]
     q = FiniteQuantumGroup(
         name=table.name,
         dim=n,
-        W=w,
-        J=AntilinearOp(np.eye(n)),
-        Jhat=AntilinearOp(inv),
+        w=a * n + np.array(table.table)[a, b],
+        j=np.arange(n),
+        jhat=np.array(table.inverses),
         algebra_basis=basis,
         kind=KIND_FUNCTION,
         table=table,
@@ -140,8 +150,8 @@ def _check_construction(q: FiniteQuantumGroup) -> None:
 def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """The dual quantum group on the same Hilbert space.
 
-    ``What = Sigma W* Sigma``, built from the index map of ``W``; the dual
-    algebra is spanned by the first-leg slices of ``W``; the two modular
+    ``What = Sigma W* Sigma``, the map ``chain(flip, inverse(w), flip)``; the
+    dual algebra is spanned by the first-leg slices of ``W``; the two modular
     conjugations swap.
 
     The dual is built once per object and cached on it, and ``q`` is recorded
@@ -156,9 +166,6 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         return cached
     n = q.dim
     flip = flip_index(n)
-    # eye[m] is the permutation matrix of the map inverse(m), so this is
-    # Sigma W* Sigma, the map chain(flip, inverse(w), flip)
-    what = np.eye(n * n)[chain(flip, derived_unitaries(q).w, flip)]
     basis = _slice_span(q)
     if projection_residual((basis,), np.eye(n)) > 1e-8:
         raise ValueError(f"{q.name}: slice span of W is degenerate (identity not in span)")
@@ -166,9 +173,9 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     qd = FiniteQuantumGroup(
         name=f"{q.name}^",
         dim=n,
-        W=what,
-        J=q.Jhat,
-        Jhat=q.J,
+        w=chain(flip, inverse(q.w), flip),
+        j=q.jhat,
+        jhat=q.j,
         algebra_basis=basis,
         kind=kind,
         table=q.table,
@@ -180,12 +187,12 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 
 def _slice_span(q: FiniteQuantumGroup) -> np.ndarray:
-    """Orthonormal basis of the span of the first-leg slices of ``q.W``, where
+    """Orthonormal basis of the span of the first-leg slices of ``W``, where
     ``[(omega_{e_a, e_c} (x) id)(W)][k, l] = <W (e_a (x) e_l), e_c (x) e_k>``;
     computed once and cached on ``q``."""
     if "slice_span" not in q._cache:
         n = q.dim
-        slices = q.W.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        slices = _matrix(q.w).reshape(n, n, n, n).transpose(2, 0, 1, 3)
         q._cache["slice_span"] = span_basis(slices.reshape(n * n, n, n))
     return q._cache["slice_span"]
 
@@ -193,8 +200,7 @@ def _slice_span(q: FiniteQuantumGroup) -> np.ndarray:
 def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
     """The comultiplication ``G(x) = W* (1 (x) x) W`` on ``H (x) H``, gathered at
     the index map of ``W``."""
-    w = derived_unitaries(q).w
-    return np.kron(np.eye(q.dim), x)[np.ix_(w, w)]
+    return np.kron(np.eye(q.dim), x)[np.ix_(q.w, q.w)]
 
 
 def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
@@ -223,30 +229,23 @@ def coassociativity_residual(q: FiniteQuantumGroup, x: np.ndarray) -> float:
 
 
 def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
-    """The index maps of ``W``, of the unitary parts of ``J`` and ``Jhat``, and
-    of the commutant and opposite unitaries, composed once and cached.
+    """The index maps of the commutant and opposite unitaries, and of ``W``,
+    ``W'`` and ``W'^op`` on pairs of three legs, composed once and cached.
 
     For a real permutation ``U``, conjugating by the antilinear ``U conj`` on
     both sides is the permutation ``U A U``, so each derived map is a chain.
     """
     if "derived" not in q._cache:
-        n = q.dim
-        label = f"{q.name} ({q.kind})"
-        w = permutation_index(q.W, f"{label}: W")
-        j = permutation_index(q.J.u, f"{label}: J")
-        jhat = permutation_index(q.Jhat.u, f"{label}: Jhat")
-        jj, jhjh, kk = (tensor_map(m, m) for m in (j, jhat, chain(j, jhat)))
-        two = {
-            "w": w,
-            "wprime": chain(jj, w, jj),
-            "wop": chain(jhjh, w, jhjh),
-            "wprime_op": chain(kk, w, kk),
-        }
+        n, w = q.dim, q.w
+        jj, jhjh, kk = (tensor_map(m, m) for m in (q.j, q.jhat, chain(q.j, q.jhat)))
+        wprime, wprime_op = chain(jj, w, jj), chain(kk, w, kk)
         three, pairs = {}, ((1, 2), (1, 3), (2, 3))
-        for name in ("w", "wprime", "wprime_op"):
-            for key, m in ((name, two[name]), (name + "*", inverse(two[name]))):
+        for name, u in (("w", w), ("wprime", wprime), ("wprime_op", wprime_op)):
+            for key, m in ((name, u), (name + "*", inverse(u))):
                 three[key] = {legs: leg_map(m, legs, (n, n, n)) for legs in pairs}
-        q._cache["derived"] = DerivedUnitaries(j=j, jhat=jhat, three=three, **two)
+        q._cache["derived"] = DerivedUnitaries(
+            wprime=wprime, wop=chain(jhjh, w, jhjh), wprime_op=wprime_op, three=three
+        )
     return q._cache["derived"]
 
 
@@ -258,21 +257,6 @@ def tensor_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def flip_index(n: int) -> np.ndarray:
     """Index map of the flip ``Sigma`` on ``C^n (x) C^n``, its own inverse."""
     return np.arange(n * n).reshape(n, n).T.reshape(-1)
-
-
-def permutation_index(u: np.ndarray, what: str) -> np.ndarray:
-    """The index ``p`` with ``u e_j = e_{p[j]}``.  Raises ``ValueError`` naming
-    ``what`` unless each column of ``u`` is one entry equal to 1 and zeros
-    elsewhere and ``p`` is a bijection."""
-    ones = u == 1
-    p = ones.argmax(axis=0)
-    if (
-        not (ones.sum(axis=0) == 1).all()
-        or np.count_nonzero(u) != len(p)
-        or not (np.bincount(p, minlength=len(p)) == 1).all()
-    ):
-        raise ValueError(f"{what} is not a permutation matrix")
-    return p
 
 
 def leg_map(p: np.ndarray, legs: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -305,8 +289,13 @@ def map_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     they differ."""
     if np.array_equal(lhs, rhs):
         return 0.0
-    eye = np.eye(len(lhs))  # column j of eye[:, m] is e_{m[j]}
-    return operator_norm(eye[:, lhs] - eye[:, rhs])
+    return operator_norm(_matrix(lhs) - _matrix(rhs))
+
+
+def _matrix(m: np.ndarray) -> np.ndarray:
+    """The dense permutation matrix of the index map ``m``: column ``k`` is
+    ``e_{m[k]}``."""
+    return np.eye(len(m))[:, m]
 
 
 def _pentagonal_residual(q: FiniteQuantumGroup) -> float:
@@ -320,43 +309,45 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     """Residuals of the structural relation catalog, all operator norms.
 
     The relations between unitaries compare composed index maps.  The
-    ``*_from_table`` records compare the maps of ``W``, ``J`` and ``Jhat``
-    with the maps written straight from the Cayley table, the one derivation
-    that does not pass through the matrices.  The membership of ``W`` in
-    ``M (x) Mhat`` is included as a recorded check.
+    ``*_from_table`` records compare the maps ``w``, ``j`` and ``jhat`` that
+    ``q`` holds (written by ``function_algebra``, composed by ``dual``) with
+    the maps written here from the Cayley table, so an edited map moves only
+    the first side.  The membership of ``W`` in ``M (x) Mhat`` is included as
+    a recorded check; it is the one record that forms the dense ``W``.
     """
     if "structure_residuals" in q._cache:
         return q._cache["structure_residuals"]
-    n = q.dim
+    n, w, j, jhat = q.dim, q.w, q.j, q.jhat
     der = derived_unitaries(q)
     flip = flip_index(n)
-    jhat_j = tensor_map(der.jhat, der.j)
-    jhjh = tensor_map(der.jhat, der.jhat)
-    what = chain(flip, inverse(der.w), flip)
+    jhat_j = tensor_map(jhat, j)
+    jhjh = tensor_map(jhat, jhat)
+    what = chain(flip, inverse(w), flip)
     # right unitary V, equal to the commutant unitary of the dual
     v = chain(jhjh, what, jhjh)
     out: dict[str, float] = {}
-    out["conjugate_relation"] = map_residual(inverse(der.w), chain(jhat_j, der.w, jhat_j))
+    out["conjugate_relation"] = map_residual(inverse(w), chain(jhat_j, w, jhat_j))
     # with scaling constant 1 the modular phase is 1: the conjugations commute
-    out["modular_commutation"] = map_residual(chain(der.jhat, der.j), chain(der.j, der.jhat))
+    out["modular_commutation"] = map_residual(chain(jhat, j), chain(j, jhat))
     out["opposite_from_right"] = map_residual(der.wop, chain(flip, inverse(v), flip))
     if n ** 3 <= max_tensor_entries():
         out["pentagonal"] = _pentagonal_residual(q)
     table = _table_maps(q)
     if table is not None:
-        for label, m, got in zip(("W", "J", "Jhat"), table, (der.w, der.j, der.jhat)):
+        for label, m, got in zip(("W", "J", "Jhat"), table, (w, j, jhat)):
             out[f"{label}_from_table"] = map_residual(m, got)
     # W sits in M (x) Mhat; dual(q) is not built yet while q is checked
-    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q)), q.W)
+    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q)), _matrix(w))
     q._cache["structure_residuals"] = out
     return out
 
 
 def _table_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Index maps of ``W``, ``J`` and ``Jhat`` written from the Cayley table:
-    on the function algebra ``W: (a, b) -> (a, ab)``, ``J = 1`` and
-    ``Jhat: s -> s^-1``; on the group algebra ``W: (b, a) -> (a^-1 b, a)``,
-    ``J: s -> s^-1`` and ``Jhat = 1``.  ``None`` for other constructions."""
+    """Index maps of ``W``, ``J`` and ``Jhat`` written here from the Cayley
+    table, apart from the maps ``q`` holds: on the function algebra
+    ``W: (a, b) -> (a, ab)``, ``J = 1`` and ``Jhat: s -> s^-1``; on the group
+    algebra ``W: (b, a) -> (a^-1 b, a)``, ``J: s -> s^-1`` and ``Jhat = 1``.
+    ``None`` for other constructions."""
     if q.table is None or q.kind not in (KIND_FUNCTION, KIND_DUAL):
         return None
     n = q.dim

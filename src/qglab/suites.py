@@ -45,6 +45,8 @@ SUITE_NAMES = (
 CONSTRUCTIONS = ("function-algebra", "group-algebra")
 
 DEFAULT_EPSILONS = (0.01, 0.1, 0.3)
+# draws of the theta suite, recorded in its {"draws": 20} detail
+THETA_DRAWS = 20
 
 # statement label of each suite's records; CHECK_ANCHORS names the checks that
 # certify a different statement from the rest of their suite
@@ -80,7 +82,6 @@ class RunConfig:
     seed: int = 0
     draws: int = 50
     bound_draws: int = 100
-    theta_draws: int = 20
     tol: float | None = None
 
 
@@ -184,7 +185,7 @@ def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
 def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     n = q.dim
     unital = choi = member = 0.0
-    for _ in range(cfg.theta_draws):
+    for _ in range(THETA_DRAWS):
         xi = random_unit_vector(rng, n)
         theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
         unital = max(unital, operator_norm(theta_id - np.eye(n)))
@@ -203,7 +204,7 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     # of all four convention variants are recorded without assertion.
     commutative = max(funalg.algebra_decomposition(q).block_sizes) == 1
     simple_tol = _tol(cfg, 1e-10) if commutative else None
-    draws = {"draws": cfg.theta_draws}
+    draws = {"draws": THETA_DRAWS}
     return [
         ("unitality", unital, _tol(cfg, 1e-10), draws),
         ("choi_consistency", choi, _tol(cfg, 1e-9), draws),
@@ -365,7 +366,7 @@ def run_suites(cfg: RunConfig) -> CheckReport:
             raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
         if suite in cfg.suites[:i]:
             raise ValueError(f"suite {suite!r} is repeated")
-    for name in ("draws", "bound_draws", "theta_draws"):
+    for name in ("draws", "bound_draws"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.seed < 0:

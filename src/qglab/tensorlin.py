@@ -1,5 +1,5 @@
 """Dense complex linear algebra substrate: tensor legs, Schatten norms, slices
-and antilinear operators.
+and product algebras.
 
 Conventions used throughout the package:
 
@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DimensionCapError",
-    "AntilinearOp",
     "max_tensor_entries",
     "dagger",
     "inner",
@@ -214,14 +212,3 @@ def compress_basis(factors: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray
     right = np.einsum("jqd,cds->jqcs", b, v3, optimize=True)  # (1 (x) b_j) v
     out = np.einsum("iqcr,jqcs->ijrs", left, right, optimize=True)
     return out.reshape(len(a) * len(b), v.shape[1], v.shape[1])
-
-
-@dataclass(frozen=True)
-class AntilinearOp:
-    """Antilinear operator ``v -> u @ conj(v)`` with unitary ``u``.
-
-    Models modular conjugations.  Every shipped ``u`` is a real permutation,
-    and ``qgcore.derived_unitaries`` reads it as an index map.
-    """
-
-    u: np.ndarray

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -8,7 +8,6 @@ from qglab.funalg import Functional
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
 from qglab.tensorlin import (
-    AntilinearOp,
     apply_leg,
     dagger,
     operator_norm,
@@ -40,11 +39,31 @@ def get_group(name, side="fn"):
 
 
 def swapped_columns(q, j=1, k=2):
-    """``q`` with columns ``j`` and ``k`` of ``W`` swapped, built directly so that
-    no construction check rejects it."""
-    w = q.W.copy()
-    w[:, [j, k]] = w[:, [k, j]]
-    return replace(q, W=w, _cache={})
+    """``q`` with columns ``j`` and ``k`` of ``W`` swapped (entries ``j`` and ``k``
+    of its index map), built directly so that no construction check rejects it."""
+    w = q.w.copy()
+    w[[j, k]] = w[[k, j]]
+    return replace(q, w=w, _cache={})
+
+
+def perm_matrix(m):
+    """Oracle: the dense matrix of the permutation with index map ``m``, column
+    ``k`` equal to ``e_{m[k]}``.  Every dense ``W``, ``J`` and ``Jhat`` of the
+    tests is built from ``q``'s maps here."""
+    return np.eye(len(m))[:, m]
+
+
+@dataclass(frozen=True)
+class AntilinearOp:
+    """Oracle type: the antilinear operator ``v -> u @ conj(v)``, ``u`` unitary."""
+
+    u: np.ndarray
+
+
+def antilinear(m):
+    """The antilinear operator whose unitary part has the index map ``m``, such
+    as ``antilinear(q.j)`` for ``J``."""
+    return AntilinearOp(perm_matrix(m))
 
 
 def flip_matrix(dim_a, dim_b):
@@ -115,18 +134,19 @@ def dense_derived_unitaries(q):
     matrices of ``W``, ``J`` and ``Jhat``."""
     n = q.dim
     f = flip_matrix(n, n)
-    jj = antilinear_tensor(q.J, q.J)
-    jhjh = antilinear_tensor(q.Jhat, q.Jhat)
-    what = f @ dagger(q.W) @ f
-    k = antilinear_compose(q.J, q.Jhat)  # the linear involution J Jhat
+    w, j, jhat = perm_matrix(q.w), antilinear(q.j), antilinear(q.jhat)
+    jj = antilinear_tensor(j, j)
+    jhjh = antilinear_tensor(jhat, jhat)
+    what = f @ dagger(w) @ f
+    k = antilinear_compose(j, jhat)  # the linear involution J Jhat
     kk = np.kron(k, k)
     return DenseUnitaries(
-        wprime=antilinear_conjugate(jj, q.W),
-        wop=antilinear_conjugate(jhjh, q.W),
+        wprime=antilinear_conjugate(jj, w),
+        wop=antilinear_conjugate(jhjh, w),
         what=what,
         v=antilinear_conjugate(jhjh, what),
-        vhat=antilinear_conjugate(jj, q.W),
-        wprime_op=kk @ q.W @ kk,
+        vhat=antilinear_conjugate(jj, w),
+        wprime_op=kk @ w @ kk,
     )
 
 
@@ -204,20 +224,20 @@ def _conjugate(u, rho):
 
 
 def dense_convolve(q, rho_a, rho_b):
-    return dense_partial_trace(_conjugate(q.W, np.kron(rho_a, rho_b)), (q.dim, q.dim), 1)
+    return dense_partial_trace(_conjugate(perm_matrix(q.w), np.kron(rho_a, rho_b)), (q.dim, q.dim), 1)
 
 
 def dense_product_map(q, rho):
-    return dense_partial_trace(_conjugate(q.W, rho), (q.dim, q.dim), 1)
+    return dense_partial_trace(_conjugate(perm_matrix(q.w), rho), (q.dim, q.dim), 1)
 
 
 def dense_module_action_left(q, rho_a, rho_x):
-    w12 = np.kron(q.W, np.eye(q.dim))
+    w12 = np.kron(perm_matrix(q.w), np.eye(q.dim))
     return dense_partial_trace(_conjugate(w12, np.kron(rho_a, rho_x)), (q.dim,) * 3, 1)
 
 
 def dense_module_action_right(q, rho_x, rho_a):
-    w23 = np.kron(np.eye(q.dim), q.W)
+    w23 = np.kron(np.eye(q.dim), perm_matrix(q.w))
     return dense_partial_trace(_conjugate(w23, np.kron(rho_x, rho_a)), (q.dim,) * 3, 2)
 
 
@@ -236,27 +256,41 @@ def dense_predual_norm(rho, decomp):
     return total
 
 
+def norming_element(rho, decomp):
+    """Oracle: the norm-one element ``lam`` of the algebra with
+    ``Tr(rho lam) = dense_predual_norm(rho, decomp)``: in each block the
+    unitary ``B A*`` of the SVD ``A S B*`` of ``iso* rho iso`` with the
+    multiplicity traced out, acting as ``1`` on the multiplicity."""
+    lam = 0
+    for b in decomp.blocks:
+        c = (dagger(b.isometry) @ rho @ b.isometry).reshape(b.size, b.multiplicity, b.size, b.multiplicity)
+        a, _, bh = np.linalg.svd(np.einsum("pjqj->pq", c))
+        u = np.kron(dagger(bh) @ dagger(a), np.eye(b.multiplicity))
+        lam = lam + b.isometry @ u @ dagger(b.isometry)
+    return lam
+
+
 # The dense structure residuals: two-leg operators applied to the identity on
 # all three legs, n^3 x n^3.
 
 def dense_pentagonal_residual(q):
     """Oracle: ``||W_12 W_13 W_23 - W_23 W_12||`` from the dense matrices."""
-    n = q.dim
+    n, w = q.dim, perm_matrix(q.w)
     dims = (n, n, n)
     basis = np.eye(n ** 3)
-    lhs = apply_leg(q.W, (1, 2), apply_leg(q.W, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
-    rhs = apply_leg(q.W, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims)
+    lhs = apply_leg(w, (1, 2), apply_leg(w, (1, 3), apply_leg(w, (2, 3), basis, dims), dims), dims)
+    rhs = apply_leg(w, (2, 3), apply_leg(w, (1, 2), basis, dims), dims)
     return operator_norm(lhs - rhs)
 
 
 def dense_coassociativity_residual(q, x):
     """Oracle: ``||(G (x) id)G(x) - (id (x) G)G(x)||`` from the dense matrices."""
-    n = q.dim
-    gx = dagger(q.W) @ np.kron(np.eye(n), x) @ q.W
+    n, w = q.dim, perm_matrix(q.w)
+    gx = dagger(w) @ np.kron(np.eye(n), x) @ w
     dims = (n, n, n)
     basis = np.eye(n ** 3)
-    lhs = apply_leg(dagger(q.W), (1, 2), apply_leg(gx, (2, 3), apply_leg(q.W, (1, 2), basis, dims), dims), dims)
-    rhs = apply_leg(dagger(q.W), (2, 3), apply_leg(gx, (1, 3), apply_leg(q.W, (2, 3), basis, dims), dims), dims)
+    lhs = apply_leg(dagger(w), (1, 2), apply_leg(gx, (2, 3), apply_leg(w, (1, 2), basis, dims), dims), dims)
+    rhs = apply_leg(dagger(w), (2, 3), apply_leg(gx, (1, 3), apply_leg(w, (2, 3), basis, dims), dims), dims)
     return operator_norm(lhs - rhs)
 
 
@@ -269,15 +303,16 @@ def modular_sandwich(q, v):
     factors share one complex conjugation, after which each unitary part acts
     on its own leg."""
     dims = (q.dim,) * 3
-    out = apply_leg(q.J.u, (3,), v.conj(), dims)
-    out = apply_leg(q.Jhat.u, (2,), out, dims)
-    return apply_leg(q.Jhat.u, (1,), out, dims)
+    u_j, u_jhat = perm_matrix(q.j), perm_matrix(q.jhat)
+    out = apply_leg(u_j, (3,), v.conj(), dims)
+    out = apply_leg(u_jhat, (2,), out, dims)
+    return apply_leg(u_jhat, (1,), out, dims)
 
 
 def dense_pentagonal_consequence_residuals(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
-    w, wp = q.W, dense_derived_unitaries(q).wprime
+    w, wp = perm_matrix(q.w), dense_derived_unitaries(q).wprime
     r1 = r2 = r3 = 0.0
     for _ in range(draws):
         v = random_unit_vector(rng, n ** 3)
@@ -304,7 +339,7 @@ def dense_quasicentral_exchange_residual(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
     der = dense_derived_unitaries(q)
-    wp, wpo, w = der.wprime, der.wprime_op, q.W
+    wp, wpo, w = der.wprime, der.wprime_op, perm_matrix(q.w)
     main = comm = 0.0
     for _ in range(draws):
         v = random_unit_vector(rng, n ** 3)
@@ -331,7 +366,7 @@ def dense_identity_shift_exchange_residual(q, rng, draws):
     n = q.dim
     dims = (n, n, n)
     der = dense_derived_unitaries(q)
-    w, wp, wpo = q.W, der.wprime, der.wprime_op
+    w, wp, wpo = perm_matrix(q.w), der.wprime, der.wprime_op
     main = comm = 0.0
     for _ in range(draws):
         v = random_unit_vector(rng, n ** 3)
@@ -353,8 +388,9 @@ def dense_commutant_opposite_consistency(q):
     """``||W'^op - ((1 (x) Jhat J) W' (1 (x) J Jhat))*||`` from the dense matrices."""
     n = q.dim
     der = dense_derived_unitaries(q)
-    one_k = np.kron(np.eye(n), antilinear_compose(q.Jhat, q.J))
-    one_k_inv = np.kron(np.eye(n), antilinear_compose(q.J, q.Jhat))
+    j, jhat = antilinear(q.j), antilinear(q.jhat)
+    one_k = np.kron(np.eye(n), antilinear_compose(jhat, j))
+    one_k_inv = np.kron(np.eye(n), antilinear_compose(j, jhat))
     return operator_norm(der.wprime_op - dagger(one_k @ der.wprime @ one_k_inv))
 
 

@@ -288,7 +288,6 @@ def test_criterion_9_determinism_and_traceability():
         seed=11,
         draws=10,
         bound_draws=10,
-        theta_draws=5,
     )
     first = run_suites(cfg)
     second = run_suites(cfg)

@@ -42,7 +42,7 @@ class TestRunSuites:
         assert report.all_passed
 
     def test_every_record_has_anchor(self):
-        cfg = RunConfig(group_source="Z2", seed=3, draws=5, bound_draws=5, theta_draws=3)
+        cfg = RunConfig(group_source="Z2", seed=3, draws=5, bound_draws=5)
         report = run_suites(cfg)
         assert report.records
         for record in report.records:
@@ -100,10 +100,6 @@ class TestRunSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suites(RunConfig(group_source="Z2", suites=("nonsense",)))
-
-    def test_zero_theta_draws_rejected(self):
-        with pytest.raises(ValueError, match="theta_draws must be at least 1, got 0"):
-            run_suites(RunConfig(group_source="Z2", suites=("theta",), theta_draws=0))
 
     def test_unknown_construction_rejected(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,14 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    dense,
     dense_derived_unitaries,
     get_group,
     membership_residual,
+    norming_element,
+    perm_matrix,
     random_doubled,
+    swapped_columns,
 )
 
 from qglab import diagonals, suites
@@ -31,7 +35,12 @@ from qglab.diagonals import (
     perturbed_vector,
     right_invariance_residual,
 )
-from qglab.funalg import vector_state
+from qglab.funalg import (
+    module_action_left,
+    module_action_right,
+    tensor_algebra_decomposition,
+    vector_state,
+)
 from qglab.groups import builtin_table
 from qglab.tensorlin import dagger, normalize, operator_norm, random_unit_vector, slice_first
 
@@ -75,7 +84,7 @@ class TestInvarianceResiduals:
         eta = np.ones(2) / np.sqrt(2)
         zeta = np.eye(2)[1]
         v = np.kron(eta, zeta)
-        expected = np.linalg.norm(z2.W @ v - v)
+        expected = np.linalg.norm(perm_matrix(z2.w) @ v - v)
         assert abs(left_invariance_residual(z2, eta, zeta) - expected) <= 1e-15
         assert expected > 0.9  # displaced by the swap on the second slot
 
@@ -111,7 +120,7 @@ def commutant_mismatch(q, a, b):
     """``|| W*(a (x) b) - W'*(a (x) b) ||``, with ``W'`` the commutant unitary."""
     wprime = dense_derived_unitaries(q).wprime
     v = np.kron(a, b)
-    return float(np.linalg.norm(dagger(q.W) @ v - dagger(wprime) @ v))
+    return float(np.linalg.norm(dagger(perm_matrix(q.w)) @ v - dagger(wprime) @ v))
 
 
 class TestGathersEqualDense:
@@ -134,7 +143,7 @@ class TestGathersEqualDense:
         kraus = dagger(wprime) @ np.kron(xi.vector.reshape(-1, 1), np.eye(n))
         assert np.array_equal(compression_kraus_factor(q, xi.vector), kraus)
         pair = np.kron(eta.vector, xi.vector)
-        expected = float(np.linalg.norm(q.W @ pair - pair))
+        expected = float(np.linalg.norm(perm_matrix(q.w) @ pair - pair))
         assert right_invariance_residual(q, xi.vector, eta.vector) == expected
 
 
@@ -208,7 +217,7 @@ class TestCommutantCompression:
         monkeypatch.setattr(
             diagonals,
             "compression_kraus_factor",
-            lambda q, xi: dagger(q.W) @ np.kron(xi.reshape(-1, 1), np.eye(q.dim)),
+            lambda q, xi: dagger(perm_matrix(q.w)) @ np.kron(xi.reshape(-1, 1), np.eye(q.dim)),
         )
         assert residual() > 1e-6
 
@@ -332,12 +341,9 @@ class TestDiagonalResiduals:
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_swapped_columns_of_w_break_module_records(self, side):
-        q = get_group("Z3", side)
-        w = q.W.copy()
-        w[:, [1, 2]] = w[:, [2, 1]]
         # built directly with an empty cache, so no construction check rejects
         # the broken unitary and nothing derived from the true W is reused
-        broken = replace(q, W=w, _cache={})
+        broken = swapped_columns(get_group("Z3", side))
         _, r1, r2 = suites._exact_diagonal(broken)
         assert r1 > 1e-6
         assert r2 > 1e-6
@@ -392,6 +398,25 @@ class TestCommutatorBound:
             lam = random_doubled(q, rng)
             cert = certify_commutator_bound(q, zeta, xi, eta, lam)
             assert cert.passed, (cert.lhs, cert.bound)
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    @pytest.mark.parametrize("side, swap, k", [("fn", 2, 0), ("dual", "n+1", 2)])
+    def test_fires_under_swapped_entries_of_w(self, name, side, swap, k):
+        # entries 1 and 2 (function algebra) or 1 and n+1 (group algebra) of
+        # W's map swapped, with the exact nets of the unbroken object and the
+        # basis vector zeta = e_k.  Lam norms the commutator functional of the
+        # broken diagonal, so the pairing is its predual norm on M (x) M; on
+        # 20 random Lam the swap is seen on one draw in a hundred or fewer.
+        q = get_group(name, side)
+        broken = swapped_columns(q, 1, q.dim + 1 if swap == "n+1" else swap)
+        xi, eta = exact_nets(q)
+        zeta = np.eye(q.dim)[k]
+        wz, x = vector_state(zeta), build_diagonal(broken, xi, eta).bifunctional
+        commutator = module_action_left(broken, wz, x) - module_action_right(broken, x, wz)
+        lam = norming_element(dense(commutator), tensor_algebra_decomposition(broken))
+        assert certify_commutator_bound(q, zeta, xi, eta, lam).passed
+        cert = certify_commutator_bound(broken, zeta, xi, eta, lam)
+        assert cert.lhs - cert.bound > 0.1
 
     def test_rejects_operators_outside_doubled_algebra(self, z2, rng):
         xi, eta = exact_nets(z2)

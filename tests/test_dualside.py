@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    antilinear,
     antilinear_apply,
     antilinear_conjugate,
     antilinear_tensor,
@@ -21,6 +22,7 @@ from conftest import (
     flip_matrix,
     get_group,
     modular_sandwich,
+    perm_matrix,
     random_algebra,
     random_doubled,
     swapped_columns,
@@ -35,6 +37,7 @@ from qglab.diagonals import (
     perturbed_vector,
 )
 from qglab.dualside import (
+    DualContext,
     build_approximate_identity,
     certify_identity_bound,
     certify_quasicentral_bound,
@@ -47,10 +50,9 @@ from qglab.dualside import (
     quasicentral_exchange_residual,
     slice_convention_residual,
 )
-from qglab.funalg import algebra_decomposition, convolve, predual_norm, vector_state
-from qglab.qgcore import derived_unitaries, dual, permutation_index
+from qglab.funalg import Functional, algebra_decomposition, convolve, predual_norm, vector_state
+from qglab.qgcore import derived_unitaries, dual
 from qglab.tensorlin import (
-    AntilinearOp,
     dagger,
     partial_trace,
     random_unit_vector,
@@ -77,8 +79,7 @@ class TestDualContext:
         # the commutant unitary of the dual is the dual of the opposite
         q = get_group("S3", side)
         ctx = dual_context(q)
-        expected = permutation_index(dual_of_opposite(q), "dual of the opposite")
-        assert np.array_equal(derived_unitaries(ctx.qhat).wprime, expected)
+        assert np.array_equal(perm_matrix(derived_unitaries(ctx.qhat).wprime), dual_of_opposite(q))
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -91,18 +92,13 @@ class TestDualContext:
         assert ctx.qhat is dual(q)
         dense_q = dense_derived_unitaries(q)
         what = dense_q.what
-        jj, jhjh = antilinear_tensor(q.J, q.J), antilinear_tensor(q.Jhat, q.Jhat)
+        j, jhat = antilinear(q.j), antilinear(q.jhat)
+        jj, jhjh = antilinear_tensor(j, j), antilinear_tensor(jhat, jhat)
         der_hat = derived_unitaries(ctx.qhat)
-        assert np.array_equal(der_hat.w, permutation_index(what, "What"))
-        assert np.array_equal(
-            der_hat.wprime, permutation_index(antilinear_conjugate(jhjh, what), "What'")
-        )
-        assert np.array_equal(
-            der_hat.wop, permutation_index(antilinear_conjugate(jj, what), "What^op")
-        )
-        assert np.array_equal(
-            derived_unitaries(q).wprime_op, permutation_index(dense_q.wprime_op, "W'^op")
-        )
+        assert np.array_equal(perm_matrix(ctx.qhat.w), what)
+        assert np.array_equal(perm_matrix(der_hat.wprime), antilinear_conjugate(jhjh, what))
+        assert np.array_equal(perm_matrix(der_hat.wop), antilinear_conjugate(jj, what))
+        assert np.array_equal(perm_matrix(derived_unitaries(q).wprime_op), dense_q.wprime_op)
         # the dual diagonal: commutant unitary of the dual versus the dual of
         # the opposite
         xi, eta = exact_nets(ctx.qhat)
@@ -111,7 +107,7 @@ class TestDualContext:
 
     def test_function_algebra_collapses(self, s3):
         der = derived_unitaries(s3)
-        assert np.array_equal(der.wprime, der.w)
+        assert np.array_equal(der.wprime, s3.w)
         assert np.array_equal(der.wprime_op, der.wop)
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -123,9 +119,9 @@ class TestDualContext:
         ctx = dual_context(s3_dual)
         for q in (ctx.q, ctx.qhat):
             der, dense_q = derived_unitaries(q), dense_derived_unitaries(q)
-            for m in (der.w, der.wprime, der.wop, der.wprime_op):
+            for m in (q.w, der.wprime, der.wop, der.wprime_op):
                 assert np.array_equal(np.sort(m), np.arange(36))
-            for u in (q.W, dense_q.wprime, dense_q.wop, dense_q.wprime_op):
+            for u in (perm_matrix(q.w), dense_q.wprime, dense_q.wop, dense_q.wprime_op):
                 assert unitarity_residual(u) <= 1e-10
 
 
@@ -195,7 +191,8 @@ class TestExchangeIdentities:
         q = get_group(name, side)
         n = q.dim
         v = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
-        dense = antilinear_apply(antilinear_tensor(q.Jhat, q.Jhat, q.J), v)
+        jhat = antilinear(q.jhat)
+        dense = antilinear_apply(antilinear_tensor(jhat, jhat, antilinear(q.j)), v)
         assert np.array_equal(modular_sandwich(q, v), dense)
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
@@ -250,8 +247,8 @@ def dense_lemma_records(q, rng, draws=20):
 MUTATIONS = {
     "swapped_W_columns": swapped_columns,
     "swapped_W_columns_1_n+1": lambda q: swapped_columns(q, 1, q.dim + 1),
-    "J_and_Jhat_exchanged": lambda q: replace(q, J=q.Jhat, Jhat=q.J, _cache={}),
-    "Jhat_set_to_J": lambda q: replace(q, Jhat=q.J, _cache={}),
+    "J_and_Jhat_exchanged": lambda q: replace(q, j=q.jhat, jhat=q.j, _cache={}),
+    "Jhat_set_to_J": lambda q: replace(q, jhat=q.j, _cache={}),
 }
 
 
@@ -284,29 +281,6 @@ class TestLemmaIndexMaps:
             for record, value in lemma_records(mutate(get_group(name, side))).items():
                 fired[record] = max(fired[record], value)
         assert min(fired.values()) >= 1.0, fired
-
-    @pytest.mark.parametrize("side", ["fn", "dual"])
-    @pytest.mark.parametrize("function", [pentagonal_consequence_residuals, commutant_opposite_consistency])
-    def test_complex_j_rejected_by_name(self, side, function):
-        # the two functions that read the unitary part of J
-        q = get_group("S3", side)
-        broken = replace(q, J=AntilinearOp(1j * np.eye(q.dim)), _cache={})
-        with pytest.raises(ValueError, match=r"S3\S* \(\w+\): J is not a permutation matrix"):
-            function(broken)
-
-    @pytest.mark.parametrize("side", ["fn", "dual"])
-    @pytest.mark.parametrize("function, operator", [
-        (pentagonal_consequence_residuals, "W"),
-        (quasicentral_exchange_residual, "W"),
-        (identity_shift_exchange_residual, "W"),
-        (commutant_opposite_consistency, "W"),
-    ])
-    def test_negated_column_of_w_rejected_by_name(self, side, function, operator):
-        q = get_group("S3", side)
-        w = q.W.copy()
-        w[:, 1] *= -1
-        with pytest.raises(ValueError, match=rf": {operator} is not a permutation matrix"):
-            function(replace(q, W=w, _cache={}))
 
 
 class TestDualDiagonal:
@@ -442,6 +416,24 @@ class TestIdentityBound:
             )
             assert cert.passed, (cert.lhs, cert.bound)
 
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_fires_on_first_leg_slice(self, name, side, rng):
+        # the slice of W W'^op* (xi (x) eta) read on the first leg instead of
+        # the second: the factor of that functional is the transpose
+        q = get_group(name, side)
+        ctx = dual_context(q)
+        u = build_approximate_identity(ctx, *exact_nets(q))
+        ((c, f),) = u.functional.terms
+        flipped = replace(u, functional=Functional(((c, f.T),)))
+        margin = -np.inf
+        for _ in range(20):
+            zeta, x = random_unit_vector(rng, q.dim), random_algebra(q, rng)
+            assert certify_identity_bound(ctx, u, zeta, x).passed
+            cert = certify_identity_bound(ctx, flipped, zeta, x)
+            margin = max(margin, cert.lhs - cert.bound)
+        assert margin > 0.1
+
     def test_rejects_outside_algebra(self, z2, rng):
         ctx = dual_context(z2)
         xi, eta = exact_nets(z2)
@@ -486,6 +478,24 @@ class TestQuasicentralBound:
             )
             assert cert.passed
             assert cert.consistency <= 1e-10
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_fires_under_exchanged_conjugations(self, name, rng):
+        # J and Jhat exchanged on the group algebra, exact nets of the unbroken
+        # object; the certifier reads only ctx.q
+        q = get_group(name, "dual")
+        broken = replace(q, j=q.jhat, jhat=q.j, _cache={})
+        xi, eta = exact_nets(q)
+        ctx, broken_ctx = dual_context(q), DualContext(q=broken, qhat=dual(q))
+        u = build_approximate_identity(ctx, xi, eta)
+        broken_u = build_approximate_identity(broken_ctx, xi, eta)
+        margin = -np.inf
+        for _ in range(20):
+            zeta, lam = random_unit_vector(rng, q.dim), random_doubled(q, rng)
+            assert certify_quasicentral_bound(ctx, u, zeta, lam).passed
+            cert = certify_quasicentral_bound(broken_ctx, broken_u, zeta, lam)
+            margin = max(margin, cert.lhs - cert.bound)
+        assert margin > 0.1
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_monte_carlo_s3(self, side, rng):

@@ -15,6 +15,7 @@ from conftest import (
     dense_second_leg,
     functional_from_matrix,
     get_group,
+    perm_matrix,
     random_doubled,
     tensor_ortho_basis,
 )
@@ -76,7 +77,7 @@ class TestVectorStates:
 
     def test_two_evaluation_routes(self, z2, rng):
         v = random_unit_vector(rng, 2)
-        wv = z2.W @ np.kron(v, v)
+        wv = perm_matrix(z2.w) @ np.kron(v, v)
         f = vector_state(wv)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         direct = inner(x @ wv, wv)
@@ -169,11 +170,11 @@ class TestModuleActions:
         lam = random_doubled(s3, rng, norm_one=False)
         if side == "left":
             out = module_action_left(s3, a, x)
-            moved = apply_leg(s3.W, (1, 2), np.kron(zeta, v), dims)
+            moved = apply_leg(perm_matrix(s3.w), (1, 2), np.kron(zeta, v), dims)
             direct = inner(apply_leg(lam, (2, 3), moved, dims), moved)
         else:
             out = module_action_right(s3, x, a)
-            moved = apply_leg(s3.W, (2, 3), np.kron(v, zeta), dims)
+            moved = apply_leg(perm_matrix(s3.w), (2, 3), np.kron(v, zeta), dims)
             direct = inner(apply_leg(lam, (1, 3), moved, dims), moved)
         assert abs(out.value(lam) - direct) <= 1e-11
 

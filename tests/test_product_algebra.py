@@ -8,6 +8,7 @@ from conftest import (
     SMALL_GROUPS,
     dense_projection_residual,
     get_group,
+    perm_matrix,
     random_algebra,
     random_doubled,
     tensor_ortho_basis,
@@ -33,8 +34,9 @@ class TestFactoredAgainstDenseList:
             assert abs(factored - dense_projection_residual(dense, x)) <= 1e-12
         hat = dual(q).ortho_basis
         mixed = [np.kron(a, b) for a in q.ortho_basis for b in hat]
-        factored = projection_residual((q.ortho_basis, hat), q.W)
-        assert abs(factored - dense_projection_residual(mixed, q.W)) <= 1e-12
+        w = perm_matrix(q.w)
+        factored = projection_residual((q.ortho_basis, hat), w)
+        assert abs(factored - dense_projection_residual(mixed, w)) <= 1e-12
 
     def test_draw_from_same_stream(self, name, side):
         q = get_group(name, side)

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    antilinear,
     antilinear_compose,
     antilinear_conjugate,
     dense_coassociativity_residual,
@@ -22,6 +23,7 @@ from conftest import (
     get_group,
     left_fixed_vector,
     membership_residual,
+    perm_matrix,
     swapped_columns,
     unitarity_residual,
 )
@@ -38,10 +40,9 @@ from qglab.qgcore import (
     derived_unitaries,
     dual,
     function_algebra,
-    permutation_index,
     structure_identity_residuals,
 )
-from qglab.tensorlin import AntilinearOp, apply_leg, dagger, operator_norm
+from qglab.tensorlin import apply_leg, dagger, operator_norm
 
 
 def random_algebra_element(q, rng):
@@ -65,18 +66,27 @@ def permutation_group(name, generators):
 
 
 def cycle(n):
-    """An antilinear operator whose unitary part is the n-cycle ``s -> s + 1``."""
-    return AntilinearOp(np.roll(np.eye(n), 1, axis=0))
+    """The index map of the n-cycle ``s -> s + 1``."""
+    return np.roll(np.arange(n), -1)
 
 
 # broken inputs under which every structure record fires on each side
 BROKEN_INPUTS = {
     "swapped_W_columns_1_2": swapped_columns,
     "swapped_W_columns_1_n+1": lambda q: swapped_columns(q, 1, q.dim + 1),
-    "J_and_Jhat_exchanged": lambda q: replace(q, J=q.Jhat, Jhat=q.J, _cache={}),
-    "Jhat_set_to_J": lambda q: replace(q, Jhat=q.J, _cache={}),
-    "n_cycle_Jhat": lambda q: replace(q, Jhat=cycle(q.dim), _cache={}),
-    "n_cycle_J": lambda q: replace(q, J=cycle(q.dim), _cache={}),
+    "J_and_Jhat_exchanged": lambda q: replace(q, j=q.jhat, jhat=q.j, _cache={}),
+    "Jhat_set_to_J": lambda q: replace(q, jhat=q.j, _cache={}),
+    "n_cycle_Jhat": lambda q: replace(q, jhat=cycle(q.dim), _cache={}),
+    "n_cycle_J": lambda q: replace(q, j=cycle(q.dim), _cache={}),
+}
+
+# map edits after which a map is no integer permutation of the right length,
+# each rejected when the quantum group is built
+MAP_BREAKAGES = {
+    "repeated_entry": lambda m: np.concatenate([m[:1], m[:-1]]),
+    "out_of_range_entry": lambda m: np.concatenate([m[:-1], [len(m)]]),
+    "wrong_length": lambda m: m[:-1],
+    "float_dtype": lambda m: m.astype(float),
 }
 
 
@@ -91,19 +101,36 @@ class TestFunctionAlgebra:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 1
         expected[3, 2] = expected[2, 3] = 1
-        assert np.abs(z2.W - expected).max() == 0
+        assert np.array_equal(z2.w, [0, 1, 3, 2])
+        assert np.abs(perm_matrix(z2.w) - expected).max() == 0
 
     def test_trivial_group_scalars(self):
         q = get_group("Z1")
-        assert q.W.shape == (1, 1)
-        assert abs(q.W[0, 0] - 1) == 0
+        assert np.array_equal(q.w, [0])
+        assert np.array_equal(perm_matrix(q.w), np.ones((1, 1)))
         assert max(structure_identity_residuals(q).values()) <= 1e-12
 
     def test_unitary_is_permutation(self, s3):
-        w = s3.W
-        assert np.array_equal(np.unique(w), np.array([0.0, 1.0]))
-        assert np.array_equal(w.sum(axis=0), np.ones(36))
-        assert np.array_equal(w.sum(axis=1), np.ones(36))
+        for m, size in ((s3.w, 36), (s3.j, 6), (s3.jhat, 6)):
+            assert np.issubdtype(m.dtype, np.integer)
+            assert np.array_equal(np.sort(m), np.arange(size))
+
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_maps_equal_matrices_written_entry_by_entry(self, name):
+        # W e_(a, b) = e_(a, ab), J = 1 and Jhat e_s = e_(s^-1), written into
+        # dense matrices one entry at a time from the table
+        q, table = get_group(name), builtin_table(name)
+        n = table.order
+        w = np.zeros((n * n, n * n))
+        for a in range(n):
+            for b in range(n):
+                w[a * n + table.product(a, b), a * n + b] = 1.0
+        inv = np.zeros((n, n))
+        for s, si in enumerate(table.inverses):
+            inv[si, s] = 1.0
+        assert np.array_equal(perm_matrix(q.w), w)
+        assert np.array_equal(perm_matrix(q.j), np.eye(n))
+        assert np.array_equal(perm_matrix(q.jhat), inv)
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_algebra_star_closed_with_identity(self, name):
@@ -143,7 +170,7 @@ class TestStructureCatalog:
         # W^op is the multiplicative unitary of the opposite group: a valid
         # quantum group on its own, so only the route from the table tells
         q = get_group(name)
-        opposite = replace(q, W=dense_derived_unitaries(q).wop, _cache={})
+        opposite = replace(q, w=derived_unitaries(q).wop, _cache={})
         records = structure_records(opposite)
         assert records.pop("W_from_table") > 1e-10
         assert max(records.values()) <= 1e-10, records
@@ -157,7 +184,7 @@ class TestStructureCatalog:
         # Jhat = 1 on the group algebra, so W^op = W there and the same input
         # is the unbroken object
         qd = get_group(name, "dual")
-        assert np.array_equal(dense_derived_unitaries(qd).wop, qd.W)
+        assert np.array_equal(dense_derived_unitaries(qd).wop, perm_matrix(qd.w))
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_no_table_records_without_table(self, side):
@@ -171,8 +198,9 @@ class TestStructureCatalog:
         assert max(structure_identity_residuals(z2).values()) <= 1e-12
 
     def test_modular_conjugations_commute(self, s3):
-        k1 = antilinear_compose(s3.Jhat, s3.J)
-        k2 = antilinear_compose(s3.J, s3.Jhat)
+        j, jhat = antilinear(s3.j), antilinear(s3.jhat)
+        k1 = antilinear_compose(jhat, j)
+        k2 = antilinear_compose(j, jhat)
         assert operator_norm(k1 - k2) <= 1e-10
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -186,7 +214,7 @@ class TestStructureCatalog:
         assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
         # re-orthonormalizing the products gives the same membership residual
         residual = structure_identity_residuals(q)["W_in_doubled_algebra"]
-        assert abs(residual - membership_residual(basis, q.W)) <= 1e-12
+        assert abs(residual - membership_residual(basis, perm_matrix(q.w))) <= 1e-12
 
     @pytest.mark.parametrize("name", ["Z3", "S3"])
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -195,15 +223,15 @@ class TestStructureCatalog:
         x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
         assert structure_identity_residuals(q)["pentagonal"] == 0.0
         assert coassociativity_residual(q, x) == 0.0
-        w = q.W.copy()
-        w[:, [1, 2]] = w[:, [2, 1]]
+        w = q.w.copy()
+        w[[1, 2]] = w[[2, 1]]
         # built directly, so no construction check rejects the broken unitary
         broken = FiniteQuantumGroup(
             name=q.name,
             dim=q.dim,
-            W=w,
-            J=q.J,
-            Jhat=q.Jhat,
+            w=w,
+            j=q.j,
+            jhat=q.jhat,
             algebra_basis=q.algebra_basis,
             kind=q.kind,
             table=q.table,
@@ -274,37 +302,20 @@ class TestPermutationResiduals:
         assert coassociativity_residual(broken, x) == dense_coassociativity_residual(broken, x)
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_negated_column_rejected(self, side):
+    @pytest.mark.parametrize("field", ["w", "j", "jhat"])
+    @pytest.mark.parametrize("breakage", sorted(MAP_BREAKAGES))
+    def test_non_permutation_maps_rejected(self, side, field, breakage):
         q = get_group("Z3", side)
-        w = q.W.copy()
-        w[:, 1] *= -1
-        broken = replace(q, W=w, _cache={})
-        assert operator_norm(dagger(w) @ w - np.eye(9)) == 0.0  # still unitary
-        x = sum((k + 1) * b for k, b in enumerate(q.ortho_basis))
-        with pytest.raises(ValueError, match=r"Z3.*: W is not a permutation matrix"):
-            structure_identity_residuals(broken)
-        with pytest.raises(ValueError, match="W is not a permutation matrix"):
-            coassociativity_residual(broken, x)
-
-    @pytest.mark.parametrize("breakage", ["repeated_column", "extra_entry"])
-    def test_non_permutation_columns_rejected(self, breakage):
-        q = get_group("Z3")
-        w = q.W.copy()
-        if breakage == "repeated_column":  # every column a basis vector, two alike
-            w[:, 2] = w[:, 1]
-        else:  # a 1 in every column, one column with a second non-zero entry
-            w[np.flatnonzero(w[:, 1] == 0)[0], 1] = 1e-3
-        broken = replace(q, W=w, _cache={})
-        with pytest.raises(ValueError, match="W is not a permutation matrix"):
-            coassociativity_residual(broken, np.eye(3))
+        broken = MAP_BREAKAGES[breakage](getattr(q, field))
+        with pytest.raises(ValueError, match=rf"^Z3\S* \({q.kind}\): {field} "):
+            replace(q, **{field: broken}, _cache={})
 
     def test_leg_maps_match_dense_legs(self, s3):
         n = s3.dim
         eye = np.eye(n ** 3)
-        p = qgcore.permutation_index(s3.W, "W")
         for legs in [(1, 2), (1, 3), (2, 3)]:
-            dense_leg = apply_leg(s3.W, legs, eye, (n, n, n))
-            m = qgcore.leg_map(p, legs, (n, n, n))
+            dense_leg = apply_leg(perm_matrix(s3.w), legs, eye, (n, n, n))
+            m = qgcore.leg_map(s3.w, legs, (n, n, n))
             assert np.array_equal(dense_leg, eye[:, m])
 
 
@@ -367,15 +378,12 @@ class TestDerivedUnitaries:
     def test_maps_equal_dense_oracle(self, name, side):
         q = get_group(name, side)
         der, dense = derived_unitaries(q), dense_derived_unitaries(q)
-        assert np.array_equal(der.w, permutation_index(q.W, "W"))
-        assert np.array_equal(der.j, permutation_index(q.J.u, "J"))
-        assert np.array_equal(der.jhat, permutation_index(q.Jhat.u, "Jhat"))
         for field in ("wprime", "wop", "wprime_op"):
-            assert np.array_equal(getattr(der, field), permutation_index(getattr(dense, field), field))
+            assert np.array_equal(perm_matrix(getattr(der, field)), getattr(dense, field))
         n = q.dim
         eye = np.eye(n ** 3)
         for field in ("w", "wprime", "wprime_op"):
-            u = q.W if field == "w" else getattr(dense, field)
+            u = perm_matrix(q.w) if field == "w" else getattr(dense, field)
             for legs in [(1, 2), (1, 3), (2, 3)]:
                 dense_leg = apply_leg(u, legs, eye, (n, n, n))
                 assert np.array_equal(eye[:, der.three[field][legs]], dense_leg)
@@ -383,23 +391,23 @@ class TestDerivedUnitaries:
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_commutant_equals_original_for_function_algebras(self, name):
-        der = derived_unitaries(get_group(name))
-        assert np.array_equal(der.wprime, der.w)
+        q = get_group(name)
+        assert np.array_equal(derived_unitaries(q).wprime, q.w)
 
     def test_dual_unitary_entrywise_z2(self, z2):
         f = flip_matrix(2, 2)
-        what = derived_unitaries(dual(z2)).w
-        assert np.array_equal(what, permutation_index(f @ dagger(z2.W) @ f, "What"))
+        what = perm_matrix(dual(z2).w)
+        assert np.array_equal(what, f @ dagger(perm_matrix(z2.w)) @ f)
 
     def test_dual_right_unitary_equals_commutant(self, s3):
         # the right unitary of the dual, (J (x) J) Sigma What* Sigma (J (x) J),
         # is the commutant unitary of s3
         v_dual = dense_derived_unitaries(dual(s3)).v
-        assert np.array_equal(permutation_index(v_dual, "V"), derived_unitaries(s3).wprime)
+        assert np.array_equal(v_dual, perm_matrix(derived_unitaries(s3).wprime))
 
     def test_all_derived_unitary(self, s3):
         der = derived_unitaries(s3)
-        for m in (der.w, der.wprime, der.wop, der.wprime_op):
+        for m in (s3.w, der.wprime, der.wop, der.wprime_op):
             assert np.array_equal(np.sort(m), np.arange(36))
         for u in dense_derived_unitaries(s3):
             assert unitarity_residual(u) <= 1e-12
@@ -417,7 +425,7 @@ class TestDual:
     def test_z2_slice_at_point_mass_is_translation(self, z2):
         from qglab.tensorlin import slice_first
 
-        out = slice_first(z2.W, np.eye(2)[1])
+        out = slice_first(perm_matrix(z2.w), np.eye(2)[1])
         assert np.abs(out - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-14
 
     def test_dual_of_z3_bidual_restores_unitary(self, z3):
@@ -426,17 +434,17 @@ class TestDual:
         qdd = dual(replace(dual(z3), _cache={}))
         assert qdd is not z3
         assert qdd.kind == KIND_FUNCTION
-        assert np.abs(qdd.W - z3.W).max() <= 1e-10
+        assert np.array_equal(qdd.w, z3.w)
 
     def test_trivial_group_self_dual(self):
         q = get_group("Z1")
         qd = dual(q)
-        assert np.abs(qd.W - q.W).max() == 0
+        assert np.array_equal(qd.w, q.w)
 
     def test_dual_swaps_conjugations(self, s3):
         qd = dual(s3)
-        assert np.abs(qd.J.u - s3.Jhat.u).max() == 0
-        assert np.abs(qd.Jhat.u - s3.J.u).max() == 0
+        assert np.array_equal(qd.j, s3.jhat)
+        assert np.array_equal(qd.jhat, s3.j)
 
     def test_group_algebra_is_left_translations(self, s3):
         qd = dual(s3)
@@ -454,7 +462,7 @@ class TestDual:
         # point mass at the identity on the function algebra, the uniform
         # vector on the group algebra
         q = get_group(name, side)
-        expected = left_fixed_vector(q.W, q.dim)
+        expected = left_fixed_vector(perm_matrix(q.w), q.dim)
         net = exact_nets(q)[1].vector
         assert abs(abs(np.vdot(expected, net)) - 1.0) <= 1e-10
         assert np.linalg.norm(net - np.vdot(expected, net) * expected) <= 1e-10
@@ -495,7 +503,7 @@ class TestDual:
         qdd = dual(replace(dual(z3), _cache={}))
         assert qdd.kind == KIND_FUNCTION
         net = exact_nets(qdd)[1].vector
-        assert np.linalg.norm(net - left_fixed_vector(qdd.W, 3)) <= 1e-10
+        assert np.linalg.norm(net - left_fixed_vector(perm_matrix(qdd.w), 3)) <= 1e-10
 
 
 class TestComultiplication:
@@ -529,7 +537,7 @@ class TestComultiplication:
         x = random_algebra_element(s3, rng)
         gx = comultiply(s3, x)
         for b in s3.ortho_basis[:3]:
-            yp = antilinear_conjugate(s3.J, b)  # an element of the commutant
+            yp = antilinear_conjugate(antilinear(s3.j), b)  # an element of the commutant
             for other in (np.kron(yp, np.eye(6)), np.kron(np.eye(6), yp)):
                 assert operator_norm(gx @ other - other @ gx) <= 1e-10
 

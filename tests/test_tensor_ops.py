@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    AntilinearOp,
     antilinear_apply,
     antilinear_compose,
     antilinear_conjugate,
@@ -13,7 +14,6 @@ from conftest import (
 )
 
 from qglab.tensorlin import (
-    AntilinearOp,
     apply_leg,
     dagger,
     operator_norm,
