@@ -8,8 +8,15 @@ Every unitary here is a permutation held as its index map
 identities compare composed maps on three legs; each residual is the exact
 operator norm ``||A - B||``, formed only when the two maps differ.  The flip
 relations and the certified bounds apply the unitaries to vectors by gathers,
-``U v = v[inverse(m)]`` and ``U* v = v[m]``; only algebra elements (``x`` and
-``Lam``) act densely.
+``U v = v[inverse(m)]`` and ``U* v = v[m]``.
+
+The two certifiers of Theorem 4.4 take all draws of a record at once, as
+stacks of vectors ``zeta``, of dense elements ``x`` of ``M`` and of elements
+``Lam`` of ``M (x) M`` held by their coordinates (see ``diagonals``: ``||Lam||``
+is the largest block norm and every pairing with ``Lam`` is a sum of block
+traces).  Each pairing is sesquilinear in ``zeta``, so it is built once per call
+at the basis vectors and evaluated for all draws by one product; each
+invariance defect is the norm of a moved two-leg vector.
 """
 
 from __future__ import annotations
@@ -19,16 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonals import (
-    MEMBERSHIP_TOL,
     NetVector,
     _second_leg_functional,
     left_invariance_residual,
     right_invariance_residual,
 )
 from .funalg import (
+    MEMBERSHIP_TOL,
     Functional,
-    algebra_norm,
+    at_vectors,
+    block_norms,
     convolve,
+    doubled_blocks,
+    pairings,
     tensor_algebra_decomposition,
     vector_state,
 )
@@ -43,7 +53,7 @@ from .qgcore import (
     map_residual,
     tensor_map,
 )
-from .tensorlin import apply_leg, inner, operator_norm, projection_residual
+from .tensorlin import apply_leg, inner, project
 
 __all__ = [
     "DualContext",
@@ -89,8 +99,8 @@ def flip_relation_residuals(
     ``What'*(xi (x) zeta) = sigma(W_op(zeta (x) xi))``."""
     der, der_hat = derived_unitaries(ctx.q), derived_unitaries(ctx.qhat)
     flip = flip_index(ctx.dim)
-    v = np.kron(xi, zeta)
-    w = np.kron(zeta, xi)
+    v = np.multiply.outer(xi, zeta).reshape(-1)
+    w = np.multiply.outer(zeta, xi).reshape(-1)
     r1 = float(np.linalg.norm(v[ctx.qhat.w] - w[inverse(ctx.q.w)][flip]))
     r2 = float(np.linalg.norm(v[der_hat.wprime] - w[inverse(der.wop)][flip]))
     return r1, r2
@@ -102,8 +112,8 @@ def dual_net_residuals(
     """The four dual-diagonal hypothesis residuals: right/left invariance of the
     pair and the two opposite-unitary comparisons."""
     w, wop = inverse(ctx.q.w), inverse(derived_unitaries(ctx.q).wop)
-    vze = np.kron(zeta, eta)
-    vxz = np.kron(xi, zeta)
+    vze = np.multiply.outer(zeta, eta).reshape(-1)
+    vxz = np.multiply.outer(xi, zeta).reshape(-1)
     c1 = right_invariance_residual(ctx.q, xi, zeta)
     c2 = left_invariance_residual(ctx.q, eta, zeta)
     c3 = float(np.linalg.norm(vze[w] - vze[wop]))
@@ -179,7 +189,8 @@ class QuasicentralIdentity:
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    v = np.kron(xi.vector, eta.vector)[derived_unitaries(ctx.q).wprime_op][inverse(ctx.q.w)]
+    v = np.multiply.outer(xi.vector, eta.vector).reshape(-1)
+    v = v[derived_unitaries(ctx.q).wprime_op][inverse(ctx.q.w)]
     return QuasicentralIdentity(xi=xi, eta=eta, functional=_second_leg_functional(v, ctx.dim))
 
 
@@ -199,7 +210,7 @@ def slice_convention_residual(
     three = derived_unitaries(ctx.q).three
     conv = convolve(ctx.q, u.functional, vector_state(zeta))
     lhs = conv.value(x)
-    t = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
+    t = np.multiply.outer(np.multiply.outer(u.xi.vector, u.eta.vector), zeta).reshape(-1)
     t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
     rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
     return abs(lhs - rhs)
@@ -207,16 +218,17 @@ def slice_convention_residual(
 
 @dataclass(frozen=True)
 class IdentityBoundCertificate:
-    """One certified instance of the approximate-identity bound with constant 2."""
+    """Certified instances of the approximate-identity bound with constant 2,
+    one entry per draw."""
 
-    lhs: float
-    term_pair: float
-    term_triple: float
-    bound: float
+    lhs: np.ndarray
+    term_pair: np.ndarray
+    term_triple: np.ndarray
+    bound: np.ndarray
     slack: float
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.lhs <= self.bound + self.slack
 
 
@@ -229,34 +241,69 @@ def certify_identity_bound(
 ) -> IdentityBoundCertificate:
     """Certify ``|X(u * omega_zeta) - X(omega_zeta)| <= 2 ||X|| (t1 + t2)`` where
     ``t1 = ||W W'* (xi (x) zeta) - xi (x) zeta||`` and ``t2`` is the triple-leg
-    left-invariance defect of ``eta`` against ``W'*_13``."""
-    res = projection_residual((ctx.q.ortho_basis,), x)
+    left-invariance defect of ``eta`` against ``W'*_13``, at each draw of the
+    stacks ``zeta`` ``(draws, n)`` and ``x`` ``(draws, n, n)``.
+
+    ``X(u * omega_zeta)`` is sesquilinear in ``zeta``: it is read from the
+    products ``G_f G_e*`` of the factors of ``u * omega_{e_e}``, formed once."""
+    q = ctx.q
+    res = np.linalg.norm(x - project((q.ortho_basis,), x), axis=(-2, -1))
+    res = (res / np.maximum(np.linalg.norm(x, axis=(-2, -1)), np.finfo(float).tiny)).max()
     if res > MEMBERSHIP_TOL:
         raise ValueError(f"X is not in the algebra (residual {res:.3e})")
-    der = derived_unitaries(ctx.q)
-    wz = vector_state(zeta)
-    lhs = abs(convolve(ctx.q, u.functional, wz).value(x) - wz.value(x))
-    pair = np.kron(u.xi.vector, zeta)
-    t1 = float(np.linalg.norm(pair[der.wprime][inverse(ctx.q.w)] - pair))
-    triple = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
-    base = triple[der.three["wprime"][1, 3]]
-    t2 = float(np.linalg.norm(base[der.three["w*"][2, 3]] - base))
-    bound = 2.0 * operator_norm(x) * (t1 + t2)
+    lhs = np.abs(_identity_pairings(q, u, zeta, x))
+    t1, t2 = _identity_terms(q, u, zeta)
+    bound = 2.0 * np.linalg.svd(x, compute_uv=False)[:, 0] * (t1 + t2)
     return IdentityBoundCertificate(lhs=lhs, term_pair=t1, term_triple=t2, bound=bound, slack=slack)
+
+
+def _identity_pairings(
+    q: FiniteQuantumGroup, u: QuasicentralIdentity, zeta: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``X(u * omega_zeta) - X(omega_zeta)`` for each draw.  The factor of
+    ``u * omega_{e_e}`` is ``(u (x) omega_{e_e})`` pushed through ``W``, as in
+    ``funalg.product_map``, with the traced first leg in the columns."""
+    n = q.dim
+    ((c, f),) = u.functional.terms
+    g = (f[None, :, None, :] * np.eye(n)[:, None, :, None]).reshape(n, n * n, n)[:, inverse(q.w)]
+    g = g.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n, n, n * n)
+    forms = c * np.einsum("fjr,eir->efij", g, g.conj()).reshape(n * n, n * n)
+    zz = (zeta.conj()[:, :, None] * zeta[:, None, :]).reshape(len(zeta), -1)
+    conv = np.einsum("dk,dk->d", zz @ forms, x.reshape(len(x), -1))
+    return conv - np.einsum("di,dij,dj->d", zeta.conj(), x, zeta)
+
+
+def _identity_terms(
+    q: FiniteQuantumGroup, u: QuasicentralIdentity, zeta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair and triple-leg defects ``t1`` and ``t2`` for each draw.
+    ``W'_13`` leaves leg 2 (``eta``) alone and ``W*_23`` leg 1, so ``t2`` is
+    summed over the first-leg index ``a`` of ``W'_13``-moved ``xi (x) zeta``."""
+    n, w_adj, wp = q.dim, inverse(q.w), derived_unitaries(q).wprime
+    pair = (u.xi.vector[None, :, None] * zeta[:, None, :]).reshape(len(zeta), -1)
+    moved = pair[:, wp]
+    t1 = np.linalg.norm(moved[:, w_adj] - pair, axis=-1)
+    moved = moved.reshape(-1, n, n)
+    t2 = 0.0
+    for a in range(n):
+        v = (u.eta.vector[None, :, None] * moved[:, a, None, :]).reshape(len(zeta), -1)
+        t2 = t2 + np.linalg.norm(v[:, w_adj] - v, axis=-1) ** 2
+    return t1, np.sqrt(t2)
 
 
 @dataclass(frozen=True)
 class QuasicentralBoundCertificate:
-    """One certified instance of the quasi-central pairing bound with constant 2."""
+    """Certified instances of the quasi-central pairing bound with constant 2,
+    one entry per draw."""
 
-    lhs: float
-    terms: tuple[float, float, float]
-    bound: float
+    lhs: np.ndarray
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bound: np.ndarray
     slack: float
-    consistency: float
+    consistency: np.ndarray
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.lhs <= self.bound + self.slack
 
 
@@ -270,46 +317,68 @@ def certify_quasicentral_bound(
     """Certify the quasi-central pairing residual
     ``|(omega_zeta (x) u)(W'* W'^op Lam W'^op* W' - Lam)|`` against
     ``2 ||Lam|| (r1 + r2 + r3)`` built from the three invariance defects
-    entering the estimate.
+    entering the estimate, at each draw of the stacks ``zeta`` ``(draws, n)``
+    and ``lam`` ``(draws, k)``, the coordinates of ``Lam`` in the products of
+    ``q.ortho_basis`` (``funalg.doubled_coordinates``).
 
     The pairing is evaluated both definitionally (on the factors ``zeta (x) F``
-    of the terms of ``u``) and through the three-leg contraction; their
-    agreement is reported as ``consistency``.  ``||Lam||`` is the norm of
-    ``M (x) M`` (``funalg.algebra_norm``), equal to the operator norm for the
-    ``Lam`` that pass the membership check.
+    of the terms of ``u``) and through the three-leg vectors; their agreement
+    is reported as ``consistency``.  Both are block pairings with ``Lam``,
+    sesquilinear in ``zeta`` and formed once at the basis vectors, and
+    ``||Lam||`` is the largest block norm.
     """
-    res = projection_residual((ctx.q.ortho_basis, ctx.q.ortho_basis), lam)
-    if res > MEMBERSHIP_TOL:
-        raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
-    n = ctx.dim
-    dims = (n, n, n)
-    der = derived_unitaries(ctx.q)
-    # U* v = v[m] and U v = v[m*] for the maps m, m* of U and U* on three legs
-    w, w_adj, wp, wp_adj, wpo = (
-        der.three[name] for name in ("w", "w*", "wprime", "wprime*", "wprime_op")
-    )
-
-    # W'* W'^op Lam W'^op* W' is U* Lam U for U = W'^op* W'
-    r = chain(inverse(der.wprime_op), der.wprime)
-    conj = lam[np.ix_(r, r)]
-    lhs_def = vector_state(zeta).tensor(u.functional).value(conj - lam)
-
-    triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
-    base = triple[wpo[2, 3]][w_adj[2, 3]]
-    moved = base[wp_adj[1, 3]][wpo[1, 3]]
-    lhs_vec = inner(apply_leg(lam, (1, 3), moved, dims), moved) - inner(
-        apply_leg(lam, (1, 3), base, dims), base
-    )
-    consistency = abs(lhs_def - lhs_vec)
-
-    r1 = float(np.linalg.norm(triple[w_adj[2, 3]][wp[2, 3]] - triple))
-    r2 = float(np.linalg.norm(triple[wp_adj[1, 2]] - triple))
-    r3 = float(np.linalg.norm(triple[wp_adj[2, 3]][w[2, 3]] - triple))
-    bound = 2.0 * algebra_norm(lam, tensor_algebra_decomposition(ctx.q)) * (r1 + r2 + r3)
+    q = ctx.q
+    definitional, vectorial = _quasicentral_forms(q, u)
+    blocks = doubled_blocks(q, lam)
+    lhs_def = pairings(blocks, at_vectors(definitional, zeta))
+    lhs_vec = pairings(blocks, at_vectors(vectorial, zeta))
+    r1, r2, r3 = _quasicentral_terms(q, u, zeta)
+    bound = 2.0 * block_norms(blocks) * (r1 + r2 + r3)
     return QuasicentralBoundCertificate(
-        lhs=abs(lhs_def),
+        lhs=np.abs(lhs_def),
         terms=(r1, r2, r3),
         bound=bound,
         slack=slack,
-        consistency=consistency,
+        consistency=np.abs(lhs_def - lhs_vec),
+    )
+
+
+def _quasicentral_forms(q: FiniteQuantumGroup, u: QuasicentralIdentity) -> tuple[list, list]:
+    """The block forms of the two routes to the quasi-central pairing, at the
+    basis vectors in place of ``zeta`` (``funalg.BlockDecomposition.cross_compress``)."""
+    n = q.dim
+    der = derived_unitaries(q)
+    decomp = tensor_algebra_decomposition(q)
+    basis = np.eye(n)
+
+    # W'* W'^op Lam W'^op* W' is U* Lam U for U = W'^op* W', so the conjugated
+    # pairing is the vector functional of U F = F[inverse(r)]
+    r = chain(inverse(der.wprime_op), der.wprime)
+    ((c, f),) = u.functional.terms
+    fz = (basis[:, :, None, None] * f[None, None, :, :]).reshape(n, n * n, n)
+    definitional = decomp.cross_compress([(c, fz[:, inverse(r)]), (-c, fz)])
+
+    # <Lam_13 t, t> on three-leg vectors t, the middle leg traced into the columns
+    y = np.multiply.outer(u.xi.vector, u.eta.vector).reshape(-1)
+    triple = np.multiply.outer(basis, y).reshape(n, -1)
+    base = triple[:, der.three["wprime_op"][2, 3]][:, der.three["w*"][2, 3]]
+    moved = base[:, der.three["wprime*"][1, 3]][:, der.three["wprime_op"][1, 3]]
+    moved, base = (t.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n, n * n, n) for t in (moved, base))
+    return definitional, decomp.cross_compress([(1.0, moved), (-1.0, base)])
+
+
+def _quasicentral_terms(
+    q: FiniteQuantumGroup, u: QuasicentralIdentity, zeta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three invariance defects of ``zeta (x) xi (x) eta`` for each draw.
+    Each moves two of the three legs, so its norm is that of the moved pair
+    times the norm of the third vector."""
+    y = np.multiply.outer(u.xi.vector, u.eta.vector).reshape(-1)
+    w_adj, wp = inverse(q.w), derived_unitaries(q).wprime
+    zeta_norm = np.linalg.norm(zeta, axis=-1)
+    pair = (zeta[:, :, None] * u.xi.vector[None, None, :]).reshape(len(zeta), -1)
+    return (
+        zeta_norm * np.linalg.norm(y[w_adj[wp]] - y),
+        np.linalg.norm(pair[:, inverse(wp)] - pair, axis=-1) * np.linalg.norm(u.eta.vector),
+        zeta_norm * np.linalg.norm(y[inverse(wp)[q.w]] - y),
     )

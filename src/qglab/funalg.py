@@ -19,12 +19,13 @@ import numpy as np
 from .qgcore import FiniteQuantumGroup, derived_unitaries, inverse
 from .tensorlin import (
     compress_basis,
+    coordinates,
     dagger,
     operator_norm,
     partial_trace,
     project,
+    projection_residual,
     span_basis,
-    trace_norm,
 )
 
 __all__ = [
@@ -39,11 +40,20 @@ __all__ = [
     "block_decompose",
     "predual_norm",
     "tensor_predual_norm",
-    "algebra_norm",
+    "trace_norms",
+    "block_norms",
+    "pairings",
+    "at_vectors",
     "sup_norm_estimate",
     "algebra_decomposition",
     "tensor_algebra_decomposition",
+    "doubled_coordinates",
+    "doubled_blocks",
+    "MEMBERSHIP_TOL",
 ]
+
+# relative residual above which an operator is rejected as outside its algebra
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,17 +136,15 @@ class Block:
     multiplicity: int
     isometry: np.ndarray
 
-    def compress(self, omega: Functional) -> np.ndarray:
-        """Adjoint of the inclusion: compress a functional to the block factor,
-        ``sum c G G*`` with ``G = iso* F`` and the multiplicity index moved
-        into the columns."""
-        gs = [(c, (dagger(self.isometry) @ f).reshape(self.size, -1)) for c, f in omega.terms]
-        return sum(c * (g @ dagger(g)) for c, g in gs)
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Simultaneous block diagonalization of a *-algebra of matrices."""
+    """Simultaneous block diagonalization of a *-algebra of matrices.
+
+    Stacked quantities come as one array per group of ``plan``: for an element,
+    its blocks ``(..., blocks, size, size)``; for a functional, its block
+    compressions of the same shape, so that ``omega(x) = sum_b tr(x_b
+    compress_b(omega))``."""
 
     blocks: list[Block]
 
@@ -149,17 +157,87 @@ class BlockDecomposition:
         return sum(b.size * b.multiplicity for b in self.blocks)
 
     @cached_property
-    def norm_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """For each block size, the columns ``V_b`` of those blocks at
-        multiplicity index 0 side by side, ``(dim, blocks * size)``, and their
-        adjoints stacked, ``(blocks, size, dim)``; built once for ``algebra_norm``."""
-        by_size: dict[int, list[np.ndarray]] = {}
-        for b in self.blocks:
-            by_size.setdefault(b.size, []).append(b.isometry[:, :: b.multiplicity])
+    def plan(self) -> list[tuple[int, int, list[int], np.ndarray]]:
+        """The blocks grouped by size and multiplicity, smallest first: for each
+        group ``(size, multiplicity, indices, adjoints)``, the indices of its
+        blocks and their isometries' adjoints stacked,
+        ``(blocks, size * multiplicity, dim)``; built once per decomposition."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, b in enumerate(self.blocks):
+            groups.setdefault((b.size, b.multiplicity), []).append(i)
         return [
-            (np.concatenate(vs, axis=1), np.stack(vs).conj().transpose(0, 2, 1))
-            for _, vs in sorted(by_size.items())
+            (s, m, idx, np.stack([dagger(self.blocks[i].isometry) for i in idx]))
+            for (s, m), idx in sorted(groups.items())
         ]
+
+    def _factor_blocks(self, f: np.ndarray) -> list[np.ndarray]:
+        """``iso* F`` for every block, the multiplicity index moved into the
+        columns: ``(..., blocks, size, multiplicity * r)`` per group for a
+        factor ``(..., dim, r)``."""
+        out = []
+        for s, _, _, adj in self.plan:
+            h = adj @ f[..., None, :, :]
+            out.append(h.reshape(h.shape[:-2] + (s, -1)))
+        return out
+
+    def compress(self, terms) -> list[np.ndarray]:
+        """Block compressions of the functional with the terms ``(c, F)``, ``F``
+        ``(..., dim, r)`` with any leading stack axes: ``sum c G G*`` with
+        ``G = iso* F`` split into its multiplicity columns; one product per
+        term and group."""
+        out = [0.0] * len(self.plan)
+        for c, f in terms:
+            for i, g in enumerate(self._factor_blocks(f)):
+                out[i] = out[i] + c * (g @ g.conj().swapaxes(-1, -2))
+        return out
+
+    def cross_compress(self, terms) -> list[np.ndarray]:
+        """For terms ``(c, F)`` whose factors ``F`` ``(e, dim, r)`` are taken at
+        the basis vectors ``e_e`` of a space, the forms
+        ``Q[e, f] = sum c G_e G_f*`` ``(e, e, blocks, size, size)``: the
+        functional whose factors are ``sum_e zeta_e F_e`` compresses to
+        ``sum_ef zeta_e conj(zeta_f) Q[e, f]`` (``at_vectors``)."""
+        out = [0.0] * len(self.plan)
+        for c, f in terms:
+            for i, g in enumerate(self._factor_blocks(f)):
+                out[i] = out[i] + c * np.einsum("ebpx,fbqx->efbpq", g, g.conj())
+        return out
+
+
+def at_vectors(forms: list[np.ndarray], zeta: np.ndarray) -> list[np.ndarray]:
+    """The compressions ``sum_ef zeta_e conj(zeta_f) Q[e, f]`` of the forms of
+    ``BlockDecomposition.cross_compress``, one per vector of the stack ``zeta``
+    ``(draws, e)``: one product with the rank-one matrices ``zeta zeta*``."""
+    zz = (zeta[:, :, None] * zeta.conj()[:, None, :]).reshape(len(zeta), -1)
+    return [(zz @ q.reshape(zz.shape[1], -1)).reshape((len(zeta),) + q.shape[2:]) for q in forms]
+
+
+def trace_norms(compressions: list[np.ndarray]) -> np.ndarray:
+    """Sum of the trace norms of the blocks, one per stacked functional; a
+    block of size 1 is ``|c|``, the others share one SVD per group."""
+    total = 0.0
+    for c in compressions:
+        if c.shape[-1] == 1:
+            total = total + np.abs(c[..., 0, 0]).sum(-1)
+        else:
+            total = total + np.linalg.svd(c, compute_uv=False).sum((-2, -1))
+    return total
+
+
+def block_norms(blocks: list[np.ndarray]) -> np.ndarray:
+    """Operator norm of each stacked element: the largest norm of its blocks."""
+    norms = []
+    for x in blocks:
+        if x.shape[-1] == 1:
+            norms.append(np.abs(x[..., 0, 0]))
+        else:
+            norms.append(np.linalg.svd(x, compute_uv=False)[..., 0])
+    return np.concatenate(norms, axis=-1).max(-1)
+
+
+def pairings(blocks: list[np.ndarray], compressions: list[np.ndarray]) -> np.ndarray:
+    """``omega(x) = sum_b tr(x_b compress_b(omega))`` for each stacked pair."""
+    return sum(np.einsum("...bpq,...bqp->...", x, c) for x, c in zip(blocks, compressions))
 
 
 class DecompositionError(RuntimeError):
@@ -272,12 +350,16 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
 
 def _validate_decomposition(
     decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float
-) -> None:
+) -> np.ndarray:
     """Check that every block compresses the algebra of the factor stacks to
-    ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per block."""
+    ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per block.
+
+    Returns the coordinate map: column ``k`` holds the blocks of the ``k``-th
+    basis product, ``j`` fast, flattened in the order of ``decomp.plan``."""
     d = int(np.prod([f.shape[-1] for f in factors]))
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
+    compressed = []
     for block in decomp.blocks:
         s, m = block.size, block.multiplicity
         c = compress_basis(factors, block.isometry).reshape(-1, s, m, s, m)
@@ -288,37 +370,20 @@ def _validate_decomposition(
         rank = int(np.linalg.matrix_rank(x.reshape(len(x), s * s), tol=1e-8))
         if rank != s ** 2:
             raise DecompositionError(f"compressed algebra has dimension {rank}, expected {s ** 2}")
+        compressed.append(x.reshape(len(x), s * s))
+    order = [i for _, _, idx, _ in decomp.plan for i in idx]
+    return np.concatenate([compressed[i] for i in order], axis=1).T
 
 
 def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
     """Quotient trace norm of a functional restricted to the decomposed algebra:
     the sum of trace norms of the block compressions."""
-    return float(sum(trace_norm(block.compress(omega)) for block in decomp.blocks))
+    return float(trace_norms(decomp.compress(omega.terms)))
 
 
 def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
-    return float(sum(trace_norm(block.compress(x)) for block in decomp.blocks))
-
-
-def algebra_norm(x: np.ndarray, decomp: BlockDecomposition) -> float:
-    """Operator norm of ``x`` in the decomposed algebra: ``max_b ||V_b* x V_b||``
-    over the blocks, ``V_b`` the columns of block ``b`` at multiplicity index 0.
-
-    Each term compresses ``x`` by an isometry, so the result is never more than
-    ``||x||``, and it equals ``||x||`` for ``x`` in the algebra.  Blocks of one
-    size share one stacked SVD; a block of size 1 is ``|v* x v|``, no SVD.
-    """
-    norms = []
-    for columns, vh in decomp.norm_plan:
-        k, size, d = vh.shape
-        y = x @ columns
-        if size == 1:
-            norms.append(np.abs(np.einsum("kd,dk->k", vh[:, 0], y)))
-        else:
-            yb = y.reshape(d, k, size).transpose(1, 0, 2)
-            norms.append(np.linalg.svd(vh @ yb, compute_uv=False)[:, 0])
-    return float(np.concatenate(norms).max())
+    return float(trace_norms(decomp.compress(x.terms)))
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -412,7 +477,8 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
     multiplicity ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns
     regrouped so the matrix index ``(p_a, p_b)`` is slow and the multiplicity
     index ``(j_a, j_b)`` fast.  So the decomposition is read off that of ``M``,
-    with no random draw on ``M (x) M``, and validated against ``(M, M)``.
+    with no random draw on ``M (x) M``, and validated against ``(M, M)``; the
+    validation's coordinate map is cached beside it for ``doubled_blocks``.
     """
     if "tensor_decomp" not in q._cache:
         factor = algebra_decomposition(q).blocks
@@ -424,6 +490,32 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
                 iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
                 blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
         decomp = BlockDecomposition(blocks=blocks)
-        _validate_decomposition(decomp, (q.ortho_basis, q.ortho_basis), DECOMPOSE_TOL)
+        coords = _validate_decomposition(decomp, (q.ortho_basis, q.ortho_basis), DECOMPOSE_TOL)
         q._cache["tensor_decomp"] = decomp
+        q._cache["tensor_coords"] = coords
     return q._cache["tensor_decomp"]
+
+
+def doubled_coordinates(q: FiniteQuantumGroup, lam: np.ndarray) -> np.ndarray:
+    """Coordinates of ``Lam`` in the products of ``q.ortho_basis`` (second index
+    fast), the one entry of a dense ``Lam`` into the bound certifiers; ``Lam``
+    may be a stack.  Raises ``ValueError`` if ``Lam`` is not in ``M (x) M``."""
+    factors = (q.ortho_basis, q.ortho_basis)
+    res = max(projection_residual(factors, x) for x in lam.reshape((-1,) + lam.shape[-2:]))
+    if res > MEMBERSHIP_TOL:
+        raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
+    return coordinates(factors, lam)
+
+
+def doubled_blocks(q: FiniteQuantumGroup, coords: np.ndarray) -> list[np.ndarray]:
+    """The blocks in ``tensor_algebra_decomposition(q)`` of the elements of
+    ``M (x) M`` with the coordinates ``coords`` ``(draws, k)``: one product with
+    the cached ``k x k`` coordinate map, split into the groups of its plan."""
+    decomp = tensor_algebra_decomposition(q)
+    flat = coords @ q._cache["tensor_coords"].T
+    out, start = [], 0
+    for s, _, idx, _ in decomp.plan:
+        stop = start + len(idx) * s * s
+        out.append(flat[:, start:stop].reshape(len(flat), len(idx), s, s))
+        start = stop
+    return out

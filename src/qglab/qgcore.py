@@ -60,7 +60,7 @@ KIND_FUNCTION = "function_algebra"
 KIND_DUAL = "dual_of_function_algebra"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteQuantumGroup:
     """A finite-dimensional quantum group realized on ``H = C^dim``.
 
@@ -73,6 +73,9 @@ class FiniteQuantumGroup:
     ``w``, ``j`` and ``jhat`` are the index maps (``U e_k = e_{m[k]}``) of the
     multiplicative unitary and of the unitary parts of the two modular
     conjugations, which are entrywise conjugation followed by ``U``.
+
+    Two quantum groups compare equal only when they are the same object, and
+    hash by identity, so an object can key a dict or sit in a set.
     """
 
     name: str

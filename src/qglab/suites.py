@@ -114,20 +114,37 @@ def _rng(cfg: RunConfig, suite: str, construction: str) -> np.random.Generator:
     )
 
 
-def _random_element(
-    q: qgcore.FiniteQuantumGroup, rng: np.random.Generator, legs: int = 1
-) -> np.ndarray:
-    """Random norm-one element of ``M`` (one leg) or ``M (x) M`` (two legs), one
-    complex Gaussian coefficient per basis product, second index fast.  The norm
-    of ``M (x) M`` is read from its blocks; ``M`` keeps the dense SVD, which at
-    ``n x n`` costs the same and builds no decomposition."""
-    factors = (q.ortho_basis,) * legs
-    k = math.prod(len(f) for f in factors)
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = combine(factors, coeff)
-    if legs == 1:
-        return x / operator_norm(x)
-    return x / funalg.algebra_norm(x, funalg.tensor_algebra_decomposition(q))
+def _coefficients(rng: np.random.Generator, k: int) -> np.ndarray:
+    """One complex Gaussian coefficient per basis element (or product)."""
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+
+def _random_element(q: qgcore.FiniteQuantumGroup, rng: np.random.Generator) -> np.ndarray:
+    """Random norm-one element of ``M`` (dense, normalised by the SVD)."""
+    x = combine((q.ortho_basis,), _coefficients(rng, len(q.ortho_basis)))
+    return x / operator_norm(x)
+
+
+def _unit_doubled(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
+    """Coordinates ``(draws, k)`` of the elements of ``M (x) M`` scaled to norm
+    one, second index of a basis product fast; the norm is read from the blocks."""
+    return coeff / funalg.block_norms(funalg.doubled_blocks(q, coeff))[:, None]
+
+
+# draws certified by one certifier call: the default --bound-draws, so that a
+# default run makes one call per record and memory does not grow with the count
+BOUND_BATCH = 100
+
+
+def _bound_batches(cfg: RunConfig, draw):
+    """The ``cfg.bound_draws`` draws of a bound record in batches of at most
+    ``BOUND_BATCH``, each the stacks of the arrays that ``draw()`` returns,
+    drawn in the same order as one at a time."""
+    left = cfg.bound_draws
+    while left:
+        size = min(left, BOUND_BATCH)
+        yield [np.stack(parts) for parts in zip(*(draw() for _ in range(size)))]
+        left -= size
 
 
 def _basis_states(q: qgcore.FiniteQuantumGroup) -> list[funalg.Functional]:
@@ -183,13 +200,13 @@ def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 
 def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
-    n = q.dim
+    n, k = q.dim, len(q.ortho_basis) ** 2
     unital = choi = member = 0.0
     for _ in range(THETA_DRAWS):
         xi = random_unit_vector(rng, n)
         theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
         unital = max(unital, operator_norm(theta_id - np.eye(n)))
-        lam = _random_element(q, rng, legs=2)
+        lam = combine((q.ortho_basis,) * 2, _unit_doubled(q, _coefficients(rng, k)[None])[0])
         theta_lam = diagonals.commutant_compression(q, xi, lam)
         member = max(member, projection_residual((q.ortho_basis,), theta_lam))
         # the Kraus route B* Lam B against the slice route
@@ -215,11 +232,17 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
+    n, k = q.dim, len(q.ortho_basis) ** 2
     xi_exact, eta_exact = diagonals.exact_nets(q)
-    zeta = random_unit_vector(rng, q.dim)
-    lam = _random_element(q, rng, legs=2)
-    cert = diagonals.certify_commutator_bound(q, zeta, xi_exact, eta_exact, lam, slack=slack)
-    out = [("commutator_pairing_exact_nets", cert.lhs, slack, None)]
+
+    def draw():
+        return random_unit_vector(rng, n), _coefficients(rng, k)
+
+    zeta, coeff = draw()
+    cert = diagonals.certify_commutator_bound(
+        q, zeta[None], xi_exact, eta_exact, _unit_doubled(q, coeff[None]), slack=slack
+    )
+    out = [("commutator_pairing_exact_nets", float(cert.lhs[0]), slack, None)]
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
             diagonals.perturbed_vector(xi_exact.vector, eps, rng), f"perturbed t={eps}"
@@ -229,12 +252,11 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
         )
         worst = -math.inf
         worst_eps = 0.0
-        for _ in range(cfg.bound_draws):
-            zeta = random_unit_vector(rng, q.dim)
-            lam = _random_element(q, rng, legs=2)
+        for zeta, lam in _bound_batches(cfg, draw):
+            lam = _unit_doubled(q, lam)
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
-            worst = max(worst, cert.lhs - cert.bound)
-            worst_eps = max(worst_eps, cert.eps)
+            worst = max(worst, float((cert.lhs - cert.bound).max()))
+            worst_eps = max(worst_eps, float(cert.eps.max()))
         detail = {"draws": cfg.bound_draws, "max_measured_eps": worst_eps}
         out.append((f"commutator_bound_margin_t_{eps:g}", worst, slack, detail))
     return out
@@ -314,6 +336,11 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         ident = max(ident, funalg.predual_norm(diff, decomp))
     out.append(("exact_identity", ident, tol, {"states": n}))
 
+    k = len(q.ortho_basis)
+
+    def draw():
+        return random_unit_vector(rng, n), _coefficients(rng, k), _coefficients(rng, k * k)
+
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
             diagonals.perturbed_vector(xi_exact.vector, eps, rng), f"perturbed t={eps}"
@@ -324,19 +351,20 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         u = dualside.build_approximate_identity(ctx, xi, eta)
         bai_margin = qc_margin = -math.inf
         consistency = 0.0
-        for _ in range(cfg.bound_draws):
-            zeta = random_unit_vector(rng, n)
-            x = _random_element(q, rng)
+        for zeta, x, lam in _bound_batches(cfg, draw):
+            x = combine((q.ortho_basis,), x)
+            x = x / np.linalg.svd(x, compute_uv=False)[:, :1, None]
+            lam = _unit_doubled(q, lam)
             cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
-            bai_margin = max(bai_margin, cert.lhs - cert.bound)
-            lam = _random_element(q, rng, legs=2)
+            bai_margin = max(bai_margin, float((cert.lhs - cert.bound).max()))
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
-            qc_margin = max(qc_margin, qcert.lhs - qcert.bound)
-            consistency = max(consistency, qcert.consistency)
+            qc_margin = max(qc_margin, float((qcert.lhs - qcert.bound).max()))
+            consistency = max(consistency, float(qcert.consistency.max()))
         out.append((f"identity_bound_margin_t_{eps:g}", bai_margin, slack, {"draws": cfg.bound_draws}))
         detail = {"draws": cfg.bound_draws, "pairing_consistency": consistency}
         out.append((f"quasicentral_bound_margin_t_{eps:g}", qc_margin, slack, detail))
     return out
+
 
 SUITE_FUNCS = {
     "structure": run_structure,

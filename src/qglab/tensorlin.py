@@ -31,6 +31,7 @@ __all__ = [
     "slice_first",
     "span_basis",
     "combine",
+    "coordinates",
     "project",
     "projection_residual",
     "compress_basis",
@@ -179,21 +180,31 @@ _SCALARS = np.ones((1, 1, 1))
 
 
 def combine(factors: tuple[np.ndarray, ...], coeff: np.ndarray) -> np.ndarray:
-    """``sum_ij coeff[i, j] a_i (x) b_j`` as ``A^T C B`` on the layout realigned
-    to ``(m^2, n^2)``; ``coeff`` may be flat, ``j`` fast."""
+    """``sum_ij coeff[..., i * len(b) + j] a_i (x) b_j`` as ``A^T C B`` on the
+    layout realigned to ``(m^2, n^2)``; leading axes of ``coeff`` are a stack."""
     a, b = (*factors, _SCALARS)[:2]
     m, n = a.shape[-1], b.shape[-1]
-    x = a.reshape(len(a), -1).T @ coeff.reshape(len(a), len(b)) @ b.reshape(len(b), -1)
-    return x.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    lead = coeff.shape[:-1]
+    c = coeff.reshape(lead + (len(a), len(b)))
+    x = a.reshape(len(a), -1).T @ c @ b.reshape(len(b), -1)
+    return x.reshape(lead + (m, m, n, n)).swapaxes(-3, -2).reshape(lead + (m * n, m * n))
+
+
+def coordinates(factors: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Coefficients of the projection of ``x`` onto the product algebra, ``j``
+    fast: ``conj(A) X conj(B)^T`` for ``x`` realigned to ``X`` of shape
+    ``(m^2, n^2)``; leading axes of ``x`` are a stack."""
+    a, b = (*factors, _SCALARS)[:2]
+    m, n = a.shape[-1], b.shape[-1]
+    lead = x.shape[:-2]
+    big = x.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
+    c = a.reshape(len(a), -1).conj() @ big @ b.reshape(len(b), -1).conj().T
+    return c.reshape(lead + (-1,))
 
 
 def project(factors: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """Projection onto the product algebra: the coefficients are
-    ``conj(A) X conj(B)^T`` for ``x`` realigned to ``X`` of shape ``(m^2, n^2)``."""
-    a, b = (*factors, _SCALARS)[:2]
-    m, n = a.shape[-1], b.shape[-1]
-    big = x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    return combine(factors, a.reshape(len(a), -1).conj() @ big @ b.reshape(len(b), -1).conj().T)
+    """Projection onto the product algebra of the factor stacks."""
+    return combine(factors, coordinates(factors, x))
 
 
 def projection_residual(factors: tuple[np.ndarray, ...], x: np.ndarray) -> float:

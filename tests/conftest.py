@@ -4,12 +4,22 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qglab.funalg import Functional
+from qglab.diagonals import build_diagonal
+from qglab.funalg import (
+    Functional,
+    algebra_decomposition,
+    convolve,
+    doubled_coordinates,
+    module_action_left,
+    module_action_right,
+    vector_state,
+)
 from qglab.groups import builtin_table
-from qglab.qgcore import dual, function_algebra
+from qglab.qgcore import chain, derived_unitaries, dual, function_algebra, inverse
 from qglab.tensorlin import (
     apply_leg,
     dagger,
+    inner,
     operator_norm,
     random_unit_vector,
     span_basis,
@@ -256,6 +266,14 @@ def dense_predual_norm(rho, decomp):
     return total
 
 
+def block_compress(block, omega):
+    """Oracle: the compression of a functional to one block factor,
+    ``sum c G G*`` with ``G = iso* F`` and the multiplicity index moved into
+    the columns, one block at a time."""
+    gs = [(c, (dagger(block.isometry) @ f).reshape(block.size, -1)) for c, f in omega.terms]
+    return sum(c * (g @ dagger(g)) for c, g in gs)
+
+
 def norming_element(rho, decomp):
     """Oracle: the norm-one element ``lam`` of the algebra with
     ``Tr(rho lam) = dense_predual_norm(rho, decomp)``: in each block the
@@ -392,6 +410,76 @@ def dense_commutant_opposite_consistency(q):
     one_k = np.kron(np.eye(n), antilinear_compose(jhat, j))
     one_k_inv = np.kron(np.eye(n), antilinear_compose(j, jhat))
     return operator_norm(der.wprime_op - dagger(one_k @ der.wprime @ one_k_inv))
+
+
+# The per-draw certifier bodies: one draw at a time, the pairings on the dense
+# Lam (or X) and the norms from the dense SVD; the batched certifiers hold Lam
+# by its blocks and take every draw of a record at once.
+
+def dense_commutator_certificate(q, zeta, xi, eta, lam):
+    """Oracle of ``certify_commutator_bound`` at one draw with a dense ``lam``."""
+    v = np.kron(zeta, xi.vector)
+    eps1 = float(np.linalg.norm(v[inverse(q.w)] - v))
+    wz, we = vector_state(zeta), vector_state(eta.vector)
+    comm = convolve(q, wz, we) - convolve(q, we, wz)
+    eps2 = dense_predual_norm(dense(comm), algebra_decomposition(q))
+    eps = max(eps1, eps2)
+    x = build_diagonal(q, xi, eta).bifunctional
+    lhs = abs((module_action_left(q, wz, x) - module_action_right(q, x, wz)).value(lam))
+    return {
+        "eps_invariance": eps1,
+        "eps_commutation": eps2,
+        "eps": eps,
+        "lhs": lhs,
+        "bound": 3.0 * eps * operator_norm(lam),
+    }
+
+
+def dense_identity_certificate(q, u, zeta, x):
+    """Oracle of ``certify_identity_bound`` at one draw."""
+    der = derived_unitaries(q)
+    wz = vector_state(zeta)
+    lhs = abs(convolve(q, u.functional, wz).value(x) - wz.value(x))
+    pair = np.kron(u.xi.vector, zeta)
+    t1 = float(np.linalg.norm(pair[der.wprime][inverse(q.w)] - pair))
+    triple = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
+    base = triple[der.three["wprime"][1, 3]]
+    t2 = float(np.linalg.norm(base[der.three["w*"][2, 3]] - base))
+    return {"lhs": lhs, "term_pair": t1, "term_triple": t2, "bound": 2.0 * operator_norm(x) * (t1 + t2)}
+
+
+def dense_quasicentral_certificate(q, u, zeta, lam):
+    """Oracle of ``certify_quasicentral_bound`` at one draw with a dense ``lam``:
+    the conjugation as a gather of ``lam`` and the three-leg pairing through
+    ``apply_leg``."""
+    n = q.dim
+    dims = (n, n, n)
+    der = derived_unitaries(q)
+    w, w_adj, wp, wp_adj, wpo = (
+        der.three[name] for name in ("w", "w*", "wprime", "wprime*", "wprime_op")
+    )
+    r = chain(inverse(der.wprime_op), der.wprime)
+    lhs_def = vector_state(zeta).tensor(u.functional).value(lam[np.ix_(r, r)] - lam)
+    triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
+    base = triple[wpo[2, 3]][w_adj[2, 3]]
+    moved = base[wp_adj[1, 3]][wpo[1, 3]]
+    lhs_vec = inner(apply_leg(lam, (1, 3), moved, dims), moved) - inner(
+        apply_leg(lam, (1, 3), base, dims), base
+    )
+    r1 = float(np.linalg.norm(triple[w_adj[2, 3]][wp[2, 3]] - triple))
+    r2 = float(np.linalg.norm(triple[wp_adj[1, 2]] - triple))
+    r3 = float(np.linalg.norm(triple[wp_adj[2, 3]][w[2, 3]] - triple))
+    return {
+        "lhs": abs(lhs_def),
+        "terms": (r1, r2, r3),
+        "bound": 2.0 * operator_norm(lam) * (r1 + r2 + r3),
+        "consistency": abs(lhs_def - lhs_vec),
+    }
+
+
+def doubled_stack(q, lams):
+    """The coordinates ``(draws, k)`` of a list of dense elements of ``M (x) M``."""
+    return doubled_coordinates(q, np.stack(lams))
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from qglab.funalg import (
     algebra_decomposition,
     block_decompose,
     convolve,
+    doubled_coordinates,
     predual_norm,
     sup_norm_estimate,
     vector_state,
@@ -162,13 +163,11 @@ def test_criterion_5_commutator_bound_constant(constructions):
         for eps in EPSILONS:
             xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
             eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
-            for _ in range(draws):
-                zeta = random_unit_vector(rng, q.dim)
-                lam = random_doubled(q, rng)
-                cert = certify_commutator_bound(q, zeta, xi, eta, lam, slack=1e-9)
-                worst_margin = max(worst_margin, cert.lhs - cert.bound)
-                if not cert.passed:
-                    violations += 1
+            zeta, lam = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(draws)])
+            lam = doubled_coordinates(q, np.stack(lam))
+            cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, lam, slack=1e-9)
+            worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
+            violations += int((~cert.passed).sum())
     report(
         5,
         violations == 0,
@@ -207,12 +206,13 @@ def test_criterion_6_quasicentral_identity(constructions):
             xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
             eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
             u = build_approximate_identity(ctx, xi, eta)
-            for _ in range(draws):
-                zeta = random_unit_vector(rng, n)
-                cert1 = certify_identity_bound(ctx, u, zeta, random_algebra(q, rng), slack=1e-9)
-                cert2 = certify_quasicentral_bound(ctx, u, zeta, random_doubled(q, rng), slack=1e-9)
-                worst_margin = max(worst_margin, cert1.lhs - cert1.bound, cert2.lhs - cert2.bound)
-                violations += (not cert1.passed) + (not cert2.passed)
+            stacks = [(random_unit_vector(rng, n), random_algebra(q, rng), random_doubled(q, rng)) for _ in range(draws)]
+            zeta, x, lam = (np.stack(s) for s in zip(*stacks))
+            cert1 = certify_identity_bound(ctx, u, zeta, x, slack=1e-9)
+            cert2 = certify_quasicentral_bound(ctx, u, zeta, doubled_coordinates(q, lam), slack=1e-9)
+            for cert in (cert1, cert2):
+                worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
+                violations += int((~cert.passed).sum())
     ok = worst_oracle <= 1e-10 and worst_exact <= 1e-10 and violations == 0
     report(
         6,

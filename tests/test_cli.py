@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qglab
-from qglab import qgcore
+from qglab import diagonals, qgcore, suites
+from qglab.groups import builtin_table
 from qglab.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS, main
 from qglab.report import CheckRecord, CheckReport, format_float
-from qglab.suites import CONSTRUCTIONS, SUITE_NAMES, RunConfig, run_suites
+from qglab.suites import CONSTRUCTIONS, SUITE_FUNCS, SUITE_NAMES, RunConfig, run_suites, run_thm33
 from qglab.tensorlin import DimensionCapError
 
 
@@ -149,22 +152,63 @@ class TestRunSuites:
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     def test_certificate_independent_of_blas_threads(self, construction):
         # no record takes a spectrum or a random eigensolver step whose
-        # rounding follows the BLAS thread count, so the bytes do not either
-        def certificate(threads):
+        # rounding follows the BLAS thread count, so the bytes do not either;
+        # D4's stacked bound products are large enough for OpenBLAS to split
+        def certificate(group, threads):
             env = dict(
                 os.environ,
                 OPENBLAS_NUM_THREADS=str(threads),
                 PYTHONPATH=str(Path(qglab.__file__).parents[1]),
             )
             return subprocess.run(
-                [sys.executable, "-m", "qglab.cli", "verify", "--group", "S3",
+                [sys.executable, "-m", "qglab.cli", "verify", "--group", group,
                  "--construction", construction, "--suites", ",".join(SUITE_NAMES), "--seed", "7"],
                 env=env, capture_output=True, check=True,
             ).stdout
 
-        one = certificate(1)
-        assert {r["suite"] for r in json.loads(one)["records"]} == set(SUITE_NAMES)
-        assert one == certificate(2)
+        for group in ("S3", "D4"):
+            one = certificate(group, 1)
+            assert {r["suite"] for r in json.loads(one)["records"]} == set(SUITE_NAMES)
+            assert one == certificate(group, 2), group
+
+    @pytest.mark.parametrize("suite", ["thm33", "thm44"])
+    def test_bound_suites_memory_flat(self, suite):
+        # each record's draws are certified as one batch with Lam held by its
+        # blocks; a stack of dense n^2 x n^2 Lam would take tens of MB here
+        fa = qgcore.function_algebra(builtin_table("D4"))
+        cfg = RunConfig("D4")
+        for q in (fa, qgcore.dual(fa)):
+            SUITE_FUNCS[suite](q, cfg, np.random.default_rng(0))  # fill the caches
+            tracemalloc.start()
+            try:
+                SUITE_FUNCS[suite](q, cfg, np.random.default_rng(1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 2 ** 20, (q.kind, peak)
+
+    def test_bound_draws_certified_in_batches(self, monkeypatch):
+        # at most 100 draws per certifier call, the same draws in the same
+        # order as one batch of all of them
+        calls = []
+        original = diagonals.certify_commutator_bound
+
+        def recording(q, zeta, *args, **kwargs):
+            calls.append(len(zeta))
+            return original(q, zeta, *args, **kwargs)
+
+        monkeypatch.setattr(diagonals, "certify_commutator_bound", recording)
+        q = qgcore.function_algebra(builtin_table("S3"))
+        cfg = RunConfig("S3", epsilons=(0.1,), bound_draws=250)
+        records = dict((check, (value, detail)) for check, value, _, detail in run_thm33(q, cfg, np.random.default_rng(3)))
+        assert calls == [1, 100, 100, 50]
+        monkeypatch.setattr(suites, "BOUND_BATCH", 250)
+        calls.clear()
+        batched = dict((check, (value, detail)) for check, value, _, detail in run_thm33(q, cfg, np.random.default_rng(3)))
+        assert calls == [1, 250]
+        margin, detail = records["commutator_bound_margin_t_0.1"]
+        assert abs(margin - batched["commutator_bound_margin_t_0.1"][0]) <= 1e-15
+        assert detail == batched["commutator_bound_margin_t_0.1"][1]
 
     @pytest.mark.parametrize("group, history", [("Z5", ("Z1", "Z2", "Z3", "Z4")), ("D4", ("Q8", "S3", "Z8"))])
     def test_certificate_independent_of_process_history(self, group, history):

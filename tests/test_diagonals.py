@@ -10,7 +10,9 @@ from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
     dense,
+    dense_commutator_certificate,
     dense_derived_unitaries,
+    doubled_stack,
     get_group,
     membership_residual,
     norming_element,
@@ -36,6 +38,7 @@ from qglab.diagonals import (
     right_invariance_residual,
 )
 from qglab.funalg import (
+    doubled_coordinates,
     module_action_left,
     module_action_right,
     tensor_algebra_decomposition,
@@ -368,6 +371,14 @@ class TestDiagonalResiduals:
             assert r2 <= 8.0 * t
 
 
+def assert_matches_oracle(cert, oracles, names):
+    """Every per-draw field of a batched certificate against the per-draw
+    oracle, to 1e-12 relative (the inputs have norm one)."""
+    for name in names:
+        expected = np.array([o[name] for o in oracles])
+        np.testing.assert_allclose(getattr(cert, name), expected, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 class TestCommutatorBound:
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_exact_nets_annihilate_commutator(self, name, rng):
@@ -375,16 +386,17 @@ class TestCommutatorBound:
         xi, eta = exact_nets(q)
         zeta = random_unit_vector(rng, q.dim)
         lam = random_doubled(q, rng)
-        cert = certify_commutator_bound(q, zeta, xi, eta, lam)
-        assert cert.lhs <= 1e-9
-        assert cert.passed
+        cert = certify_commutator_bound(q, zeta[None], xi, eta, doubled_stack(q, [lam]))
+        assert cert.lhs.shape == (1,)
+        assert cert.lhs[0] <= 1e-9
+        assert cert.passed.all()
 
     def test_identity_operator_pairs_to_zero(self, s3, rng):
         xi, eta = exact_nets(s3)
         xi = NetVector(perturbed_vector(xi.vector, 0.3, rng), "p")
         zeta = random_unit_vector(rng, 6)
-        cert = certify_commutator_bound(s3, zeta, xi, eta, np.eye(36))
-        assert cert.lhs <= 1e-12
+        cert = certify_commutator_bound(s3, zeta[None], xi, eta, doubled_stack(s3, [np.eye(36)]))
+        assert cert.lhs[0] <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     @pytest.mark.parametrize("name", ["Z4", "S3"])
@@ -393,11 +405,22 @@ class TestCommutatorBound:
         xi_e, eta_e = exact_nets(q)
         xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
-        for _ in range(100):
-            zeta = random_unit_vector(rng, q.dim)
-            lam = random_doubled(q, rng)
-            cert = certify_commutator_bound(q, zeta, xi, eta, lam)
-            assert cert.passed, (cert.lhs, cert.bound)
+        zeta, lams = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(100)])
+        cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, doubled_stack(q, lams))
+        assert cert.lhs.shape == (100,)
+        assert cert.passed.all(), (cert.lhs, cert.bound)
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_matches_per_draw_oracle(self, name, side, rng):
+        q = get_group(name, side)
+        xi_e, eta_e = exact_nets(q)
+        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
+        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
+        zeta, lams = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(20)])
+        cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, doubled_stack(q, lams))
+        oracles = [dense_commutator_certificate(q, z, xi, eta, lam) for z, lam in zip(zeta, lams)]
+        assert_matches_oracle(cert, oracles, ("eps_invariance", "eps_commutation", "eps", "lhs", "bound"))
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("side, swap, k", [("fn", 2, 0), ("dual", "n+1", 2)])
@@ -414,17 +437,15 @@ class TestCommutatorBound:
         wz, x = vector_state(zeta), build_diagonal(broken, xi, eta).bifunctional
         commutator = module_action_left(broken, wz, x) - module_action_right(broken, x, wz)
         lam = norming_element(dense(commutator), tensor_algebra_decomposition(broken))
-        assert certify_commutator_bound(q, zeta, xi, eta, lam).passed
-        cert = certify_commutator_bound(broken, zeta, xi, eta, lam)
-        assert cert.lhs - cert.bound > 0.1
+        assert certify_commutator_bound(q, zeta[None], xi, eta, doubled_stack(q, [lam])).passed.all()
+        cert = certify_commutator_bound(broken, zeta[None], xi, eta, doubled_stack(broken, [lam]))
+        assert cert.lhs[0] - cert.bound[0] > 0.1
 
-    def test_rejects_operators_outside_doubled_algebra(self, z2, rng):
-        xi, eta = exact_nets(z2)
-        zeta = random_unit_vector(rng, 2)
+    def test_rejects_operators_outside_doubled_algebra(self, z2):
         outside = np.zeros((4, 4))
         outside[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            certify_commutator_bound(z2, zeta, xi, eta, outside)
+        with pytest.raises(ValueError, match="Lam is not in the doubled algebra"):
+            doubled_coordinates(z2, outside)
 
 
 class TestDualQuasicentralDefect:

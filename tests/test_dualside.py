@@ -16,9 +16,12 @@ from conftest import (
     dense,
     dense_commutant_opposite_consistency,
     dense_derived_unitaries,
+    dense_identity_certificate,
     dense_identity_shift_exchange_residual,
     dense_pentagonal_consequence_residuals,
+    dense_quasicentral_certificate,
     dense_quasicentral_exchange_residual,
+    doubled_stack,
     flip_matrix,
     get_group,
     modular_sandwich,
@@ -382,24 +385,40 @@ class TestApproximateIdentity:
             assert predual_norm(convolve(q, u.functional, a) - a, decomp) <= 1e-10
 
 
+def draws(q, rng, count, element):
+    """``count`` draws of ``(zeta, element)``, one at a time, as two stacks."""
+    zeta, elements = zip(*[(random_unit_vector(rng, q.dim), element(q, rng)) for _ in range(count)])
+    return np.stack(zeta), list(elements)
+
+
+def assert_matches_oracle(cert, oracles, names):
+    """Every per-draw field of a batched certificate against the per-draw
+    oracle, to 1e-12 relative (the inputs have norm one)."""
+    for name in names:
+        expected = np.array([o[name] for o in oracles])
+        actual = np.stack(getattr(cert, name), axis=-1) if name == "terms" else getattr(cert, name)
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 class TestIdentityBound:
     def test_exact_nets(self, s3, rng):
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         u = build_approximate_identity(ctx, xi, eta)
-        cert = certify_identity_bound(ctx, u, random_unit_vector(rng, 6), random_algebra(s3, rng))
-        assert cert.term_pair <= 1e-10
-        assert cert.term_triple <= 1e-10
-        assert cert.lhs <= 1e-9
-        assert cert.passed
+        zeta, x = draws(s3, rng, 1, random_algebra)
+        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
+        assert cert.term_pair[0] <= 1e-10
+        assert cert.term_triple[0] <= 1e-10
+        assert cert.lhs[0] <= 1e-9
+        assert cert.passed.all()
 
     def test_identity_operator_trivial(self, s3, rng):
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         xi = NetVector(perturbed_vector(xi.vector, 0.2, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        cert = certify_identity_bound(ctx, u, random_unit_vector(rng, 6), np.eye(6))
-        assert cert.lhs <= 1e-12
+        cert = certify_identity_bound(ctx, u, random_unit_vector(rng, 6)[None], np.eye(6)[None])
+        assert cert.lhs[0] <= 1e-12
 
     @pytest.mark.parametrize("name", ["Z4", "S3"])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
@@ -410,11 +429,24 @@ class TestIdentityBound:
         xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        for _ in range(100):
-            cert = certify_identity_bound(
-                ctx, u, random_unit_vector(rng, q.dim), random_algebra(q, rng)
-            )
-            assert cert.passed, (cert.lhs, cert.bound)
+        zeta, x = draws(q, rng, 100, random_algebra)
+        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
+        assert cert.lhs.shape == (100,)
+        assert cert.passed.all(), (cert.lhs, cert.bound)
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_matches_per_draw_oracle(self, name, side, rng):
+        q = get_group(name, side)
+        ctx = dual_context(q)
+        xi_e, eta_e = exact_nets(q)
+        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
+        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
+        u = build_approximate_identity(ctx, xi, eta)
+        zeta, x = draws(q, rng, 20, random_algebra)
+        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
+        oracles = [dense_identity_certificate(q, u, z, xd) for z, xd in zip(zeta, x)]
+        assert_matches_oracle(cert, oracles, ("lhs", "term_pair", "term_triple", "bound"))
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -426,13 +458,10 @@ class TestIdentityBound:
         u = build_approximate_identity(ctx, *exact_nets(q))
         ((c, f),) = u.functional.terms
         flipped = replace(u, functional=Functional(((c, f.T),)))
-        margin = -np.inf
-        for _ in range(20):
-            zeta, x = random_unit_vector(rng, q.dim), random_algebra(q, rng)
-            assert certify_identity_bound(ctx, u, zeta, x).passed
-            cert = certify_identity_bound(ctx, flipped, zeta, x)
-            margin = max(margin, cert.lhs - cert.bound)
-        assert margin > 0.1
+        zeta, x = draws(q, rng, 20, random_algebra)
+        assert certify_identity_bound(ctx, u, zeta, np.stack(x)).passed.all()
+        cert = certify_identity_bound(ctx, flipped, zeta, np.stack(x))
+        assert (cert.lhs - cert.bound).max() > 0.1
 
     def test_rejects_outside_algebra(self, z2, rng):
         ctx = dual_context(z2)
@@ -440,8 +469,9 @@ class TestIdentityBound:
         u = build_approximate_identity(ctx, xi, eta)
         outside = np.zeros((2, 2))
         outside[1, 0] = 1.0
-        with pytest.raises(ValueError):
-            certify_identity_bound(ctx, u, random_unit_vector(rng, 2), outside)
+        zeta = np.stack([random_unit_vector(rng, 2)] * 2)
+        with pytest.raises(ValueError, match="X is not in the algebra"):
+            certify_identity_bound(ctx, u, zeta, np.stack([np.eye(2), outside]))
 
 
 class TestQuasicentralBound:
@@ -449,20 +479,20 @@ class TestQuasicentralBound:
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         u = build_approximate_identity(ctx, xi, eta)
-        cert = certify_quasicentral_bound(
-            ctx, u, random_unit_vector(rng, 6), random_doubled(s3, rng)
-        )
-        assert cert.lhs <= 1e-9
-        assert cert.consistency <= 1e-10
-        assert cert.passed
+        zeta, lam = draws(s3, rng, 1, random_doubled)
+        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(s3, lam))
+        assert cert.lhs[0] <= 1e-9
+        assert cert.consistency[0] <= 1e-10
+        assert cert.passed.all()
 
     def test_identity_operator_fixed(self, s3, rng):
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         xi = NetVector(perturbed_vector(xi.vector, 0.2, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        cert = certify_quasicentral_bound(ctx, u, random_unit_vector(rng, 6), np.eye(36))
-        assert cert.lhs <= 1e-12
+        zeta = random_unit_vector(rng, 6)[None]
+        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(s3, [np.eye(36)]))
+        assert cert.lhs[0] <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     def test_sweep_envelope(self, eps, rng):
@@ -472,12 +502,24 @@ class TestQuasicentralBound:
         xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        for _ in range(50):
-            cert = certify_quasicentral_bound(
-                ctx, u, random_unit_vector(rng, 3), random_doubled(q, rng)
-            )
-            assert cert.passed
-            assert cert.consistency <= 1e-10
+        zeta, lam = draws(q, rng, 50, random_doubled)
+        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam))
+        assert cert.passed.all()
+        assert cert.consistency.max() <= 1e-10
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_matches_per_draw_oracle(self, name, side, rng):
+        q = get_group(name, side)
+        ctx = dual_context(q)
+        xi_e, eta_e = exact_nets(q)
+        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
+        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
+        u = build_approximate_identity(ctx, xi, eta)
+        zeta, lam = draws(q, rng, 20, random_doubled)
+        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam))
+        oracles = [dense_quasicentral_certificate(q, u, z, ld) for z, ld in zip(zeta, lam)]
+        assert_matches_oracle(cert, oracles, ("lhs", "terms", "bound", "consistency"))
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     def test_fires_under_exchanged_conjugations(self, name, rng):
@@ -489,13 +531,10 @@ class TestQuasicentralBound:
         ctx, broken_ctx = dual_context(q), DualContext(q=broken, qhat=dual(q))
         u = build_approximate_identity(ctx, xi, eta)
         broken_u = build_approximate_identity(broken_ctx, xi, eta)
-        margin = -np.inf
-        for _ in range(20):
-            zeta, lam = random_unit_vector(rng, q.dim), random_doubled(q, rng)
-            assert certify_quasicentral_bound(ctx, u, zeta, lam).passed
-            cert = certify_quasicentral_bound(broken_ctx, broken_u, zeta, lam)
-            margin = max(margin, cert.lhs - cert.bound)
-        assert margin > 0.1
+        zeta, lam = draws(q, rng, 20, random_doubled)
+        assert certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam)).passed.all()
+        cert = certify_quasicentral_bound(broken_ctx, broken_u, zeta, doubled_stack(broken, lam))
+        assert (cert.lhs - cert.bound).max() > 0.1
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_monte_carlo_s3(self, side, rng):
@@ -505,8 +544,5 @@ class TestQuasicentralBound:
         xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        for _ in range(50):
-            cert = certify_quasicentral_bound(
-                ctx, u, random_unit_vector(rng, 6), random_doubled(q, rng)
-            )
-            assert cert.passed
+        zeta, lam = draws(q, rng, 50, random_doubled)
+        assert certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam)).passed.all()

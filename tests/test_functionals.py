@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     ALL_GROUPS,
+    block_compress,
     dense,
     dense_convolve,
     dense_module_action_left,
@@ -26,11 +27,14 @@ from qglab.funalg import (
     Block,
     BlockDecomposition,
     DecompositionError,
+    Functional,
     _validate_decomposition,
     algebra_decomposition,
-    algebra_norm,
     block_decompose,
+    block_norms,
     convolve,
+    doubled_blocks,
+    doubled_coordinates,
     module_action_left,
     module_action_right,
     predual_norm,
@@ -38,6 +42,7 @@ from qglab.funalg import (
     sup_norm_estimate,
     tensor_algebra_decomposition,
     tensor_predual_norm,
+    trace_norms,
     vector_state,
 )
 from qglab.groups import builtin_table
@@ -371,7 +376,7 @@ def _validate_by_loop(decomp, factors, tol):
         compressed = []
         for b in ortho:
             c = dagger(block.isometry) @ b @ block.isometry
-            x = block.compress(functional_from_matrix(b)) / block.multiplicity
+            x = block_compress(block, functional_from_matrix(b)) / block.multiplicity
             if np.abs(np.kron(x, np.eye(block.multiplicity)) - c).max() > tol:
                 raise DecompositionError("compression is not of product form x (x) 1")
             compressed.append(x.reshape(-1))
@@ -379,40 +384,60 @@ def _validate_by_loop(decomp, factors, tol):
             raise DecompositionError("compressed algebra is not the full matrix algebra")
 
 
-def _algebras(q):
-    """``M`` and ``M (x) M`` as factor stacks, each with its decomposition."""
-    return (
-        ((q.ortho_basis,), algebra_decomposition(q)),
-        ((q.ortho_basis,) * 2, tensor_algebra_decomposition(q)),
-    )
-
-
 @pytest.mark.parametrize("side", ["fn", "dual"])
 class TestAlgebraNorm:
-    """The norm of ``M`` and ``M (x) M`` read from their blocks against the
-    dense SVD."""
+    """The norm of ``M (x) M`` read from the blocks of its coordinates against
+    the dense SVD."""
 
     # on the group-algebra side S3, D4 and Q8 have blocks of multiplicity 2,
-    # so a wrong choice of the columns V_b fails here
+    # so a wrong coordinate map fails here
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_equals_operator_norm_on_members(self, name, side, rng):
         q = get_group(name, side)
-        for factors, decomp in _algebras(q):
-            k = int(np.prod([len(f) for f in factors]))
-            for _ in range(3):
-                x = combine(factors, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-                expected = operator_norm(x)
-                assert abs(algebra_norm(x, decomp) - expected) <= 1e-13 * expected
+        factors = (q.ortho_basis,) * 2
+        k = len(q.ortho_basis) ** 2
+        coeff = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        expected = np.array([operator_norm(x) for x in combine(factors, coeff)])
+        np.testing.assert_allclose(block_norms(doubled_blocks(q, coeff)), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["Z2", "S3", "D4"])
+    def test_coordinates_of_dense_members(self, name, side, rng):
+        # the coordinates of a dense member give it back, one or a stack
+        q = get_group(name, side)
+        lam = np.stack([random_doubled(q, rng) for _ in range(3)])
+        coords = doubled_coordinates(q, lam)
+        assert coords.shape == (3, len(q.ortho_basis) ** 2)
+        assert np.abs(combine((q.ortho_basis,) * 2, coords) - lam).max() <= 1e-13
+        assert np.abs(doubled_coordinates(q, lam[1]) - coords[1]).max() <= 1e-13
 
     # on Z1 every operator is in the algebra
     @pytest.mark.parametrize("name", [g for g in ALL_GROUPS if g != "Z1"])
-    def test_below_operator_norm_off_the_algebra(self, name, side, rng):
+    def test_off_the_algebra_rejected(self, name, side, rng):
         q = get_group(name, side)
-        for factors, decomp in _algebras(q):
-            d = decomp.total_dim
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            assert projection_residual(factors, x) > 0.5
-            assert algebra_norm(x, decomp) < operator_norm(x)
+        d = q.dim ** 2
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert projection_residual((q.ortho_basis,) * 2, x) > 0.5
+        with pytest.raises(ValueError, match="Lam is not in the doubled algebra"):
+            doubled_coordinates(q, np.stack([random_doubled(q, rng), x]))
+
+
+class TestStackedPredualNorms:
+    """One stacked body for ``predual_norm``, ``tensor_predual_norm`` and a
+    draw axis, against one functional at a time."""
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_draw_axis_equals_one_at_a_time(self, name, side, rng):
+        q = get_group(name, side)
+        for decomp, d in ((algebra_decomposition(q), q.dim), (tensor_algebra_decomposition(q), q.dim ** 2)):
+            f = rng.standard_normal((5, 2, d, 3)) + 1j * rng.standard_normal((5, 2, d, 3))
+            terms = [(1.0, f[:, 0]), (-0.5j, f[:, 1])]
+            stacked = trace_norms(decomp.compress(terms))
+            assert stacked.shape == (5,)
+            for i in range(5):
+                omega = Functional(((1.0, f[i, 0]), (-0.5j, f[i, 1])))
+                assert abs(stacked[i] - predual_norm(omega, decomp)) <= 1e-12 * stacked[i]
+                assert abs(stacked[i] - dense_predual_norm(dense(omega), decomp)) <= 1e-12 * stacked[i]
 
 
 class TestTensorDecompositionProductForm:

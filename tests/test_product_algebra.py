@@ -17,7 +17,7 @@ from conftest import (
 from qglab import suites
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
-from qglab.tensorlin import projection_residual
+from qglab.tensorlin import combine, projection_residual
 
 
 @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -40,10 +40,12 @@ class TestFactoredAgainstDenseList:
 
     def test_draw_from_same_stream(self, name, side):
         q = get_group(name, side)
-        for legs, dense in ((1, random_algebra), (2, random_doubled)):
-            x = suites._random_element(q, np.random.default_rng(11), legs)
-            y = dense(q, np.random.default_rng(11))
-            assert np.abs(x - y).max() <= 1e-13
+        x = suites._random_element(q, np.random.default_rng(11))
+        assert np.abs(x - random_algebra(q, np.random.default_rng(11))).max() <= 1e-13
+        # M (x) M is drawn as coordinates, scaled by the norm of its blocks
+        coeff = suites._coefficients(np.random.default_rng(11), len(q.ortho_basis) ** 2)
+        lam = combine((q.ortho_basis,) * 2, suites._unit_doubled(q, coeff[None])[0])
+        assert np.abs(lam - random_doubled(q, np.random.default_rng(11))).max() <= 1e-13
 
 
 def test_no_kronecker_list_cached_after_bound_suites():

@@ -110,6 +110,15 @@ class TestFunctionAlgebra:
         assert np.array_equal(perm_matrix(q.w), np.ones((1, 1)))
         assert max(structure_identity_residuals(q).values()) <= 1e-12
 
+    def test_equality_is_identity_and_hashable(self):
+        table = builtin_table("S3")
+        a, b = function_algebra(table), function_algebra(table)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+        assert dual(a) == dual(a) and dual(a) != a
+        assert {dual(a): 1}[dual(a)] == 1
+
     def test_unitary_is_permutation(self, s3):
         for m, size in ((s3.w, 36), (s3.j, 6), (s3.jhat, 6)):
             assert np.issubdtype(m.dtype, np.integer)
@@ -352,7 +361,7 @@ def test_exchange_suites_decompose_nothing(tmp_path, monkeypatch):
     path = tmp_path / "A4.json"
     path.write_text(json.dumps({"name": table.name, "order": table.order, "table": table.table}))
     calls = []
-    for name in ("block_decompose", "algebra_norm"):
+    for name in ("block_decompose", "doubled_blocks"):
         original = getattr(funalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
