@@ -7,6 +7,12 @@ meaningful, and norms are quotient trace norms computed through a multimatrix
 block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.  The
 decomposition algorithm and the randomized sup oracle validating it are
 independent of each other.
+
+An element of ``M (x) M`` is held by its coordinates in the products of the
+basis of ``M``; the coordinate map cached with ``tensor_algebra_decomposition``
+turns a stack of them into blocks (``doubled_blocks``), whose norms and
+pairings with compressed functionals need no ``n^2 x n^2`` matrix.  Every
+stacked computation takes leading draw axes.
 """
 
 from __future__ import annotations
