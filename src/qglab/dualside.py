@@ -16,7 +16,10 @@ stacks of vectors ``zeta``, of dense elements ``x`` of ``M`` and of elements
 is the largest block norm and every pairing with ``Lam`` is a sum of block
 traces).  Each pairing is sesquilinear in ``zeta``, so it is built once per call
 at the basis vectors and evaluated for all draws by one product; each
-invariance defect is the norm of a moved two-leg vector.
+invariance defect is the norm of a moved two-leg vector.  The slice-convention
+oracle takes its draws as stacks too, and reads the factor of each
+approximate identity through ``_identity_factors``, as
+``build_approximate_identity`` does.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from .diagonals import (
     NetVector,
-    _second_leg_functional,
     left_invariance_residual,
     right_invariance_residual,
 )
@@ -36,11 +38,9 @@ from .funalg import (
     Functional,
     at_vectors,
     block_norms,
-    convolve,
     doubled_blocks,
     pairings,
     tensor_algebra_decomposition,
-    vector_state,
 )
 from .qgcore import (
     FiniteQuantumGroup,
@@ -53,7 +53,7 @@ from .qgcore import (
     map_residual,
     tensor_map,
 )
-from .tensorlin import apply_leg, inner, project
+from .tensorlin import project
 
 __all__ = [
     "DualContext",
@@ -189,31 +189,61 @@ class QuasicentralIdentity:
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    v = np.multiply.outer(xi.vector, eta.vector).reshape(-1)
-    v = v[derived_unitaries(ctx.q).wprime_op][inverse(ctx.q.w)]
-    return QuasicentralIdentity(xi=xi, eta=eta, functional=_second_leg_functional(v, ctx.dim))
+    f = _identity_factors(ctx.q, xi.vector[None], eta.vector[None])[0]
+    return QuasicentralIdentity(xi=xi, eta=eta, functional=Functional(((1.0, f),)))
+
+
+def _identity_factors(q: FiniteQuantumGroup, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The factors ``(draws, n, n)`` of the approximate identities of the
+    vector stacks ``xi`` and ``eta`` ``(draws, n)``: the second-leg slice of
+    ``W W'^op* (xi (x) eta)``, its traced first leg in the columns."""
+    n = q.dim
+    v = (xi[:, :, None] * eta[:, None, :]).reshape(-1, n * n)
+    v = v[:, derived_unitaries(q).wprime_op][:, inverse(q.w)]
+    return v.reshape(-1, n, n).swapaxes(1, 2)
+
+
+# draws of slice_convention_residual evaluated together: its three-leg stacks
+# hold n^3 entries per draw, so memory stays flat in the draw count
+ORACLE_CHUNK = 10
 
 
 def slice_convention_residual(
     ctx: DualContext,
-    u: QuasicentralIdentity,
+    xi: np.ndarray,
+    eta: np.ndarray,
     zeta: np.ndarray,
     x: np.ndarray,
-) -> float:
-    """Consistency oracle for the slice convention: ``X(u * omega_zeta)``
-    computed by convolution must match the three-leg inner product
-    ``<X_3 W_23 W_12 W'^op*_12 (xi (x) eta (x) zeta), same>``.
+) -> np.ndarray:
+    """Consistency oracle for the slice convention, one residual per draw of
+    the stacks ``xi``, ``eta``, ``zeta`` ``(draws, n)`` and ``x``
+    ``(draws, n, n)``: ``X(u * omega_zeta)`` for the approximate identity ``u``
+    of ``(xi, eta)``, computed by convolution from the factor that
+    ``build_approximate_identity`` reads, must match the three-leg inner
+    product ``<X_3 W_23 W_12 W'^op*_12 (xi (x) eta (x) zeta), same>``.
 
-    A wrong reading of the second-leg slice fails this loudly.
+    A wrong reading of the second-leg slice fails this loudly.  The draws are
+    evaluated ``ORACLE_CHUNK`` at a time.
     """
     n = ctx.dim
     three = derived_unitaries(ctx.q).three
-    conv = convolve(ctx.q, u.functional, vector_state(zeta))
-    lhs = conv.value(x)
-    t = np.multiply.outer(np.multiply.outer(u.xi.vector, u.eta.vector), zeta).reshape(-1)
-    t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
-    rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
-    return abs(lhs - rhs)
+    moved = chain(three["wprime_op"][1, 2], three["w*"][1, 2], three["w*"][2, 3])
+    rows = inverse(ctx.q.w)
+    out = []
+    for start in range(0, len(zeta), ORACLE_CHUNK):
+        xi_c, eta_c, zeta_c, x_c = (a[start:start + ORACLE_CHUNK] for a in (xi, eta, zeta, x))
+        d = len(zeta_c)
+        # u * omega_zeta: W gathered on the rows of F (x) zeta, the first leg
+        # traced into the columns (funalg.convolve)
+        f = _identity_factors(ctx.q, xi_c, eta_c)
+        g = (f[:, :, None, :] * zeta_c[:, None, :, None]).reshape(d, n * n, n)[:, rows]
+        g = g.reshape(d, n, n, n).transpose(0, 2, 1, 3).reshape(d, n, n * n)
+        lhs = (g.conj() * (x_c @ g)).sum((1, 2))
+        t = xi_c[:, :, None, None] * eta_c[:, None, :, None] * zeta_c[:, None, None, :]
+        t = t.reshape(d, -1)[:, moved].reshape(d, n * n, n)
+        rhs = (t.conj() * (t @ x_c.swapaxes(1, 2))).sum((1, 2))
+        out.append(np.abs(lhs - rhs))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -245,7 +275,14 @@ def certify_identity_bound(
     stacks ``zeta`` ``(draws, n)`` and ``x`` ``(draws, n, n)``.
 
     ``X(u * omega_zeta)`` is sesquilinear in ``zeta``: it is read from the
-    products ``G_f G_e*`` of the factors of ``u * omega_{e_e}``, formed once."""
+    products ``G_f G_e*`` of the factors of ``u * omega_{e_e}``, formed once.
+
+    Of its inputs, this record detects a wrong slice leg of ``u``: the factor
+    read on the first leg instead of the second makes it fire.  It cannot
+    detect a broken ``W``, ``J`` or ``Jhat``: ``t1`` and ``t2`` are measured
+    with the same maps as the left side, so the bound grows with the defect.
+    The ``structure`` records ``W_from_table``, ``J_from_table`` and
+    ``Jhat_from_table`` detect those."""
     q = ctx.q
     res = np.linalg.norm(x - project((q.ortho_basis,), x), axis=(-2, -1))
     res = (res / np.maximum(np.linalg.norm(x, axis=(-2, -1)), np.finfo(float).tiny)).max()

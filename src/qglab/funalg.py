@@ -4,15 +4,22 @@ A functional is a short signed sum of vector functionals, held as the terms
 ``(c, F)`` of ``omega(x) = sum c Tr(F* x F)``: the paper's Hilbert-space vectors,
 never a pairing matrix.  Only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
-block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.  The
-decomposition algorithm and the randomized sup oracle validating it are
-independent of each other.
+block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.
+``block_decompose`` validates its decomposition against the basis, every
+basis element compressing to ``x (x) 1`` in every block, and keeps those
+compressions ``x`` as the block coordinates of the basis.
 
 An element of ``M (x) M`` is held by its coordinates in the products of the
 basis of ``M``; the coordinate map cached with ``tensor_algebra_decomposition``
 turns a stack of them into blocks (``doubled_blocks``), whose norms and
-pairings with compressed functionals need no ``n^2 x n^2`` matrix.  Every
-stacked computation takes leading draw axes.
+pairings with compressed functionals need no ``n^2 x n^2`` matrix.  The map is
+read off the factor: block ``(a, b)`` of ``M (x) M`` compresses ``b_i (x) b_j``
+to ``kron(x_a,i, x_b,j) (x) 1``, so the map is the blockwise Kronecker product
+of the block coordinates of ``M``, put in plan order, and no basis product of
+``M (x) M`` is compressed.  One element of ``M (x) M`` drawn from a fixed-seed
+generator checks it: its block compressions must equal the ``x (x) 1`` that the
+map predicts, which fails if the isometries' columns or the plan order are
+wrong.  Every stacked computation takes leading draw axes.
 """
 
 from __future__ import annotations
@@ -24,12 +31,11 @@ import numpy as np
 
 from .qgcore import FiniteQuantumGroup, derived_unitaries, inverse
 from .tensorlin import (
+    combine,
     compress_basis,
     coordinates,
     dagger,
-    operator_norm,
     partial_trace,
-    project,
     projection_residual,
     span_basis,
 )
@@ -50,7 +56,6 @@ __all__ = [
     "block_norms",
     "pairings",
     "at_vectors",
-    "sup_norm_estimate",
     "algebra_decomposition",
     "tensor_algebra_decomposition",
     "doubled_coordinates",
@@ -150,9 +155,14 @@ class BlockDecomposition:
     Stacked quantities come as one array per group of ``plan``: for an element,
     its blocks ``(..., blocks, size, size)``; for a functional, its block
     compressions of the same shape, so that ``omega(x) = sum_b tr(x_b
-    compress_b(omega))``."""
+    compress_b(omega))``.
+
+    ``coordinates``, set by ``block_decompose``, holds for each block the
+    compressions ``(k, size, size)`` of the ``k`` elements of the orthonormal
+    basis it was validated on: ``iso* b_i iso = x_i (x) 1``."""
 
     blocks: list[Block]
+    coordinates: list[np.ndarray] | None = None
 
     @property
     def block_sizes(self) -> list[int]:
@@ -346,9 +356,8 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
                 comp = [dagger(p) @ b @ p for b in ortho]
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
-            decomp = BlockDecomposition(blocks=blocks)
-            _validate_decomposition(decomp, (ortho,), DECOMPOSE_TOL)
-            return decomp
+            coords = _validate_decomposition(BlockDecomposition(blocks=blocks), (ortho,), DECOMPOSE_TOL)
+            return BlockDecomposition(blocks=blocks, coordinates=coords)
         except DecompositionError as exc:
             last_error = exc
     raise DecompositionError(f"block decomposition failed after {DECOMPOSE_RETRIES} draws: {last_error}")
@@ -356,12 +365,12 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
 
 def _validate_decomposition(
     decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Check that every block compresses the algebra of the factor stacks to
     ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per block.
 
-    Returns the coordinate map: column ``k`` holds the blocks of the ``k``-th
-    basis product, ``j`` fast, flattened in the order of ``decomp.plan``."""
+    Returns the compressions ``x`` ``(k, size, size)`` of the ``k`` basis
+    products, ``j`` fast, one array per block."""
     d = int(np.prod([f.shape[-1] for f in factors]))
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
@@ -376,9 +385,69 @@ def _validate_decomposition(
         rank = int(np.linalg.matrix_rank(x.reshape(len(x), s * s), tol=1e-8))
         if rank != s ** 2:
             raise DecompositionError(f"compressed algebra has dimension {rank}, expected {s ** 2}")
-        compressed.append(x.reshape(len(x), s * s))
+        compressed.append(x)
+    return compressed
+
+
+def _coordinate_map(decomp: BlockDecomposition, coords: list[np.ndarray]) -> np.ndarray:
+    """The ``k x k`` map from coordinates to blocks: column ``k`` holds the
+    blocks ``coords[b][k]`` of the ``k``-th basis element, flattened in the
+    order of ``decomp.plan``."""
     order = [i for _, _, idx, _ in decomp.plan for i in idx]
-    return np.concatenate([compressed[i] for i in order], axis=1).T
+    return np.concatenate([coords[i].reshape(len(coords[i]), -1) for i in order], axis=1).T
+
+
+def _plan_blocks(decomp: BlockDecomposition, flat: np.ndarray) -> list[np.ndarray]:
+    """Split the stacked blocks ``flat`` ``(draws, k)``, flattened in plan
+    order, into one array ``(draws, blocks, size, size)`` per group."""
+    out, start = [], 0
+    for s, _, idx, _ in decomp.plan:
+        stop = start + len(idx) * s * s
+        out.append(flat[:, start:stop].reshape(len(flat), len(idx), s, s))
+        start = stop
+    return out
+
+
+def _product_blocks(factor: BlockDecomposition) -> tuple[list[Block], list[np.ndarray]]:
+    """The blocks of ``M (x) M`` from the decomposition of ``M``, with the
+    compressions of the basis products in each.
+
+    Block ``(a, b)`` is ``M_{s_a} (x) M_{s_b} = M_{s_a s_b}`` with multiplicity
+    ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns regrouped so the
+    matrix index ``(p_a, p_b)`` is slow and the multiplicity index
+    ``(j_a, j_b)`` fast.  It compresses ``b_i (x) b_j`` to
+    ``kron(x_a,i, x_b,j) (x) 1``, read from ``factor.coordinates``; as
+    ``x_a,i`` spans ``M_{s_a}``, these span ``M_{s_a s_b}``."""
+    blocks, coords = [], []
+    for a, xa in zip(factor.blocks, factor.coordinates):
+        for b, xb in zip(factor.blocks, factor.coordinates):
+            iso = np.kron(a.isometry, b.isometry)
+            iso = iso.reshape(-1, a.size, a.multiplicity, b.size, b.multiplicity)
+            iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
+            blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
+            x = xa[:, None, :, None, :, None] * xb[None, :, None, :, None, :]
+            coords.append(x.reshape(len(xa) * len(xb), a.size * b.size, a.size * b.size))
+    return blocks, coords
+
+
+def _check_coordinate_map(
+    decomp: BlockDecomposition,
+    factors: tuple[np.ndarray, ...],
+    cmap: np.ndarray,
+    rng: np.random.Generator,
+) -> None:
+    """Compress one random element ``Lam`` of the product algebra by every
+    block, ``iso* Lam iso``, and compare with ``x (x) 1`` for the blocks ``x``
+    that the coordinate map gives; raises ``DecompositionError`` if they
+    differ.  This checks the column order of the isometries and the plan order
+    of the map together."""
+    coeff = rng.standard_normal(cmap.shape[1]) + 1j * rng.standard_normal(cmap.shape[1])
+    lam = combine(factors, coeff)
+    for (s, m, _, adj), x in zip(decomp.plan, _plan_blocks(decomp, coeff[None] @ cmap.T)):
+        c = adj @ lam @ adj.conj().swapaxes(-1, -2)
+        recon = np.einsum("bpq,jl->bpjql", x[0], np.eye(m)).reshape(c.shape)
+        if np.abs(recon - c).max() > DECOMPOSE_TOL:
+            raise DecompositionError("coordinate map does not give the block compressions x (x) 1")
 
 
 def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
@@ -390,80 +459,6 @@ def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
 def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
     """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
     return float(trace_norms(decomp.compress(x.terms)))
-
-
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
-def sup_norm_estimate(
-    rho: np.ndarray,
-    basis: list[np.ndarray],
-    rng: np.random.Generator,
-    samples: int = 2000,
-    ascent_steps: int = 120,
-) -> float:
-    """Randomized lower estimate of ``sup { |Tr(rho x)| : x in M, ||x|| <= 1 }``.
-
-    Independent of the block machinery: contractions are sampled as polar
-    parts of random algebra elements, a deterministic polar candidate is
-    included, and the best sample is refined by gradient ascent on the unitary
-    group of the algebra.  Every evaluated point is projected back into the
-    algebra and clipped to the unit ball, so each value is a certified lower
-    bound for the sup.
-    """
-    ortho = span_basis(basis)
-    d = rho.shape[0]
-
-    def score(x: np.ndarray) -> float:
-        x = project((ortho,), x)
-        top = operator_norm(x)
-        if top > 1.0:
-            x = x / top
-        return abs(np.trace(rho @ x))
-
-    candidates = [np.eye(d, dtype=complex), _polar_unitary(project((ortho,), dagger(rho)))]
-    coeffs = rng.standard_normal((samples, len(ortho))) + 1j * rng.standard_normal(
-        (samples, len(ortho))
-    )
-    ys = np.einsum("sk,kij->sij", coeffs, ortho)
-    u, _, vh = np.linalg.svd(ys)
-    polars = u @ vh
-    values = np.abs(np.einsum("ij,sji->s", rho, polars))
-    best_idx = np.argsort(values)[-3:]
-    best = max(float(values[i]) for i in best_idx)
-    best = max(best, max(score(c) for c in candidates))
-
-    starts = [polars[i] for i in best_idx] + candidates
-    for u0 in starts:
-        u0 = project((ortho,), u0)
-        top = operator_norm(u0)
-        if top > 1e-12:
-            u0 = u0 / max(1.0, top)
-        current = u0
-        value = abs(np.trace(rho @ current))
-        step = 0.5
-        for _ in range(ascent_steps):
-            pairing = np.trace(rho @ current)
-            phase = pairing / abs(pairing) if abs(pairing) > 1e-14 else 1.0
-            # Riemannian gradient direction on the unitary group of M
-            grad = project((ortho,), 1j * np.conj(phase) * dagger(rho))
-            herm = (grad @ dagger(current) + current @ dagger(grad)) / 2
-            herm = project((ortho,), (herm + dagger(herm)) / 2)
-            moved = False
-            while step > 1e-9:
-                trial = project((ortho,), _polar_unitary(current + step * herm @ current))
-                trial = trial / max(1.0, operator_norm(trial))
-                tval = abs(np.trace(rho @ trial))
-                if tval > value + 1e-15:
-                    current, value, moved = trial, tval, True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        best = max(best, float(value))
-    return best
 
 
 def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
@@ -479,26 +474,20 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
     """Block decomposition of ``M (x) M``, cached on the quantum group object.
 
     By Artin-Wedderburn the blocks of ``A (x) B`` are the products of the
-    blocks of the factors: ``M_{s_a} (x) M_{s_b} = M_{s_a s_b}`` with
-    multiplicity ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns
-    regrouped so the matrix index ``(p_a, p_b)`` is slow and the multiplicity
-    index ``(j_a, j_b)`` fast.  So the decomposition is read off that of ``M``,
-    with no random draw on ``M (x) M``, and validated against ``(M, M)``; the
-    validation's coordinate map is cached beside it for ``doubled_blocks``.
+    blocks of the factors (``_product_blocks``), so the decomposition is read
+    off that of ``M``, with no random draw on ``M (x) M``.  Its coordinate map,
+    cached beside it for ``doubled_blocks``, is the blockwise Kronecker product
+    of the coordinates of ``M`` that ``block_decompose`` validated, put in plan
+    order.  One element of ``M (x) M`` from a fixed-seed generator checks the
+    map against the block compressions (``_check_coordinate_map``).
     """
     if "tensor_decomp" not in q._cache:
-        factor = algebra_decomposition(q).blocks
-        blocks = []
-        for a in factor:
-            for b in factor:
-                iso = np.kron(a.isometry, b.isometry)
-                iso = iso.reshape(-1, a.size, a.multiplicity, b.size, b.multiplicity)
-                iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
-                blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
+        blocks, coords = _product_blocks(algebra_decomposition(q))
         decomp = BlockDecomposition(blocks=blocks)
-        coords = _validate_decomposition(decomp, (q.ortho_basis, q.ortho_basis), DECOMPOSE_TOL)
+        cmap = _coordinate_map(decomp, coords)
+        _check_coordinate_map(decomp, (q.ortho_basis, q.ortho_basis), cmap, np.random.default_rng(q.dim + 2))
         q._cache["tensor_decomp"] = decomp
-        q._cache["tensor_coords"] = coords
+        q._cache["tensor_coords"] = cmap
     return q._cache["tensor_decomp"]
 
 
@@ -518,10 +507,4 @@ def doubled_blocks(q: FiniteQuantumGroup, coords: np.ndarray) -> list[np.ndarray
     ``M (x) M`` with the coordinates ``coords`` ``(draws, k)``: one product with
     the cached ``k x k`` coordinate map, split into the groups of its plan."""
     decomp = tensor_algebra_decomposition(q)
-    flat = coords @ q._cache["tensor_coords"].T
-    out, start = [], 0
-    for s, _, idx, _ in decomp.plan:
-        stop = start + len(idx) * s * s
-        out.append(flat[:, start:stop].reshape(len(flat), len(idx), s, s))
-        start = stop
-    return out
+    return _plan_blocks(decomp, coords @ q._cache["tensor_coords"].T)

@@ -131,20 +131,46 @@ def _unit_doubled(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray
     return coeff / funalg.block_norms(funalg.doubled_blocks(q, coeff))[:, None]
 
 
+def _unit_elements(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
+    """Dense elements ``(draws, n, n)`` of ``M`` with the coordinates ``coeff``
+    ``(draws, k)``, scaled to norm one by one stacked SVD."""
+    x = combine((q.ortho_basis,), coeff)
+    return x / np.linalg.svd(x, compute_uv=False)[:, :1, None]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` over its norm, the sum of squares of its real and
+    imaginary parts as ``tensorlin.normalize`` takes it."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+
+
 # draws certified by one certifier call: the default --bound-draws, so that a
 # default run makes one call per record and memory does not grow with the count
 BOUND_BATCH = 100
 
 
-def _bound_batches(cfg: RunConfig, draw):
-    """The ``cfg.bound_draws`` draws of a bound record in batches of at most
-    ``BOUND_BATCH``, each the stacks of the arrays that ``draw()`` returns,
-    drawn in the same order as one at a time."""
-    left = cfg.bound_draws
+def _draw_batches(rng: np.random.Generator, count: int, widths: tuple[int, ...]):
+    """``count`` draws in batches of at most ``BOUND_BATCH``, each batch one
+    ``standard_normal`` call.  A draw is one complex Gaussian vector per width
+    ``w``, its ``w`` real parts then its ``w`` imaginary parts: the stream of
+    ``_coefficients(rng, w)`` (and of ``random_unit_vector`` before its
+    normalisation) for each width in turn, one draw after another.  Yields the
+    stacks ``(size, w)``, one per width."""
+    left = count
     while left:
         size = min(left, BOUND_BATCH)
-        yield [np.stack(parts) for parts in zip(*(draw() for _ in range(size)))]
+        yield _complex_parts(rng.standard_normal((size, 2 * sum(widths))), widths)
         left -= size
+
+
+def _complex_parts(flat: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Split the rows of ``flat`` into one complex stack per width, real parts
+    first; the generator keeps no reference to ``flat`` while a batch is used."""
+    parts, start = [], 0
+    for w in widths:
+        parts.append(flat[:, start:start + w] + 1j * flat[:, start + w:start + 2 * w])
+        start += 2 * w
+    return parts
 
 
 def _basis_states(q: qgcore.FiniteQuantumGroup) -> list[funalg.Functional]:
@@ -232,15 +258,12 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
-    n, k = q.dim, len(q.ortho_basis) ** 2
+    widths = (q.dim, len(q.ortho_basis) ** 2)
     xi_exact, eta_exact = diagonals.exact_nets(q)
 
-    def draw():
-        return random_unit_vector(rng, n), _coefficients(rng, k)
-
-    zeta, coeff = draw()
+    ((zeta, coeff),) = _draw_batches(rng, 1, widths)
     cert = diagonals.certify_commutator_bound(
-        q, zeta[None], xi_exact, eta_exact, _unit_doubled(q, coeff[None]), slack=slack
+        q, _unit_rows(zeta), xi_exact, eta_exact, _unit_doubled(q, coeff), slack=slack
     )
     out = [("commutator_pairing_exact_nets", float(cert.lhs[0]), slack, None)]
     for eps in cfg.epsilons:
@@ -252,8 +275,8 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
         )
         worst = -math.inf
         worst_eps = 0.0
-        for zeta, lam in _bound_batches(cfg, draw):
-            lam = _unit_doubled(q, lam)
+        for zeta, lam in _draw_batches(rng, cfg.bound_draws, widths):
+            zeta, lam = _unit_rows(zeta), _unit_doubled(q, lam)
             cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
             worst = max(worst, float((cert.lhs - cert.bound).max()))
             worst_eps = max(worst_eps, float(cert.eps.max()))
@@ -313,18 +336,14 @@ def run_dual(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
     ctx = dualside.dual_context(q)
-    n = q.dim
+    n, k = q.dim, len(q.ortho_basis)
     slack = _tol(cfg, 1e-9)
     tol = _tol(cfg, 1e-10)
 
     oracle = 0.0
-    for _ in range(cfg.draws):
-        xi = diagonals.NetVector(random_unit_vector(rng, n), "random")
-        eta = diagonals.NetVector(random_unit_vector(rng, n), "random")
-        u = dualside.build_approximate_identity(ctx, xi, eta)
-        zeta = random_unit_vector(rng, n)
-        x = _random_element(q, rng)
-        oracle = max(oracle, dualside.slice_convention_residual(ctx, u, zeta, x))
+    for xi, eta, zeta, x in _draw_batches(rng, cfg.draws, (n, n, n, k)):
+        xi, eta, zeta, x = _unit_rows(xi), _unit_rows(eta), _unit_rows(zeta), _unit_elements(q, x)
+        oracle = max(oracle, float(dualside.slice_convention_residual(ctx, xi, eta, zeta, x).max()))
     out = [("slice_convention_oracle", oracle, tol, {"draws": cfg.draws})]
 
     xi_exact, eta_exact = diagonals.exact_nets(q)
@@ -336,11 +355,6 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         ident = max(ident, funalg.predual_norm(diff, decomp))
     out.append(("exact_identity", ident, tol, {"states": n}))
 
-    k = len(q.ortho_basis)
-
-    def draw():
-        return random_unit_vector(rng, n), _coefficients(rng, k), _coefficients(rng, k * k)
-
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
             diagonals.perturbed_vector(xi_exact.vector, eps, rng), f"perturbed t={eps}"
@@ -351,10 +365,8 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         u = dualside.build_approximate_identity(ctx, xi, eta)
         bai_margin = qc_margin = -math.inf
         consistency = 0.0
-        for zeta, x, lam in _bound_batches(cfg, draw):
-            x = combine((q.ortho_basis,), x)
-            x = x / np.linalg.svd(x, compute_uv=False)[:, :1, None]
-            lam = _unit_doubled(q, lam)
+        for zeta, x, lam in _draw_batches(rng, cfg.bound_draws, (n, k, k * k)):
+            zeta, x, lam = _unit_rows(zeta), _unit_elements(q, x), _unit_doubled(q, lam)
             cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
             bai_margin = max(bai_margin, float((cert.lhs - cert.bound).max()))
             qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)

@@ -21,6 +21,7 @@ from qglab.tensorlin import (
     dagger,
     inner,
     operator_norm,
+    project,
     random_unit_vector,
     span_basis,
     trace_norm,
@@ -201,6 +202,18 @@ def random_algebra(q, rng):
     return x / operator_norm(x)
 
 
+def oracle_draws(q, rng, count):
+    """``count`` draws of ``(xi, eta, zeta, x)`` for the slice-convention
+    oracle, one at a time (three unit vectors, then a norm-one element of
+    ``M``), as four stacks."""
+    n = q.dim
+    one = [
+        (random_unit_vector(rng, n), random_unit_vector(rng, n), random_unit_vector(rng, n), random_algebra(q, rng))
+        for _ in range(count)
+    ]
+    return tuple(np.stack(a) for a in zip(*one))
+
+
 def dense(omega):
     """Oracle: the pairing matrix ``rho = sum c F F*`` of a functional, so that
     ``omega(x) = Tr(rho x)``."""
@@ -286,6 +299,80 @@ def norming_element(rho, decomp):
         u = np.kron(dagger(bh) @ dagger(a), np.eye(b.multiplicity))
         lam = lam + b.isometry @ u @ dagger(b.isometry)
     return lam
+
+
+def _polar_unitary(m: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def sup_norm_estimate(
+    rho: np.ndarray,
+    basis: list[np.ndarray],
+    rng: np.random.Generator,
+    samples: int = 2000,
+    ascent_steps: int = 120,
+) -> float:
+    """Oracle: randomized lower estimate of ``sup { |Tr(rho x)| : x in M, ||x|| <= 1 }``.
+
+    Independent of the block machinery: contractions are sampled as polar
+    parts of random algebra elements, a deterministic polar candidate is
+    included, and the best sample is refined by gradient ascent on the unitary
+    group of the algebra.  Every evaluated point is projected back into the
+    algebra and clipped to the unit ball, so each value is a certified lower
+    bound for the sup.
+    """
+    ortho = span_basis(basis)
+    d = rho.shape[0]
+
+    def score(x: np.ndarray) -> float:
+        x = project((ortho,), x)
+        top = operator_norm(x)
+        if top > 1.0:
+            x = x / top
+        return abs(np.trace(rho @ x))
+
+    candidates = [np.eye(d, dtype=complex), _polar_unitary(project((ortho,), dagger(rho)))]
+    coeffs = rng.standard_normal((samples, len(ortho))) + 1j * rng.standard_normal(
+        (samples, len(ortho))
+    )
+    ys = np.einsum("sk,kij->sij", coeffs, ortho)
+    u, _, vh = np.linalg.svd(ys)
+    polars = u @ vh
+    values = np.abs(np.einsum("ij,sji->s", rho, polars))
+    best_idx = np.argsort(values)[-3:]
+    best = max(float(values[i]) for i in best_idx)
+    best = max(best, max(score(c) for c in candidates))
+
+    starts = [polars[i] for i in best_idx] + candidates
+    for u0 in starts:
+        u0 = project((ortho,), u0)
+        top = operator_norm(u0)
+        if top > 1e-12:
+            u0 = u0 / max(1.0, top)
+        current = u0
+        value = abs(np.trace(rho @ current))
+        step = 0.5
+        for _ in range(ascent_steps):
+            pairing = np.trace(rho @ current)
+            phase = pairing / abs(pairing) if abs(pairing) > 1e-14 else 1.0
+            # Riemannian gradient direction on the unitary group of M
+            grad = project((ortho,), 1j * np.conj(phase) * dagger(rho))
+            herm = (grad @ dagger(current) + current @ dagger(grad)) / 2
+            herm = project((ortho,), (herm + dagger(herm)) / 2)
+            moved = False
+            while step > 1e-9:
+                trial = project((ortho,), _polar_unitary(current + step * herm @ current))
+                trial = trial / max(1.0, operator_norm(trial))
+                tval = abs(np.trace(rho @ trial))
+                if tval > value + 1e-15:
+                    current, value, moved = trial, tval, True
+                    break
+                step *= 0.5
+            if not moved:
+                break
+        best = max(best, float(value))
+    return best
 
 
 # The dense structure residuals: two-leg operators applied to the identity on
@@ -475,6 +562,19 @@ def dense_quasicentral_certificate(q, u, zeta, lam):
         "bound": 2.0 * operator_norm(lam) * (r1 + r2 + r3),
         "consistency": abs(lhs_def - lhs_vec),
     }
+
+
+def slice_convention_oracle(ctx, u, zeta, x):
+    """Oracle of ``slice_convention_residual`` at one draw: ``X(u * omega_zeta)``
+    through ``funalg.convolve`` on the functional of ``u``, against the
+    three-leg inner product through three gathers and ``apply_leg``."""
+    n = ctx.dim
+    three = derived_unitaries(ctx.q).three
+    lhs = convolve(ctx.q, u.functional, vector_state(zeta)).value(x)
+    t = np.multiply.outer(np.multiply.outer(u.xi.vector, u.eta.vector), zeta).reshape(-1)
+    t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
+    rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
+    return abs(lhs - rhs)
 
 
 def doubled_stack(q, lams):

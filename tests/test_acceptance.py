@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import functional_from_matrix, random_algebra, random_doubled
+from conftest import functional_from_matrix, oracle_draws, random_algebra, random_doubled, sup_norm_estimate
 
 from qglab.diagonals import (
     NetVector,
@@ -38,7 +38,6 @@ from qglab.funalg import (
     convolve,
     doubled_coordinates,
     predual_norm,
-    sup_norm_estimate,
     vector_state,
 )
 from qglab.groups import BUILTIN_NAMES, builtin_table
@@ -186,14 +185,8 @@ def test_criterion_6_quasicentral_identity(constructions):
         rng = np.random.default_rng([6, idx])
         ctx = dual_context(q)
         n = q.dim
-        for _ in range(50):
-            u = build_approximate_identity(
-                ctx,
-                NetVector(random_unit_vector(rng, n), "r"),
-                NetVector(random_unit_vector(rng, n), "r"),
-            )
-            res = slice_convention_residual(ctx, u, random_unit_vector(rng, n), random_algebra(q, rng))
-            worst_oracle = max(worst_oracle, res)
+        res = slice_convention_residual(ctx, *oracle_draws(q, rng, 50))
+        worst_oracle = max(worst_oracle, res.max())
         xi_e, eta_e = exact_nets(q)
         u_exact = build_approximate_identity(ctx, xi_e, eta_e)
         decomp = algebra_decomposition(q)

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import qglab
-from qglab import diagonals, qgcore, suites
+from qglab import diagonals, dualside, qgcore, suites
 from qglab.groups import builtin_table
 from qglab.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS, main
 from qglab.report import CheckRecord, CheckReport, format_float
-from qglab.suites import CONSTRUCTIONS, SUITE_FUNCS, SUITE_NAMES, RunConfig, run_suites, run_thm33
-from qglab.tensorlin import DimensionCapError
+from qglab.suites import CONSTRUCTIONS, SUITE_FUNCS, SUITE_NAMES, RunConfig, run_suites, run_thm33, run_thm44
+from qglab.tensorlin import DimensionCapError, normalize, random_unit_vector
 
 
 class TestRunSuites:
@@ -209,6 +209,102 @@ class TestRunSuites:
         margin, detail = records["commutator_bound_margin_t_0.1"]
         assert abs(margin - batched["commutator_bound_margin_t_0.1"][0]) <= 1e-15
         assert detail == batched["commutator_bound_margin_t_0.1"][1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 64, 576])
+    def test_unit_rows_equal_normalize(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        assert np.array_equal(suites._unit_rows(v), np.stack([normalize(r) for r in v]))
+
+    @pytest.mark.parametrize("group", ["Z1", "S3", "D4"])
+    def test_batched_draws_equal_per_draw_stream(self, group, monkeypatch):
+        # one standard_normal call per batch gives, bit for bit, the stream of
+        # drawing each vector with random_unit_vector and each coefficient
+        # vector with _coefficients, one draw at a time; 250 draws cross the
+        # 100-draw batch edge in the bound records and in the oracle
+        q = qgcore.dual(qgcore.function_algebra(builtin_table(group)))
+        n, k = q.dim, len(q.ortho_basis)
+        cfg = RunConfig(group, epsilons=(0.1,), draws=250, bound_draws=250)
+        seen = {}
+
+        def record(module, name):
+            original = getattr(module, name)
+
+            def recording(*args, **kwargs):
+                seen.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        record(diagonals, "certify_commutator_bound")
+        for name in ("slice_convention_residual", "certify_identity_bound", "certify_quasicentral_bound"):
+            record(dualside, name)
+        calls = []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, size=None):
+                calls.append(size)
+                return self.rng.standard_normal(size)
+
+        run_thm33(q, cfg, CountingRng(5))
+        run_thm44(q, cfg, CountingRng(6))
+        # perturbed_vector draws its two parts one call each, for xi and eta
+        perturb = [n] * 4
+        thm33_w, oracle_w, thm44_w = 2 * n + 2 * k * k, 6 * n + 2 * k, 2 * n + 2 * k + 2 * k * k
+
+        def batched(width):
+            return [(100, width), (100, width), (50, width)]
+
+        assert calls == [(1, thm33_w), *perturb, *batched(thm33_w), *batched(oracle_w), *perturb, *batched(thm44_w)]
+
+        def per_draw(rng, count, *widths):
+            # each draw: unit vectors for the positive widths, coefficients
+            # for the negative ones, in turn
+            out = [
+                [random_unit_vector(rng, w) if w > 0 else suites._coefficients(rng, -w) for w in widths]
+                for _ in range(count)
+            ]
+            return [np.stack(a) for a in zip(*out)]
+
+        def batches(stack):
+            return [stack[i:i + 100] for i in range(0, len(stack), 100)]
+
+        def assert_identical(recorded, expected):
+            assert len(recorded) == len(expected)
+            for got, want in zip(recorded, expected):
+                assert np.array_equal(got, want)
+
+        xi_exact, eta_exact = diagonals.exact_nets(q)
+        rng = np.random.default_rng(5)
+        first = per_draw(rng, 1, n, -k * k)
+        xi = diagonals.perturbed_vector(xi_exact.vector, 0.1, rng)
+        eta = diagonals.perturbed_vector(eta_exact.vector, 0.1, rng)
+        zeta, lam = per_draw(rng, 250, n, -k * k)
+        certs = seen["certify_commutator_bound"]
+        assert_identical([c[1] for c in certs], [first[0]] + batches(zeta))
+        assert_identical([c[4] for c in certs], [suites._unit_doubled(q, c) for c in [first[1]] + batches(lam)])
+        assert_identical([c[2].vector for c in certs[1:]], [xi] * 3)
+        assert_identical([c[3].vector for c in certs[1:]], [eta] * 3)
+
+        rng = np.random.default_rng(6)
+        oracle = per_draw(rng, 250, n, n, n, -k)
+        xi = diagonals.perturbed_vector(xi_exact.vector, 0.1, rng)
+        eta = diagonals.perturbed_vector(eta_exact.vector, 0.1, rng)
+        zeta, x, lam = per_draw(rng, 250, n, -k, -k * k)
+        slices = seen["slice_convention_residual"]
+        for i in range(3):
+            assert_identical([c[1 + i] for c in slices], batches(oracle[i]))
+        assert_identical([c[4] for c in slices], [suites._unit_elements(q, c) for c in batches(oracle[3])])
+        identity, quasicentral = seen["certify_identity_bound"], seen["certify_quasicentral_bound"]
+        assert_identical([c[1].xi.vector for c in identity], [xi] * 3)
+        assert_identical([c[1].eta.vector for c in identity], [eta] * 3)
+        assert_identical([c[2] for c in identity], batches(zeta))
+        assert_identical([c[3] for c in identity], [suites._unit_elements(q, c) for c in batches(x)])
+        assert_identical([c[2] for c in quasicentral], batches(zeta))
+        assert_identical([c[3] for c in quasicentral], [suites._unit_doubled(q, c) for c in batches(lam)])
 
     @pytest.mark.parametrize("group, history", [("Z5", ("Z1", "Z2", "Z3", "Z4")), ("D4", ("Q8", "S3", "Z8"))])
     def test_certificate_independent_of_process_history(self, group, history):

@@ -25,13 +25,16 @@ from conftest import (
     flip_matrix,
     get_group,
     modular_sandwich,
+    oracle_draws,
     perm_matrix,
     random_algebra,
     random_doubled,
+    slice_convention_oracle,
     swapped_columns,
     unitarity_residual,
 )
 
+from qglab import dualside
 from qglab.diagonals import (
     NetVector,
     build_diagonal,
@@ -360,18 +363,27 @@ class TestApproximateIdentity:
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_slice_convention_oracle(self, name, side, rng):
         q = get_group(name, side)
+        res = slice_convention_residual(dual_context(q), *oracle_draws(q, rng, 10))
+        assert res.shape == (10,)
+        assert res.max() <= 1e-10
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_slice_convention_fires_on_first_leg_slice(self, side, rng, monkeypatch):
+        # the shared factor read on the first leg instead of the second; 25
+        # draws cross the ORACLE_CHUNK edges, and the stacked residuals equal
+        # the per-draw oracle on the identities built from the broken factor
+        q = get_group("S3", side)
         ctx = dual_context(q)
-        n = q.dim
-        for _ in range(10):
-            u = build_approximate_identity(
-                ctx,
-                NetVector(random_unit_vector(rng, n), "r"),
-                NetVector(random_unit_vector(rng, n), "r"),
-            )
-            res = slice_convention_residual(
-                ctx, u, random_unit_vector(rng, n), random_algebra(q, rng)
-            )
-            assert res <= 1e-10
+        factors = dualside._identity_factors
+        monkeypatch.setattr(dualside, "_identity_factors", lambda *a: factors(*a).swapaxes(1, 2))
+        xi, eta, zeta, x = oracle_draws(q, rng, 25)
+        res = slice_convention_residual(ctx, xi, eta, zeta, x)
+        assert res.min() > 1e-10
+        expected = [
+            slice_convention_oracle(ctx, build_approximate_identity(ctx, NetVector(a, "r"), NetVector(b, "r")), z, y)
+            for a, b, z, y in zip(xi, eta, zeta, x)
+        ]
+        np.testing.assert_allclose(res, expected, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_exact_nets_give_exact_identity(self, name):

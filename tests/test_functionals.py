@@ -18,6 +18,7 @@ from conftest import (
     get_group,
     perm_matrix,
     random_doubled,
+    sup_norm_estimate,
     tensor_ortho_basis,
 )
 
@@ -28,6 +29,7 @@ from qglab.funalg import (
     BlockDecomposition,
     DecompositionError,
     Functional,
+    _coordinate_map,
     _validate_decomposition,
     algebra_decomposition,
     block_decompose,
@@ -39,7 +41,6 @@ from qglab.funalg import (
     module_action_right,
     predual_norm,
     product_map,
-    sup_norm_estimate,
     tensor_algebra_decomposition,
     tensor_predual_norm,
     trace_norms,
@@ -461,28 +462,76 @@ class TestTensorDecompositionProductForm:
     def test_no_random_draw_on_doubled_algebra(self, monkeypatch):
         q = function_algebra(builtin_table("S3"))
         qd = dual(q)
-        decomposed, validated = [], []
-        decompose, validate = funalg.block_decompose, funalg._validate_decomposition
+        decomposed, compressed = [], []
+        decompose, compress = funalg.block_decompose, funalg.compress_basis
 
         def counting_decompose(basis, *args, **kwargs):
             decomposed.append(basis[0].shape[0])
             return decompose(basis, *args, **kwargs)
 
-        def recording_validate(decomp, factors, tol):
-            validated.append((decomp, factors))
-            return validate(decomp, factors, tol)
+        def recording_compress(factors, v):
+            compressed.append(len(factors))
+            return compress(factors, v)
 
         monkeypatch.setattr(funalg, "block_decompose", counting_decompose)
-        monkeypatch.setattr(funalg, "_validate_decomposition", recording_validate)
+        monkeypatch.setattr(funalg, "compress_basis", recording_compress)
         for obj in (q, qd):
-            decomp = tensor_algebra_decomposition(obj)
-            doubled = (obj.ortho_basis, obj.ortho_basis)
-            assert any(
-                d is decomp and len(f) == 2 and all(x is y for x, y in zip(f, doubled))
-                for d, f in validated
-            )
-        # only the factor decompositions of M, on 6 dimensions, draw at random
+            tensor_algebra_decomposition(obj)
+        # only the factor decompositions of M, on 6 dimensions, draw at random,
+        # and no basis product of M (x) M is compressed: the map is read off
+        # the factor's coordinates
         assert decomposed == [6, 6]
+        assert compressed and set(compressed) == {1}
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ALL_GROUPS)
+    def test_factor_map_equals_full_validation(self, name, side):
+        # the k-product validation on (M, M) as the oracle of the cached map
+        q = get_group(name, side)
+        decomp = tensor_algebra_decomposition(q)
+        full = _coordinate_map(decomp, _validate_decomposition(decomp, (q.ortho_basis,) * 2, 1e-8))
+        assert np.abs(q._cache["tensor_coords"] - full).max() <= 1e-15
+
+    # mutations of the factor-read map, each caught by the one-element check;
+    # on the function algebra every block has size 1, where a regrouping is
+    # the identity, so the transposes are broken on the group algebra only
+    @staticmethod
+    def _swap_coordinate_axes(product_blocks, factor):
+        blocks, coords = product_blocks(factor)
+        sizes = [(a.size, b.size) for a in factor.blocks for b in factor.blocks]
+        coords = [
+            x.reshape(-1, sa, sb, sa, sb).transpose(0, 2, 1, 4, 3).reshape(x.shape)
+            for x, (sa, sb) in zip(coords, sizes)
+        ]
+        return blocks, coords
+
+    @staticmethod
+    def _untransposed_isometries(product_blocks, factor):
+        blocks, coords = product_blocks(factor)
+        isometries = [np.kron(a.isometry, b.isometry) for a in factor.blocks for b in factor.blocks]
+        return [Block(b.size, b.multiplicity, iso) for b, iso in zip(blocks, isometries)], coords
+
+    @pytest.mark.parametrize("mutation", ["_swap_coordinate_axes", "_untransposed_isometries"])
+    def test_check_fires_on_swapped_transpose(self, mutation, monkeypatch):
+        q = dual(function_algebra(builtin_table("S3")))
+        product_blocks, mutate = funalg._product_blocks, getattr(self, mutation)
+        monkeypatch.setattr(funalg, "_product_blocks", lambda factor: mutate(product_blocks, factor))
+        with pytest.raises(DecompositionError, match="coordinate map"):
+            tensor_algebra_decomposition(q)
+        assert "tensor_coords" not in q._cache
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_check_fires_on_permuted_plan_order(self, side, monkeypatch):
+        q = function_algebra(builtin_table("S3"))
+        q = q if side == "fn" else dual(q)
+
+        def reversed_order(decomp, coords):
+            order = [i for _, _, idx, _ in decomp.plan for i in idx][::-1]
+            return np.concatenate([coords[i].reshape(len(coords[i]), -1) for i in order], axis=1).T
+
+        monkeypatch.setattr(funalg, "_coordinate_map", reversed_order)
+        with pytest.raises(DecompositionError, match="coordinate map"):
+            tensor_algebra_decomposition(q)
 
     @staticmethod
     def _with_isometries(q, isometries):
