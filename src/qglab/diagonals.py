@@ -7,16 +7,15 @@ invariance defects, builds the diagonal, evaluates its bimodule residuals, and
 certifies the commutator pairing bound with its sharp constant 3.  ``W`` and
 ``W'`` are applied by gathers on their index maps (``qgcore.derived_unitaries``).
 
-``certify_commutator_bound`` takes all draws of a record at once: a stack of
-vectors ``zeta`` and a stack of elements ``Lam`` of ``M (x) M``, each held by
-its coordinates in the products of ``q.ortho_basis`` and read as its blocks in
-``funalg.tensor_algebra_decomposition``.  ``||Lam||`` is the largest block
-norm, and each pairing is ``sum_b tr(Lam_b C_b)``, ``C_b`` the block
-compression of the functional.  The functional depends on ``zeta`` only through
-its vector state, so ``C_b`` is sesquilinear in ``zeta``: its forms at the basis
-vectors are built once per call, and no dense ``n^2 x n^2`` ``Lam`` is formed.
-A dense ``Lam`` enters through ``funalg.doubled_coordinates``, which rejects
-one outside ``M (x) M``.
+The commutator bound is a norm inequality in the predual of ``M (x) M``:
+``certify_commutator_bound`` takes its supremum over ``||Lam|| <= 1``, the
+predual norm of ``omega_zeta . x - x . omega_zeta``, at every vector of a
+stack ``zeta``.  That norm is the sum of the trace norms of the functional's
+block compressions in ``funalg.tensor_algebra_decomposition``.  The
+functional depends on ``zeta`` only through its vector state, so the
+compressions are sesquilinear in ``zeta``: their forms at the basis vectors are
+built once per call and evaluated for all vectors by one product.  No element
+of ``M (x) M`` is drawn or formed.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ from .funalg import (
     Functional,
     algebra_decomposition,
     at_vectors,
-    block_norms,
     convolve,
-    doubled_blocks,
     module_action_left,
     module_action_right,
-    pairings,
     predual_norm,
     product_map,
     tensor_algebra_decomposition,
@@ -196,8 +192,8 @@ def diagonal_residuals(
 
 @dataclass(frozen=True)
 class CommutatorCertificate:
-    """Certified instances of the commutator pairing bound ``3 eps ||Lam||``,
-    one entry per draw."""
+    """Certified instances of the commutator bound ``3 eps``, one entry per
+    draw; ``lhs`` is the predual norm of the commutator functional."""
 
     eps_invariance: np.ndarray
     eps_commutation: np.ndarray
@@ -216,20 +212,19 @@ def certify_commutator_bound(
     zeta: np.ndarray,
     xi: NetVector,
     eta: NetVector,
-    lam: np.ndarray,
     slack: float = 1e-9,
 ) -> CommutatorCertificate:
-    """Certify ``|(omega_zeta . x - x . omega_zeta)(Lam)| <= 3 eps ||Lam||`` for
-    the candidate diagonal ``x`` built from ``(xi, eta)``, at each draw of the
-    stacks ``zeta`` ``(draws, n)`` and ``lam`` ``(draws, k)``, the coordinates of
-    ``Lam`` in the products of ``q.ortho_basis`` (``funalg.doubled_coordinates``).
+    """Certify ``||omega_zeta . x - x . omega_zeta|| <= 3 eps`` in the predual
+    of ``M (x) M`` for the candidate diagonal ``x`` built from ``(xi, eta)``,
+    at each vector of the stack ``zeta`` ``(draws, n)``: the supremum over
+    ``||Lam|| <= 1`` of ``|(omega_zeta . x - x . omega_zeta)(Lam)|``.
 
     ``eps`` is the max of the two measured hypothesis residuals: the right
     invariance defect of ``xi`` at ``zeta`` and the predual norm of the
-    convolution commutator of ``omega_zeta`` and ``omega_eta``.  ``Lam`` is held
-    by its blocks: ``||Lam||`` is the largest block norm, and the pairing is
-    ``sum_b tr(Lam_b C_b)`` with ``C_b`` the compression of the commutator
-    functional, sesquilinear in ``zeta`` and formed once at the basis vectors.
+    convolution commutator of ``omega_zeta`` and ``omega_eta``.  The left side
+    is the sum of the block trace norms of the commutator functional's
+    compressions, sesquilinear in ``zeta`` and formed once at the basis
+    vectors.
     """
     eps1 = right_invariance_residual(q, xi.vector, zeta)
     we = eta.vector[None]
@@ -237,13 +232,12 @@ def certify_commutator_bound(
         [(1.0, _convolution_factors(q, zeta, we)), (-1.0, _convolution_factors(q, we, zeta))]
     ))
     eps = np.maximum(eps1, eps2)
-    blocks = doubled_blocks(q, lam)
     return CommutatorCertificate(
         eps_invariance=eps1,
         eps_commutation=eps2,
         eps=eps,
-        lhs=np.abs(pairings(blocks, at_vectors(_commutator_forms(q, xi, eta), zeta))),
-        bound=3.0 * eps * block_norms(blocks),
+        lhs=trace_norms(at_vectors(_commutator_forms(q, xi, eta), zeta)),
+        bound=3.0 * eps,
         slack=slack,
     )
 

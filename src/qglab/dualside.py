@@ -10,15 +10,16 @@ operator norm ``||A - B||``, formed only when the two maps differ.  The flip
 relations and the certified bounds apply the unitaries to vectors by gathers,
 ``U v = v[inverse(m)]`` and ``U* v = v[m]``.
 
-The two certifiers of Theorem 4.4 take all draws of a record at once, as
-stacks of vectors ``zeta``, of dense elements ``x`` of ``M`` and of elements
-``Lam`` of ``M (x) M`` held by their coordinates (see ``diagonals``: ``||Lam||``
-is the largest block norm and every pairing with ``Lam`` is a sum of block
-traces).  Each pairing is sesquilinear in ``zeta``, so it is built once per call
-at the basis vectors and evaluated for all draws by one product; each
-invariance defect is the norm of a moved two-leg vector.  The slice-convention
-oracle takes its draws as stacks too, and reads the factor of each
-approximate identity through ``_identity_factors``, as
+The two certifiers of Theorem 4.4 certify norm inequalities in a predual at
+their supremum: for each vector of a stack ``zeta``, the left side is the
+predual norm of a functional (on ``M`` for the identity bound, on ``M (x) M``
+for the quasi-central bound), the sum of the trace norms of its block
+compressions.  Each functional is sesquilinear in ``zeta``, so its block forms
+are built once per call at the basis vectors and evaluated for all vectors by
+one product; each invariance defect is the norm of a moved two-leg vector.  No
+element of ``M`` or ``M (x) M`` is drawn.  The slice-convention oracle takes
+its draws of ``xi``, ``eta``, ``zeta`` and ``x`` as stacks, and reads the
+factor of each approximate identity through ``_identity_factors``, as
 ``build_approximate_identity`` does.
 """
 
@@ -34,13 +35,11 @@ from .diagonals import (
     right_invariance_residual,
 )
 from .funalg import (
-    MEMBERSHIP_TOL,
     Functional,
+    algebra_decomposition,
     at_vectors,
-    block_norms,
-    doubled_blocks,
-    pairings,
     tensor_algebra_decomposition,
+    trace_norms,
 )
 from .qgcore import (
     FiniteQuantumGroup,
@@ -53,7 +52,6 @@ from .qgcore import (
     map_residual,
     tensor_map,
 )
-from .tensorlin import project
 
 __all__ = [
     "DualContext",
@@ -266,16 +264,17 @@ def certify_identity_bound(
     ctx: DualContext,
     u: QuasicentralIdentity,
     zeta: np.ndarray,
-    x: np.ndarray,
     slack: float = 1e-9,
 ) -> IdentityBoundCertificate:
-    """Certify ``|X(u * omega_zeta) - X(omega_zeta)| <= 2 ||X|| (t1 + t2)`` where
-    ``t1 = ||W W'* (xi (x) zeta) - xi (x) zeta||`` and ``t2`` is the triple-leg
-    left-invariance defect of ``eta`` against ``W'*_13``, at each draw of the
-    stacks ``zeta`` ``(draws, n)`` and ``x`` ``(draws, n, n)``.
+    """Certify ``||u * omega_zeta - omega_zeta|| <= 2 (t1 + t2)`` in the
+    predual of ``M``, where ``t1 = ||W W'* (xi (x) zeta) - xi (x) zeta||`` and
+    ``t2`` is the triple-leg left-invariance defect of ``eta`` against
+    ``W'*_13``, at each vector of the stack ``zeta`` ``(draws, n)``.  The left
+    side is the supremum of ``|X(u * omega_zeta) - X(omega_zeta)|`` over
+    ``||X|| <= 1`` in ``M``.
 
-    ``X(u * omega_zeta)`` is sesquilinear in ``zeta``: it is read from the
-    products ``G_f G_e*`` of the factors of ``u * omega_{e_e}``, formed once.
+    The functional is sesquilinear in ``zeta``: its block forms are built once
+    from the factors of ``u * omega_{e_e}`` and ``omega_{e_e}``.
 
     Of its inputs, this record detects a wrong slice leg of ``u``: the factor
     read on the first leg instead of the second makes it fire.  It cannot
@@ -284,30 +283,22 @@ def certify_identity_bound(
     The ``structure`` records ``W_from_table``, ``J_from_table`` and
     ``Jhat_from_table`` detect those."""
     q = ctx.q
-    res = np.linalg.norm(x - project((q.ortho_basis,), x), axis=(-2, -1))
-    res = (res / np.maximum(np.linalg.norm(x, axis=(-2, -1)), np.finfo(float).tiny)).max()
-    if res > MEMBERSHIP_TOL:
-        raise ValueError(f"X is not in the algebra (residual {res:.3e})")
-    lhs = np.abs(_identity_pairings(q, u, zeta, x))
+    lhs = trace_norms(at_vectors(_identity_forms(q, u), zeta))
     t1, t2 = _identity_terms(q, u, zeta)
-    bound = 2.0 * np.linalg.svd(x, compute_uv=False)[:, 0] * (t1 + t2)
-    return IdentityBoundCertificate(lhs=lhs, term_pair=t1, term_triple=t2, bound=bound, slack=slack)
+    return IdentityBoundCertificate(lhs=lhs, term_pair=t1, term_triple=t2, bound=2.0 * (t1 + t2), slack=slack)
 
 
-def _identity_pairings(
-    q: FiniteQuantumGroup, u: QuasicentralIdentity, zeta: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """``X(u * omega_zeta) - X(omega_zeta)`` for each draw.  The factor of
-    ``u * omega_{e_e}`` is ``(u (x) omega_{e_e})`` pushed through ``W``, as in
-    ``funalg.product_map``, with the traced first leg in the columns."""
+def _identity_forms(q: FiniteQuantumGroup, u: QuasicentralIdentity) -> list[np.ndarray]:
+    """The block forms of ``u * omega_zeta - omega_zeta`` on ``M`` at the basis
+    vectors in place of ``zeta`` (``funalg.BlockDecomposition.cross_compress``).
+    The factor of ``u * omega_{e_e}`` is ``(u (x) omega_{e_e})`` pushed through
+    ``W``, as in ``funalg.product_map``, with the traced first leg in the
+    columns; that of ``omega_{e_e}`` is the column ``e_e``."""
     n = q.dim
     ((c, f),) = u.functional.terms
     g = (f[None, :, None, :] * np.eye(n)[:, None, :, None]).reshape(n, n * n, n)[:, inverse(q.w)]
     g = g.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n, n, n * n)
-    forms = c * np.einsum("fjr,eir->efij", g, g.conj()).reshape(n * n, n * n)
-    zz = (zeta.conj()[:, :, None] * zeta[:, None, :]).reshape(len(zeta), -1)
-    conv = np.einsum("dk,dk->d", zz @ forms, x.reshape(len(x), -1))
-    return conv - np.einsum("di,dij,dj->d", zeta.conj(), x, zeta)
+    return algebra_decomposition(q).cross_compress([(c, g), (-1.0, np.eye(n)[:, :, None])])
 
 
 def _identity_terms(
@@ -348,35 +339,30 @@ def certify_quasicentral_bound(
     ctx: DualContext,
     u: QuasicentralIdentity,
     zeta: np.ndarray,
-    lam: np.ndarray,
     slack: float = 1e-9,
 ) -> QuasicentralBoundCertificate:
-    """Certify the quasi-central pairing residual
-    ``|(omega_zeta (x) u)(W'* W'^op Lam W'^op* W' - Lam)|`` against
-    ``2 ||Lam|| (r1 + r2 + r3)`` built from the three invariance defects
-    entering the estimate, at each draw of the stacks ``zeta`` ``(draws, n)``
-    and ``lam`` ``(draws, k)``, the coordinates of ``Lam`` in the products of
-    ``q.ortho_basis`` (``funalg.doubled_coordinates``).
+    """Certify the quasi-central residual
+    ``||(omega_zeta (x) u)(W'* W'^op . W'^op* W') - omega_zeta (x) u||`` in the
+    predual of ``M (x) M`` against ``2 (r1 + r2 + r3)`` built from the three
+    invariance defects entering the estimate, at each vector of the stack
+    ``zeta`` ``(draws, n)``: the supremum over ``||Lam|| <= 1`` of the pairing
+    with ``W'* W'^op Lam W'^op* W' - Lam``.
 
-    The pairing is evaluated both definitionally (on the factors ``zeta (x) F``
-    of the terms of ``u``) and through the three-leg vectors; their agreement
-    is reported as ``consistency``.  Both are block pairings with ``Lam``,
-    sesquilinear in ``zeta`` and formed once at the basis vectors, and
-    ``||Lam||`` is the largest block norm.
+    The functional is formed both definitionally (on the factors
+    ``zeta (x) F`` of the terms of ``u``) and through the three-leg vectors;
+    ``consistency`` is the predual norm of their difference, which bounds the
+    difference of the two pairings at every ``Lam``.  Both are block forms,
+    sesquilinear in ``zeta`` and built once at the basis vectors.
     """
     q = ctx.q
-    definitional, vectorial = _quasicentral_forms(q, u)
-    blocks = doubled_blocks(q, lam)
-    lhs_def = pairings(blocks, at_vectors(definitional, zeta))
-    lhs_vec = pairings(blocks, at_vectors(vectorial, zeta))
+    definitional, vectorial = (at_vectors(forms, zeta) for forms in _quasicentral_forms(q, u))
     r1, r2, r3 = _quasicentral_terms(q, u, zeta)
-    bound = 2.0 * block_norms(blocks) * (r1 + r2 + r3)
     return QuasicentralBoundCertificate(
-        lhs=np.abs(lhs_def),
+        lhs=trace_norms(definitional),
         terms=(r1, r2, r3),
-        bound=bound,
+        bound=2.0 * (r1 + r2 + r3),
         slack=slack,
-        consistency=np.abs(lhs_def - lhs_vec),
+        consistency=trace_norms([a - b for a, b in zip(definitional, vectorial)]),
     )
 
 

@@ -33,10 +33,8 @@ from .qgcore import FiniteQuantumGroup, derived_unitaries, inverse
 from .tensorlin import (
     combine,
     compress_basis,
-    coordinates,
     dagger,
     partial_trace,
-    projection_residual,
     span_basis,
 )
 
@@ -54,17 +52,11 @@ __all__ = [
     "tensor_predual_norm",
     "trace_norms",
     "block_norms",
-    "pairings",
     "at_vectors",
     "algebra_decomposition",
     "tensor_algebra_decomposition",
-    "doubled_coordinates",
     "doubled_blocks",
-    "MEMBERSHIP_TOL",
 ]
-
-# relative residual above which an operator is rejected as outside its algebra
-MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -189,11 +181,12 @@ class BlockDecomposition:
     def _factor_blocks(self, f: np.ndarray) -> list[np.ndarray]:
         """``iso* F`` for every block, the multiplicity index moved into the
         columns: ``(..., blocks, size, multiplicity * r)`` per group for a
-        factor ``(..., dim, r)``."""
+        factor ``(..., dim, r)``; one product with the group's stacked
+        adjoints."""
         out = []
-        for s, _, _, adj in self.plan:
-            h = adj @ f[..., None, :, :]
-            out.append(h.reshape(h.shape[:-2] + (s, -1)))
+        for s, _, idx, adj in self.plan:
+            h = adj.reshape(-1, adj.shape[-1]) @ f
+            out.append(h.reshape(h.shape[:-2] + (len(idx), s, -1)))
         return out
 
     def compress(self, terms) -> list[np.ndarray]:
@@ -212,11 +205,15 @@ class BlockDecomposition:
         the basis vectors ``e_e`` of a space, the forms
         ``Q[e, f] = sum c G_e G_f*`` ``(e, e, blocks, size, size)``: the
         functional whose factors are ``sum_e zeta_e F_e`` compresses to
-        ``sum_ef zeta_e conj(zeta_f) Q[e, f]`` (``at_vectors``)."""
+        ``sum_ef zeta_e conj(zeta_f) Q[e, f]`` (``at_vectors``).  One product
+        per term and group, the basis index and the block rows stacked."""
         out = [0.0] * len(self.plan)
         for c, f in terms:
             for i, g in enumerate(self._factor_blocks(f)):
-                out[i] = out[i] + c * np.einsum("ebpx,fbqx->efbpq", g, g.conj())
+                e, b, s = g.shape[:3]
+                h = g.transpose(1, 0, 2, 3).reshape(b, e * s, -1)
+                q = (h @ h.conj().swapaxes(-1, -2)).reshape(b, e, s, e, s).transpose(1, 3, 0, 2, 4)
+                out[i] = out[i] + c * q
         return out
 
 
@@ -229,12 +226,17 @@ def at_vectors(forms: list[np.ndarray], zeta: np.ndarray) -> list[np.ndarray]:
 
 
 def trace_norms(compressions: list[np.ndarray]) -> np.ndarray:
-    """Sum of the trace norms of the blocks, one per stacked functional; a
-    block of size 1 is ``|c|``, the others share one SVD per group."""
+    """Sum of the trace norms of the blocks, one per stacked functional.  A
+    block of size 1 is ``|c|``; one of size 2 is ``sqrt(||c||_F^2 + 2 |det c|)``,
+    as ``s1^2 + s2^2 = ||c||_F^2`` and ``s1 s2 = |det c|``; larger blocks share
+    one SVD per group."""
     total = 0.0
     for c in compressions:
         if c.shape[-1] == 1:
             total = total + np.abs(c[..., 0, 0]).sum(-1)
+        elif c.shape[-1] == 2:
+            det = np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0])
+            total = total + np.sqrt(np.vecdot(c, c, axis=-1).real.sum(-1) + 2.0 * det).sum(-1)
         else:
             total = total + np.linalg.svd(c, compute_uv=False).sum((-2, -1))
     return total
@@ -251,31 +253,22 @@ def block_norms(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(norms, axis=-1).max(-1)
 
 
-def pairings(blocks: list[np.ndarray], compressions: list[np.ndarray]) -> np.ndarray:
-    """``omega(x) = sum_b tr(x_b compress_b(omega))`` for each stacked pair."""
-    return sum(np.einsum("...bpq,...bqp->...", x, c) for x, c in zip(blocks, compressions))
-
-
 class DecompositionError(RuntimeError):
     """Random draws failed to split the algebra; retried and gave up."""
 
 
-def _center_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Basis of the center of the spanned algebra, via the commutator kernel."""
+def _center_basis(basis: np.ndarray) -> np.ndarray:
+    """Basis of the center of the algebra spanned by the stack ``basis``, via
+    the commutator kernel: all ``k x k`` commutators in one stacked product,
+    their Gram matrix in one contraction."""
     k = len(basis)
-    gram = np.zeros((k, k), dtype=complex)
-    for b in basis:
-        comm = np.stack([(bk @ b - b @ bk).reshape(-1) for bk in basis])
-        gram += comm.conj() @ comm.T
-    w, v = np.linalg.eigh(gram)
+    products = basis[:, None] @ basis[None]
+    comm = (products - products.swapaxes(0, 1)).reshape(k, -1)
+    w, v = np.linalg.eigh(comm.conj() @ comm.T)
     keep = w < 1e-9 * max(1.0, float(w[-1]))
-    out = []
-    for i in range(k):
-        if keep[i]:
-            out.append(sum(v[j, i] * basis[j] for j in range(k)))
-    if not out:
+    if not keep.any():
         raise DecompositionError("algebra has empty center (identity missing from span?)")
-    return out
+    return np.tensordot(v[:, keep].T, basis, 1)
 
 
 def _cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -288,14 +281,14 @@ def _cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _random_hermitian(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def _random_hermitian(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     y = sum(c * b for c, b in zip(coeff, basis))
     return y + dagger(y)
 
 
 def _split_block(
-    comp: list[np.ndarray], rng: np.random.Generator, gap: float
+    comp: np.ndarray, rng: np.random.Generator, gap: float
 ) -> tuple[int, int, np.ndarray]:
     """Split one central block into (size, multiplicity, local isometry)."""
     d = comp[0].shape[0]
@@ -353,7 +346,7 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
             blocks = []
             for g in groups:
                 p = v[:, g]
-                comp = [dagger(p) @ b @ p for b in ortho]
+                comp = dagger(p) @ ortho @ p
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
             coords = _validate_decomposition(BlockDecomposition(blocks=blocks), (ortho,), DECOMPOSE_TOL)
@@ -367,25 +360,26 @@ def _validate_decomposition(
     decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float
 ) -> list[np.ndarray]:
     """Check that every block compresses the algebra of the factor stacks to
-    ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per block.
+    ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per group
+    of ``decomp.plan``: one stacked compression of the basis products, the
+    product form checked on the stack, the rank from one batched SVD.
 
     Returns the compressions ``x`` ``(k, size, size)`` of the ``k`` basis
     products, ``j`` fast, one array per block."""
     d = int(np.prod([f.shape[-1] for f in factors]))
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
-    compressed = []
-    for block in decomp.blocks:
-        s, m = block.size, block.multiplicity
-        c = compress_basis(factors, block.isometry).reshape(-1, s, m, s, m)
-        x = np.einsum("kpjqj->kpq", c) / m
-        recon = np.einsum("kpq,jl->kpjql", x, np.eye(m))
-        if np.abs(recon - c).max() > tol:
+    compressed = [None] * len(decomp.blocks)
+    for s, m, idx, adj in decomp.plan:
+        c = compress_basis(factors, adj.conj().swapaxes(-1, -2)).reshape(len(idx), -1, s, m, s, m)
+        x = np.trace(c, axis1=3, axis2=5) / m
+        if np.abs(x[:, :, :, None, :, None] * np.eye(m)[:, None, :] - c).max() > tol:
             raise DecompositionError("compression is not of product form x (x) 1")
-        rank = int(np.linalg.matrix_rank(x.reshape(len(x), s * s), tol=1e-8))
-        if rank != s ** 2:
-            raise DecompositionError(f"compressed algebra has dimension {rank}, expected {s ** 2}")
-        compressed.append(x)
+        rank = (np.linalg.svd(x.reshape(len(idx), -1, s * s), compute_uv=False) > 1e-8).sum(-1)
+        if (rank != s ** 2).any():
+            raise DecompositionError(f"compressed algebra has dimension {rank.min()}, expected {s ** 2}")
+        for i, xi in zip(idx, x):
+            compressed[i] = xi
     return compressed
 
 
@@ -413,20 +407,21 @@ def _product_blocks(factor: BlockDecomposition) -> tuple[list[Block], list[np.nd
     compressions of the basis products in each.
 
     Block ``(a, b)`` is ``M_{s_a} (x) M_{s_b} = M_{s_a s_b}`` with multiplicity
-    ``m_a m_b`` and isometry ``iso_a (x) iso_b``, its columns regrouped so the
-    matrix index ``(p_a, p_b)`` is slow and the multiplicity index
-    ``(j_a, j_b)`` fast.  It compresses ``b_i (x) b_j`` to
+    ``m_a m_b`` and isometry ``iso_a (x) iso_b``, formed by broadcasting with
+    its columns grouped so the matrix index ``(p_a, p_b)`` is slow and the
+    multiplicity index ``(j_a, j_b)`` fast.  It compresses ``b_i (x) b_j`` to
     ``kron(x_a,i, x_b,j) (x) 1``, read from ``factor.coordinates``; as
     ``x_a,i`` spans ``M_{s_a}``, these span ``M_{s_a s_b}``."""
     blocks, coords = [], []
     for a, xa in zip(factor.blocks, factor.coordinates):
+        ia = a.isometry.reshape(-1, a.size, a.multiplicity)
         for b, xb in zip(factor.blocks, factor.coordinates):
-            iso = np.kron(a.isometry, b.isometry)
-            iso = iso.reshape(-1, a.size, a.multiplicity, b.size, b.multiplicity)
-            iso = iso.transpose(0, 1, 3, 2, 4).reshape(len(iso), -1)
-            blocks.append(Block(a.size * b.size, a.multiplicity * b.multiplicity, iso))
+            ib = b.isometry.reshape(-1, b.size, b.multiplicity)
+            s, m = a.size * b.size, a.multiplicity * b.multiplicity
+            iso = ia[:, None, :, None, :, None] * ib[None, :, None, :, None, :]
+            blocks.append(Block(s, m, iso.reshape(-1, s * m)))
             x = xa[:, None, :, None, :, None] * xb[None, :, None, :, None, :]
-            coords.append(x.reshape(len(xa) * len(xb), a.size * b.size, a.size * b.size))
+            coords.append(x.reshape(len(xa) * len(xb), s, s))
     return blocks, coords
 
 
@@ -444,7 +439,7 @@ def _check_coordinate_map(
     coeff = rng.standard_normal(cmap.shape[1]) + 1j * rng.standard_normal(cmap.shape[1])
     lam = combine(factors, coeff)
     for (s, m, _, adj), x in zip(decomp.plan, _plan_blocks(decomp, coeff[None] @ cmap.T)):
-        c = adj @ lam @ adj.conj().swapaxes(-1, -2)
+        c = (adj.reshape(-1, adj.shape[-1]) @ lam).reshape(adj.shape) @ adj.conj().swapaxes(-1, -2)
         recon = np.einsum("bpq,jl->bpjql", x[0], np.eye(m)).reshape(c.shape)
         if np.abs(recon - c).max() > DECOMPOSE_TOL:
             raise DecompositionError("coordinate map does not give the block compressions x (x) 1")
@@ -489,17 +484,6 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
         q._cache["tensor_decomp"] = decomp
         q._cache["tensor_coords"] = cmap
     return q._cache["tensor_decomp"]
-
-
-def doubled_coordinates(q: FiniteQuantumGroup, lam: np.ndarray) -> np.ndarray:
-    """Coordinates of ``Lam`` in the products of ``q.ortho_basis`` (second index
-    fast), the one entry of a dense ``Lam`` into the bound certifiers; ``Lam``
-    may be a stack.  Raises ``ValueError`` if ``Lam`` is not in ``M (x) M``."""
-    factors = (q.ortho_basis, q.ortho_basis)
-    res = max(projection_residual(factors, x) for x in lam.reshape((-1,) + lam.shape[-2:]))
-    if res > MEMBERSHIP_TOL:
-        raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
-    return coordinates(factors, lam)
 
 
 def doubled_blocks(q: FiniteQuantumGroup, coords: np.ndarray) -> list[np.ndarray]:

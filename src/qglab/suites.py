@@ -258,13 +258,10 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
     slack = _tol(cfg, 1e-9)
-    widths = (q.dim, len(q.ortho_basis) ** 2)
     xi_exact, eta_exact = diagonals.exact_nets(q)
 
-    ((zeta, coeff),) = _draw_batches(rng, 1, widths)
-    cert = diagonals.certify_commutator_bound(
-        q, _unit_rows(zeta), xi_exact, eta_exact, _unit_doubled(q, coeff), slack=slack
-    )
+    ((zeta,),) = _draw_batches(rng, 1, (q.dim,))
+    cert = diagonals.certify_commutator_bound(q, _unit_rows(zeta), xi_exact, eta_exact, slack=slack)
     out = [("commutator_pairing_exact_nets", float(cert.lhs[0]), slack, None)]
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(
@@ -275,9 +272,8 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
         )
         worst = -math.inf
         worst_eps = 0.0
-        for zeta, lam in _draw_batches(rng, cfg.bound_draws, widths):
-            zeta, lam = _unit_rows(zeta), _unit_doubled(q, lam)
-            cert = diagonals.certify_commutator_bound(q, zeta, xi, eta, lam, slack=slack)
+        for (zeta,) in _draw_batches(rng, cfg.bound_draws, (q.dim,)):
+            cert = diagonals.certify_commutator_bound(q, _unit_rows(zeta), xi, eta, slack=slack)
             worst = max(worst, float((cert.lhs - cert.bound).max()))
             worst_eps = max(worst_eps, float(cert.eps.max()))
         detail = {"draws": cfg.bound_draws, "max_measured_eps": worst_eps}
@@ -365,11 +361,11 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
         u = dualside.build_approximate_identity(ctx, xi, eta)
         bai_margin = qc_margin = -math.inf
         consistency = 0.0
-        for zeta, x, lam in _draw_batches(rng, cfg.bound_draws, (n, k, k * k)):
-            zeta, x, lam = _unit_rows(zeta), _unit_elements(q, x), _unit_doubled(q, lam)
-            cert = dualside.certify_identity_bound(ctx, u, zeta, x, slack=slack)
+        for (zeta,) in _draw_batches(rng, cfg.bound_draws, (n,)):
+            zeta = _unit_rows(zeta)
+            cert = dualside.certify_identity_bound(ctx, u, zeta, slack=slack)
             bai_margin = max(bai_margin, float((cert.lhs - cert.bound).max()))
-            qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, lam, slack=slack)
+            qcert = dualside.certify_quasicentral_bound(ctx, u, zeta, slack=slack)
             qc_margin = max(qc_margin, float((qcert.lhs - qcert.bound).max()))
             consistency = max(consistency, float(qcert.consistency.max()))
         out.append((f"identity_bound_margin_t_{eps:g}", bai_margin, slack, {"draws": cfg.bound_draws}))

@@ -216,10 +216,18 @@ def projection_residual(factors: tuple[np.ndarray, ...], x: np.ndarray) -> float
 
 
 def compress_basis(factors: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
-    """``v* (a_i (x) b_j) v`` for every basis product, stacked with ``j`` fast."""
+    """``v* (a_i (x) b_j) v`` for every basis product, stacked with ``j`` fast;
+    leading axes of ``v`` ``(..., dim, r)`` are a stack, giving
+    ``(..., k, r, r)``.  Two products with the factors, then one contraction
+    over both legs; the products ``a_i (x) b_j`` are never formed."""
     a, b = (*factors, _SCALARS)[:2]
-    v3 = v.reshape(a.shape[-1], b.shape[-1], -1)
-    left = np.einsum("ipc,pqr->iqcr", a, v3.conj(), optimize=True)  # v* (a_i (x) 1)
-    right = np.einsum("jqd,cds->jqcs", b, v3, optimize=True)  # (1 (x) b_j) v
-    out = np.einsum("iqcr,jqcs->ijrs", left, right, optimize=True)
-    return out.reshape(len(a) * len(b), v.shape[1], v.shape[1])
+    m, n = a.shape[-1], b.shape[-1]
+    lead, r = v.shape[:-2], v.shape[-1]
+    v4 = v.reshape((-1, 1, m, n * r))
+    # v* (a_i (x) 1) as (stack, i, c, (q, r)), and (1 (x) b_j) v as (stack, j, c, q, s)
+    left = a.swapaxes(-1, -2) @ v4.conj()
+    right = b[:, None] @ v4.reshape(-1, 1, m, n, r)
+    left = left.reshape(len(v4), len(a), m * n, r).swapaxes(-1, -2).reshape(len(v4), -1, m * n)
+    right = right.reshape(len(v4), len(b), m * n, r).swapaxes(1, 2).reshape(len(v4), m * n, -1)
+    out = (left @ right).reshape(-1, len(a), r, len(b), r).swapaxes(2, 3)
+    return out.reshape(lead + (len(a) * len(b), r, r))

@@ -4,24 +4,30 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qglab.diagonals import build_diagonal
+from qglab.diagonals import _commutator_forms, build_diagonal
+from qglab.dualside import _quasicentral_forms
 from qglab.funalg import (
     Functional,
     algebra_decomposition,
+    at_vectors,
+    block_norms,
     convolve,
-    doubled_coordinates,
+    doubled_blocks,
     module_action_left,
     module_action_right,
+    tensor_algebra_decomposition,
     vector_state,
 )
 from qglab.groups import builtin_table
 from qglab.qgcore import chain, derived_unitaries, dual, function_algebra, inverse
 from qglab.tensorlin import (
     apply_leg,
+    coordinates,
     dagger,
     inner,
     operator_norm,
     project,
+    projection_residual,
     random_unit_vector,
     span_basis,
     trace_norm,
@@ -499,69 +505,151 @@ def dense_commutant_opposite_consistency(q):
     return operator_norm(der.wprime_op - dagger(one_k @ der.wprime @ one_k_inv))
 
 
-# The per-draw certifier bodies: one draw at a time, the pairings on the dense
-# Lam (or X) and the norms from the dense SVD; the batched certifiers hold Lam
-# by its blocks and take every draw of a record at once.
+# The per-draw certifiers: one draw at a time, each functional as its dense
+# pairing matrix and its norm through dense_predual_norm.
 
-def dense_commutator_certificate(q, zeta, xi, eta, lam):
-    """Oracle of ``certify_commutator_bound`` at one draw with a dense ``lam``."""
+def dense_commutator_certificate(q, zeta, xi, eta):
+    """Oracle of ``certify_commutator_bound`` at one draw: the predual norm of
+    the commutator functional from its dense pairing matrix."""
     v = np.kron(zeta, xi.vector)
     eps1 = float(np.linalg.norm(v[inverse(q.w)] - v))
     wz, we = vector_state(zeta), vector_state(eta.vector)
     comm = convolve(q, wz, we) - convolve(q, we, wz)
     eps2 = dense_predual_norm(dense(comm), algebra_decomposition(q))
     eps = max(eps1, eps2)
-    x = build_diagonal(q, xi, eta).bifunctional
-    lhs = abs((module_action_left(q, wz, x) - module_action_right(q, x, wz)).value(lam))
     return {
         "eps_invariance": eps1,
         "eps_commutation": eps2,
         "eps": eps,
-        "lhs": lhs,
-        "bound": 3.0 * eps * operator_norm(lam),
+        "lhs": dense_predual_norm(dense(commutator_functional(q, zeta, xi, eta)), tensor_algebra_decomposition(q)),
+        "bound": 3.0 * eps,
     }
 
 
-def dense_identity_certificate(q, u, zeta, x):
+def commutator_functional(q, zeta, xi, eta):
+    """``omega_zeta . x - x . omega_zeta`` for the diagonal ``x`` of ``(xi, eta)``."""
+    wz, x = vector_state(zeta), build_diagonal(q, xi, eta).bifunctional
+    return module_action_left(q, wz, x) - module_action_right(q, x, wz)
+
+
+def identity_functional(q, u, zeta):
+    """``u * omega_zeta - omega_zeta``."""
+    wz = vector_state(zeta)
+    return convolve(q, u.functional, wz) - wz
+
+
+def dense_identity_certificate(q, u, zeta):
     """Oracle of ``certify_identity_bound`` at one draw."""
     der = derived_unitaries(q)
-    wz = vector_state(zeta)
-    lhs = abs(convolve(q, u.functional, wz).value(x) - wz.value(x))
     pair = np.kron(u.xi.vector, zeta)
     t1 = float(np.linalg.norm(pair[der.wprime][inverse(q.w)] - pair))
     triple = np.kron(np.kron(u.xi.vector, u.eta.vector), zeta)
     base = triple[der.three["wprime"][1, 3]]
     t2 = float(np.linalg.norm(base[der.three["w*"][2, 3]] - base))
-    return {"lhs": lhs, "term_pair": t1, "term_triple": t2, "bound": 2.0 * operator_norm(x) * (t1 + t2)}
+    lhs = dense_predual_norm(dense(identity_functional(q, u, zeta)), algebra_decomposition(q))
+    return {"lhs": lhs, "term_pair": t1, "term_triple": t2, "bound": 2.0 * (t1 + t2)}
 
 
-def dense_quasicentral_certificate(q, u, zeta, lam):
-    """Oracle of ``certify_quasicentral_bound`` at one draw with a dense ``lam``:
-    the conjugation as a gather of ``lam`` and the three-leg pairing through
-    ``apply_leg``."""
+def quasicentral_matrices(q, u, zeta):
+    """The pairing matrices of the two routes to the quasi-central functional
+    ``Lam -> (omega_zeta (x) u)(W'* W'^op Lam W'^op* W' - Lam)``: the
+    conjugation as a permutation of the dense pairing matrix, and the
+    three-leg vectors with their middle leg traced out."""
     n = q.dim
-    dims = (n, n, n)
     der = derived_unitaries(q)
-    w, w_adj, wp, wp_adj, wpo = (
-        der.three[name] for name in ("w", "w*", "wprime", "wprime*", "wprime_op")
-    )
-    r = chain(inverse(der.wprime_op), der.wprime)
-    lhs_def = vector_state(zeta).tensor(u.functional).value(lam[np.ix_(r, r)] - lam)
+    w_adj, wp_adj, wpo = (der.three[name] for name in ("w*", "wprime*", "wprime_op"))
+    # omega(Lam[r][:, r]) = Tr(rho Lam) for rho the pairing matrix of omega
+    # with rows and columns moved by r
+    back = inverse(chain(inverse(der.wprime_op), der.wprime))
+    rho = dense(vector_state(zeta).tensor(u.functional))
+    definitional = rho[np.ix_(back, back)] - rho
     triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
     base = triple[wpo[2, 3]][w_adj[2, 3]]
     moved = base[wp_adj[1, 3]][wpo[1, 3]]
-    lhs_vec = inner(apply_leg(lam, (1, 3), moved, dims), moved) - inner(
-        apply_leg(lam, (1, 3), base, dims), base
+    vectorial = sum(
+        c * dense_partial_trace(np.outer(t, t.conj()), (n, n, n), 2) for c, t in ((1.0, moved), (-1.0, base))
     )
+    return definitional, vectorial
+
+
+def dense_quasicentral_certificate(q, u, zeta):
+    """Oracle of ``certify_quasicentral_bound`` at one draw: both routes as
+    dense pairing matrices, their norms through ``dense_predual_norm``."""
+    der = derived_unitaries(q)
+    w, w_adj, wp, wp_adj = (der.three[name] for name in ("w", "w*", "wprime", "wprime*"))
+    definitional, vectorial = quasicentral_matrices(q, u, zeta)
+    decomp = tensor_algebra_decomposition(q)
+    triple = np.kron(zeta, np.kron(u.xi.vector, u.eta.vector))
     r1 = float(np.linalg.norm(triple[w_adj[2, 3]][wp[2, 3]] - triple))
     r2 = float(np.linalg.norm(triple[wp_adj[1, 2]] - triple))
     r3 = float(np.linalg.norm(triple[wp_adj[2, 3]][w[2, 3]] - triple))
     return {
-        "lhs": abs(lhs_def),
+        "lhs": dense_predual_norm(definitional, decomp),
         "terms": (r1, r2, r3),
-        "bound": 2.0 * operator_norm(lam) * (r1 + r2 + r3),
-        "consistency": abs(lhs_def - lhs_vec),
+        "bound": 2.0 * (r1 + r2 + r3),
+        "consistency": dense_predual_norm(definitional - vectorial, decomp),
     }
+
+
+# The random-draw certifier bodies: each certified functional paired with a
+# stack of drawn elements, Lam of M (x) M held by its coordinates and read as
+# its blocks, or dense X of M; with the norms of those elements.
+
+# relative residual above which an operator is rejected as outside its algebra
+MEMBERSHIP_TOL = 1e-8
+
+
+def doubled_coordinates(q, lam):
+    """Coordinates of ``Lam`` in the products of ``q.ortho_basis`` (second index
+    fast); ``Lam`` may be a stack.  Raises ``ValueError`` if ``Lam`` is not in
+    ``M (x) M``."""
+    factors = (q.ortho_basis, q.ortho_basis)
+    res = max(projection_residual(factors, x) for x in lam.reshape((-1,) + lam.shape[-2:]))
+    if res > MEMBERSHIP_TOL:
+        raise ValueError(f"Lam is not in the doubled algebra (residual {res:.3e})")
+    return coordinates(factors, lam)
+
+
+def doubled_stack(q, lams):
+    """The coordinates ``(draws, k)`` of a list of dense elements of ``M (x) M``."""
+    return doubled_coordinates(q, np.stack(lams))
+
+
+def pairings(blocks, compressions):
+    """``omega(x) = sum_b tr(x_b compress_b(omega))`` for each stacked pair."""
+    return sum(np.einsum("...bpq,...bqp->...", x, c) for x, c in zip(blocks, compressions))
+
+
+def commutator_pairings(q, zeta, xi, eta, lam):
+    """``|(omega_zeta . x - x . omega_zeta)(Lam)|`` and ``||Lam||`` at each
+    draw of the stacks ``zeta`` and ``lam`` (coordinates)."""
+    blocks = doubled_blocks(q, lam)
+    return np.abs(pairings(blocks, at_vectors(_commutator_forms(q, xi, eta), zeta))), block_norms(blocks)
+
+
+def identity_pairings(q, u, zeta, x):
+    """``|X(u * omega_zeta) - X(omega_zeta)|`` and ``||X||`` at each draw of
+    the stacks ``zeta`` and ``x`` (dense).  The factor of ``u * omega_{e_e}``
+    is ``(u (x) omega_{e_e})`` pushed through ``W``, its products
+    ``G_f G_e*`` one dense ``n^2 x n^2`` form."""
+    n = q.dim
+    ((c, f),) = u.functional.terms
+    g = (f[None, :, None, :] * np.eye(n)[:, None, :, None]).reshape(n, n * n, n)[:, inverse(q.w)]
+    g = g.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n, n, n * n)
+    forms = c * np.einsum("fjr,eir->efij", g, g.conj()).reshape(n * n, n * n)
+    zz = (zeta.conj()[:, :, None] * zeta[:, None, :]).reshape(len(zeta), -1)
+    conv = np.einsum("dk,dk->d", zz @ forms, x.reshape(len(x), -1))
+    values = conv - np.einsum("di,dij,dj->d", zeta.conj(), x, zeta)
+    return np.abs(values), np.linalg.svd(x, compute_uv=False)[:, 0]
+
+
+def quasicentral_pairings(q, u, zeta, lam):
+    """The pairings of both routes to the quasi-central functional with
+    ``Lam`` and ``||Lam||`` at each draw of the stacks ``zeta`` and ``lam``
+    (coordinates): ``(definitional, vectorial, norms)``."""
+    blocks = doubled_blocks(q, lam)
+    definitional, vectorial = (pairings(blocks, at_vectors(f, zeta)) for f in _quasicentral_forms(q, u))
+    return definitional, vectorial, block_norms(blocks)
 
 
 def slice_convention_oracle(ctx, u, zeta, x):
@@ -575,11 +663,6 @@ def slice_convention_oracle(ctx, u, zeta, x):
     t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
     rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
     return abs(lhs - rhs)
-
-
-def doubled_stack(q, lams):
-    """The coordinates ``(draws, k)`` of a list of dense elements of ``M (x) M``."""
-    return doubled_coordinates(q, np.stack(lams))
 
 
 @pytest.fixture

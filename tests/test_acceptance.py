@@ -10,7 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import functional_from_matrix, oracle_draws, random_algebra, random_doubled, sup_norm_estimate
+from conftest import (
+    commutator_pairings,
+    doubled_coordinates,
+    functional_from_matrix,
+    identity_pairings,
+    oracle_draws,
+    quasicentral_pairings,
+    random_algebra,
+    random_doubled,
+    sup_norm_estimate,
+)
 
 from qglab.diagonals import (
     NetVector,
@@ -36,7 +46,6 @@ from qglab.funalg import (
     algebra_decomposition,
     block_decompose,
     convolve,
-    doubled_coordinates,
     predual_norm,
     vector_state,
 )
@@ -153,8 +162,10 @@ def test_criterion_4_exact_diagonal(constructions):
 
 
 def test_criterion_5_commutator_bound_constant(constructions):
+    # the certifier takes the supremum over Lam; every drawn Lam must pair
+    # with the functional to at most that supremum times ||Lam||
     violations = 0
-    worst_margin = -np.inf
+    worst_margin = worst_excess = -np.inf
     draws = 100
     for idx, ((name, side), q) in enumerate(sorted(constructions.items())):
         rng = np.random.default_rng([5, idx])
@@ -163,23 +174,28 @@ def test_criterion_5_commutator_bound_constant(constructions):
             xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
             eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
             zeta, lam = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(draws)])
-            lam = doubled_coordinates(q, np.stack(lam))
-            cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, lam, slack=1e-9)
+            zeta = np.stack(zeta)
+            cert = certify_commutator_bound(q, zeta, xi, eta, slack=1e-9)
             worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
             violations += int((~cert.passed).sum())
+            values, norms = commutator_pairings(q, zeta, xi, eta, doubled_coordinates(q, np.stack(lam)))
+            excess = values - cert.lhs * norms
+            worst_excess = max(worst_excess, excess.max())
+            violations += int((excess > 1e-12).sum())
     report(
         5,
         violations == 0,
-        f"commutator pairing bound (constant 3), eps in {EPSILONS}, "
+        f"commutator bound (constant 3) at the supremum over Lam, eps in {EPSILONS}, "
         f"{draws} draws per group/side/eps, both sides: {violations} violations, "
-        f"worst margin {worst_margin:.2e} (slack 1e-9)",
+        f"worst margin {worst_margin:.2e} (slack 1e-9); drawn Lam above the "
+        f"supremum by at most {worst_excess:.2e} (tol 1e-12)",
     )
 
 
 def test_criterion_6_quasicentral_identity(constructions):
     worst_oracle = worst_exact = 0.0
     violations = 0
-    worst_margin = -np.inf
+    worst_margin = worst_excess = -np.inf
     draws = 25
     for idx, ((name, side), q) in enumerate(sorted(constructions.items())):
         rng = np.random.default_rng([6, idx])
@@ -201,18 +217,25 @@ def test_criterion_6_quasicentral_identity(constructions):
             u = build_approximate_identity(ctx, xi, eta)
             stacks = [(random_unit_vector(rng, n), random_algebra(q, rng), random_doubled(q, rng)) for _ in range(draws)]
             zeta, x, lam = (np.stack(s) for s in zip(*stacks))
-            cert1 = certify_identity_bound(ctx, u, zeta, x, slack=1e-9)
-            cert2 = certify_quasicentral_bound(ctx, u, zeta, doubled_coordinates(q, lam), slack=1e-9)
+            cert1 = certify_identity_bound(ctx, u, zeta, slack=1e-9)
+            cert2 = certify_quasicentral_bound(ctx, u, zeta, slack=1e-9)
             for cert in (cert1, cert2):
                 worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
                 violations += int((~cert.passed).sum())
+            values, norms = identity_pairings(q, u, zeta, x)
+            definitional, _, lam_norms = quasicentral_pairings(q, u, zeta, doubled_coordinates(q, lam))
+            for excess in (values - cert1.lhs * norms, np.abs(definitional) - cert2.lhs * lam_norms):
+                worst_excess = max(worst_excess, excess.max())
+                violations += int((excess > 1e-12).sum())
     ok = worst_oracle <= 1e-10 and worst_exact <= 1e-10 and violations == 0
     report(
         6,
         ok,
         f"approximate identity: slice oracle {worst_oracle:.2e} (tol 1e-10, 50 draws), "
-        f"exact identity defect {worst_exact:.2e} (tol 1e-10), both constant-2 bounds: "
-        f"{violations} violations, worst margin {worst_margin:.2e} (slack 1e-9)",
+        f"exact identity defect {worst_exact:.2e} (tol 1e-10), both constant-2 bounds "
+        f"at the supremum over X and Lam: {violations} violations, worst margin "
+        f"{worst_margin:.2e} (slack 1e-9); drawn X and Lam above the supremum by at "
+        f"most {worst_excess:.2e} (tol 1e-12)",
     )
 
 

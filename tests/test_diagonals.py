@@ -9,9 +9,12 @@ import pytest
 from conftest import (
     ALL_GROUPS,
     SMALL_GROUPS,
+    commutator_functional,
+    commutator_pairings,
     dense,
     dense_commutator_certificate,
     dense_derived_unitaries,
+    doubled_coordinates,
     doubled_stack,
     get_group,
     membership_residual,
@@ -37,13 +40,7 @@ from qglab.diagonals import (
     perturbed_vector,
     right_invariance_residual,
 )
-from qglab.funalg import (
-    doubled_coordinates,
-    module_action_left,
-    module_action_right,
-    tensor_algebra_decomposition,
-    vector_state,
-)
+from qglab.funalg import tensor_algebra_decomposition, vector_state
 from qglab.groups import builtin_table
 from qglab.tensorlin import dagger, normalize, operator_norm, random_unit_vector, slice_first
 
@@ -385,8 +382,7 @@ class TestCommutatorBound:
         q = get_group(name)
         xi, eta = exact_nets(q)
         zeta = random_unit_vector(rng, q.dim)
-        lam = random_doubled(q, rng)
-        cert = certify_commutator_bound(q, zeta[None], xi, eta, doubled_stack(q, [lam]))
+        cert = certify_commutator_bound(q, zeta[None], xi, eta)
         assert cert.lhs.shape == (1,)
         assert cert.lhs[0] <= 1e-9
         assert cert.passed.all()
@@ -395,8 +391,10 @@ class TestCommutatorBound:
         xi, eta = exact_nets(s3)
         xi = NetVector(perturbed_vector(xi.vector, 0.3, rng), "p")
         zeta = random_unit_vector(rng, 6)
-        cert = certify_commutator_bound(s3, zeta[None], xi, eta, doubled_stack(s3, [np.eye(36)]))
-        assert cert.lhs[0] <= 1e-12
+        values, norms = commutator_pairings(s3, zeta[None], xi, eta, doubled_stack(s3, [np.eye(36)]))
+        assert values[0] <= 1e-12
+        assert abs(norms[0] - 1.0) <= 1e-12
+        assert certify_commutator_bound(s3, zeta[None], xi, eta).lhs[0] > 0.1
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     @pytest.mark.parametrize("name", ["Z4", "S3"])
@@ -405,8 +403,8 @@ class TestCommutatorBound:
         xi_e, eta_e = exact_nets(q)
         xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
-        zeta, lams = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(100)])
-        cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, doubled_stack(q, lams))
+        zeta = np.stack([random_unit_vector(rng, q.dim) for _ in range(100)])
+        cert = certify_commutator_bound(q, zeta, xi, eta)
         assert cert.lhs.shape == (100,)
         assert cert.passed.all(), (cert.lhs, cert.bound)
 
@@ -417,29 +415,63 @@ class TestCommutatorBound:
         xi_e, eta_e = exact_nets(q)
         xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
         eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
-        zeta, lams = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng)) for _ in range(20)])
-        cert = certify_commutator_bound(q, np.stack(zeta), xi, eta, doubled_stack(q, lams))
-        oracles = [dense_commutator_certificate(q, z, xi, eta, lam) for z, lam in zip(zeta, lams)]
+        zeta = np.stack([random_unit_vector(rng, q.dim) for _ in range(20)])
+        cert = certify_commutator_bound(q, zeta, xi, eta)
+        oracles = [dense_commutator_certificate(q, z, xi, eta) for z in zeta]
         assert_matches_oracle(cert, oracles, ("eps_invariance", "eps_commutation", "eps", "lhs", "bound"))
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_supremum_over_lam(self, name, side, rng):
+        # the left side is at least |pairing| / ||Lam|| at every drawn Lam, and
+        # equals the pairing at the norm-one Lam that norms the functional
+        q = get_group(name, side)
+        xi_e, eta_e = exact_nets(q)
+        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
+        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
+        zeta, lams = zip(*[(random_unit_vector(rng, q.dim), random_doubled(q, rng, False)) for _ in range(20)])
+        zeta = np.stack(zeta)
+        sup = certify_commutator_bound(q, zeta, xi, eta).lhs
+        values, norms = commutator_pairings(q, zeta, xi, eta, doubled_stack(q, lams))
+        assert (values / norms <= sup * (1 + 1e-12) + 1e-15).all()
+        decomp = tensor_algebra_decomposition(q)
+        norming = [norming_element(dense(commutator_functional(q, z, xi, eta)), decomp) for z in zeta]
+        values, norms = commutator_pairings(q, zeta, xi, eta, doubled_stack(q, norming))
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(values, sup, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("side, swap, k", [("fn", 2, 0), ("dual", "n+1", 2)])
     def test_fires_under_swapped_entries_of_w(self, name, side, swap, k):
         # entries 1 and 2 (function algebra) or 1 and n+1 (group algebra) of
         # W's map swapped, with the exact nets of the unbroken object and the
-        # basis vector zeta = e_k.  Lam norms the commutator functional of the
-        # broken diagonal, so the pairing is its predual norm on M (x) M; on
-        # 20 random Lam the swap is seen on one draw in a hundred or fewer.
+        # basis vector zeta = e_k; the supremum over Lam sees the swap
         q = get_group(name, side)
         broken = swapped_columns(q, 1, q.dim + 1 if swap == "n+1" else swap)
         xi, eta = exact_nets(q)
-        zeta = np.eye(q.dim)[k]
-        wz, x = vector_state(zeta), build_diagonal(broken, xi, eta).bifunctional
-        commutator = module_action_left(broken, wz, x) - module_action_right(broken, x, wz)
-        lam = norming_element(dense(commutator), tensor_algebra_decomposition(broken))
-        assert certify_commutator_bound(q, zeta[None], xi, eta, doubled_stack(q, [lam])).passed.all()
-        cert = certify_commutator_bound(broken, zeta[None], xi, eta, doubled_stack(broken, [lam]))
+        zeta = np.eye(q.dim)[k][None]
+        assert certify_commutator_bound(q, zeta, xi, eta).passed.all()
+        cert = certify_commutator_bound(broken, zeta, xi, eta)
         assert cert.lhs[0] - cert.bound[0] > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    @pytest.mark.parametrize("side, swap", [("fn", 2), ("dual", "n+1")])
+    def test_suite_record_fires_under_swapped_entries_of_w(self, name, side, swap, seed):
+        q = get_group(name, side)
+        broken = swapped_columns(q, 1, q.dim + 1 if swap == "n+1" else swap)
+        # the thm33 stream of a certificate run with this seed and construction
+        cfg = suites.RunConfig(name, seed=seed)
+        construction = "function-algebra" if side == "fn" else "group-algebra"
+
+        def margin(obj):
+            records = suites.run_thm33(obj, cfg, suites._rng(cfg, "thm33", construction))
+            return {check: (value, tol) for check, value, tol, _ in records}["commutator_bound_margin_t_0.01"]
+
+        value, tol = margin(broken)
+        assert value > tol
+        value, tol = margin(q)
+        assert value <= tol
 
     def test_rejects_operators_outside_doubled_algebra(self, z2):
         outside = np.zeros((4, 4))

@@ -24,9 +24,14 @@ from conftest import (
     doubled_stack,
     flip_matrix,
     get_group,
+    identity_functional,
+    identity_pairings,
     modular_sandwich,
+    norming_element,
     oracle_draws,
     perm_matrix,
+    quasicentral_matrices,
+    quasicentral_pairings,
     random_algebra,
     random_doubled,
     slice_convention_oracle,
@@ -56,8 +61,16 @@ from qglab.dualside import (
     quasicentral_exchange_residual,
     slice_convention_residual,
 )
-from qglab.funalg import Functional, algebra_decomposition, convolve, predual_norm, vector_state
+from qglab.funalg import (
+    Functional,
+    algebra_decomposition,
+    convolve,
+    predual_norm,
+    tensor_algebra_decomposition,
+    vector_state,
+)
 from qglab.qgcore import derived_unitaries, dual
+from qglab.suites import RunConfig, run_thm44
 from qglab.tensorlin import (
     dagger,
     partial_trace,
@@ -397,10 +410,23 @@ class TestApproximateIdentity:
             assert predual_norm(convolve(q, u.functional, a) - a, decomp) <= 1e-10
 
 
+def unit_vectors(q, rng, count):
+    """``count`` unit vectors ``zeta``, one at a time, as a stack."""
+    return np.stack([random_unit_vector(rng, q.dim) for _ in range(count)])
+
+
 def draws(q, rng, count, element):
     """``count`` draws of ``(zeta, element)``, one at a time, as two stacks."""
     zeta, elements = zip(*[(random_unit_vector(rng, q.dim), element(q, rng)) for _ in range(count)])
     return np.stack(zeta), list(elements)
+
+
+def perturbed_identity(q, rng, eps=0.1):
+    ctx = dual_context(q)
+    xi_e, eta_e = exact_nets(q)
+    xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
+    eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
+    return ctx, build_approximate_identity(ctx, xi, eta)
 
 
 def assert_matches_oracle(cert, oracles, names):
@@ -417,8 +443,7 @@ class TestIdentityBound:
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         u = build_approximate_identity(ctx, xi, eta)
-        zeta, x = draws(s3, rng, 1, random_algebra)
-        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
+        cert = certify_identity_bound(ctx, u, unit_vectors(s3, rng, 1))
         assert cert.term_pair[0] <= 1e-10
         assert cert.term_triple[0] <= 1e-10
         assert cert.lhs[0] <= 1e-9
@@ -429,20 +454,17 @@ class TestIdentityBound:
         xi, eta = exact_nets(s3)
         xi = NetVector(perturbed_vector(xi.vector, 0.2, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
-        cert = certify_identity_bound(ctx, u, random_unit_vector(rng, 6)[None], np.eye(6)[None])
-        assert cert.lhs[0] <= 1e-12
+        zeta = random_unit_vector(rng, 6)[None]
+        values, norms = identity_pairings(s3, u, zeta, np.eye(6)[None])
+        assert values[0] <= 1e-12
+        assert abs(norms[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", ["Z4", "S3"])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     def test_monte_carlo(self, name, eps, rng):
         q = get_group(name)
-        ctx = dual_context(q)
-        xi_e, eta_e = exact_nets(q)
-        xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
-        eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
-        u = build_approximate_identity(ctx, xi, eta)
-        zeta, x = draws(q, rng, 100, random_algebra)
-        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
+        ctx, u = perturbed_identity(q, rng, eps)
+        cert = certify_identity_bound(ctx, u, unit_vectors(q, rng, 100))
         assert cert.lhs.shape == (100,)
         assert cert.passed.all(), (cert.lhs, cert.bound)
 
@@ -450,15 +472,29 @@ class TestIdentityBound:
     @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
     def test_matches_per_draw_oracle(self, name, side, rng):
         q = get_group(name, side)
-        ctx = dual_context(q)
-        xi_e, eta_e = exact_nets(q)
-        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
-        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
-        u = build_approximate_identity(ctx, xi, eta)
-        zeta, x = draws(q, rng, 20, random_algebra)
-        cert = certify_identity_bound(ctx, u, zeta, np.stack(x))
-        oracles = [dense_identity_certificate(q, u, z, xd) for z, xd in zip(zeta, x)]
+        ctx, u = perturbed_identity(q, rng)
+        zeta = unit_vectors(q, rng, 20)
+        cert = certify_identity_bound(ctx, u, zeta)
+        oracles = [dense_identity_certificate(q, u, z) for z in zeta]
         assert_matches_oracle(cert, oracles, ("lhs", "term_pair", "term_triple", "bound"))
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_supremum_over_x(self, name, side, rng):
+        # the left side is at least |pairing| / ||X|| at every drawn X, and
+        # equals the pairing at the norm-one X that norms the functional
+        q = get_group(name, side)
+        ctx, u = perturbed_identity(q, rng)
+        zeta, x = draws(q, rng, 20, random_algebra)
+        x = np.stack(x) * 3.0
+        sup = certify_identity_bound(ctx, u, zeta).lhs
+        values, norms = identity_pairings(q, u, zeta, x)
+        assert (values / norms <= sup * (1 + 1e-12) + 1e-15).all()
+        decomp = algebra_decomposition(q)
+        norming = np.stack([norming_element(dense(identity_functional(q, u, z)), decomp) for z in zeta])
+        values, norms = identity_pairings(q, u, zeta, norming)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(values, sup, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -470,20 +506,10 @@ class TestIdentityBound:
         u = build_approximate_identity(ctx, *exact_nets(q))
         ((c, f),) = u.functional.terms
         flipped = replace(u, functional=Functional(((c, f.T),)))
-        zeta, x = draws(q, rng, 20, random_algebra)
-        assert certify_identity_bound(ctx, u, zeta, np.stack(x)).passed.all()
-        cert = certify_identity_bound(ctx, flipped, zeta, np.stack(x))
+        zeta = unit_vectors(q, rng, 20)
+        assert certify_identity_bound(ctx, u, zeta).passed.all()
+        cert = certify_identity_bound(ctx, flipped, zeta)
         assert (cert.lhs - cert.bound).max() > 0.1
-
-    def test_rejects_outside_algebra(self, z2, rng):
-        ctx = dual_context(z2)
-        xi, eta = exact_nets(z2)
-        u = build_approximate_identity(ctx, xi, eta)
-        outside = np.zeros((2, 2))
-        outside[1, 0] = 1.0
-        zeta = np.stack([random_unit_vector(rng, 2)] * 2)
-        with pytest.raises(ValueError, match="X is not in the algebra"):
-            certify_identity_bound(ctx, u, zeta, np.stack([np.eye(2), outside]))
 
 
 class TestQuasicentralBound:
@@ -491,8 +517,7 @@ class TestQuasicentralBound:
         ctx = dual_context(s3)
         xi, eta = exact_nets(s3)
         u = build_approximate_identity(ctx, xi, eta)
-        zeta, lam = draws(s3, rng, 1, random_doubled)
-        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(s3, lam))
+        cert = certify_quasicentral_bound(ctx, u, unit_vectors(s3, rng, 1))
         assert cert.lhs[0] <= 1e-9
         assert cert.consistency[0] <= 1e-10
         assert cert.passed.all()
@@ -503,19 +528,16 @@ class TestQuasicentralBound:
         xi = NetVector(perturbed_vector(xi.vector, 0.2, rng), "p")
         u = build_approximate_identity(ctx, xi, eta)
         zeta = random_unit_vector(rng, 6)[None]
-        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(s3, [np.eye(36)]))
-        assert cert.lhs[0] <= 1e-12
+        definitional, vectorial, norms = quasicentral_pairings(s3, u, zeta, doubled_stack(s3, [np.eye(36)]))
+        assert abs(definitional[0]) <= 1e-12
+        assert abs(vectorial[0]) <= 1e-12
+        assert abs(norms[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     def test_sweep_envelope(self, eps, rng):
         q = get_group("Z3")
-        ctx = dual_context(q)
-        xi_e, eta_e = exact_nets(q)
-        xi = NetVector(perturbed_vector(xi_e.vector, eps, rng), "p")
-        eta = NetVector(perturbed_vector(eta_e.vector, eps, rng), "p")
-        u = build_approximate_identity(ctx, xi, eta)
-        zeta, lam = draws(q, rng, 50, random_doubled)
-        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam))
+        ctx, u = perturbed_identity(q, rng, eps)
+        cert = certify_quasicentral_bound(ctx, u, unit_vectors(q, rng, 50))
         assert cert.passed.all()
         assert cert.consistency.max() <= 1e-10
 
@@ -523,15 +545,29 @@ class TestQuasicentralBound:
     @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
     def test_matches_per_draw_oracle(self, name, side, rng):
         q = get_group(name, side)
-        ctx = dual_context(q)
-        xi_e, eta_e = exact_nets(q)
-        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
-        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
-        u = build_approximate_identity(ctx, xi, eta)
-        zeta, lam = draws(q, rng, 20, random_doubled)
-        cert = certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam))
-        oracles = [dense_quasicentral_certificate(q, u, z, ld) for z, ld in zip(zeta, lam)]
+        ctx, u = perturbed_identity(q, rng)
+        zeta = unit_vectors(q, rng, 20)
+        cert = certify_quasicentral_bound(ctx, u, zeta)
+        oracles = [dense_quasicentral_certificate(q, u, z) for z in zeta]
         assert_matches_oracle(cert, oracles, ("lhs", "terms", "bound", "consistency"))
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_supremum_over_lam(self, name, side, rng):
+        # the left side is at least |pairing| / ||Lam|| at every drawn Lam,
+        # and equals the pairing at the norm-one Lam that norms the functional
+        q = get_group(name, side)
+        ctx, u = perturbed_identity(q, rng)
+        zeta, lam = draws(q, rng, 20, lambda q, rng: random_doubled(q, rng, False))
+        cert = certify_quasicentral_bound(ctx, u, zeta)
+        definitional, vectorial, norms = quasicentral_pairings(q, u, zeta, doubled_stack(q, lam))
+        assert (np.abs(definitional) / norms <= cert.lhs * (1 + 1e-12) + 1e-15).all()
+        assert (np.abs(definitional - vectorial) / norms <= cert.consistency + 1e-15).all()
+        decomp = tensor_algebra_decomposition(q)
+        norming = [norming_element(quasicentral_matrices(q, u, z)[0], decomp) for z in zeta]
+        definitional, _, norms = quasicentral_pairings(q, u, zeta, doubled_stack(q, norming))
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(definitional), cert.lhs, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     def test_fires_under_exchanged_conjugations(self, name, rng):
@@ -543,18 +579,32 @@ class TestQuasicentralBound:
         ctx, broken_ctx = dual_context(q), DualContext(q=broken, qhat=dual(q))
         u = build_approximate_identity(ctx, xi, eta)
         broken_u = build_approximate_identity(broken_ctx, xi, eta)
-        zeta, lam = draws(q, rng, 20, random_doubled)
-        assert certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam)).passed.all()
-        cert = certify_quasicentral_bound(broken_ctx, broken_u, zeta, doubled_stack(broken, lam))
+        zeta = unit_vectors(q, rng, 20)
+        assert certify_quasicentral_bound(ctx, u, zeta).passed.all()
+        cert = certify_quasicentral_bound(broken_ctx, broken_u, zeta)
         assert (cert.lhs - cert.bound).max() > 0.1
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_consistency_fires_on_wrong_legs(self, side, rng):
+        # the vectorial route reads W'^op on legs (1, 2) instead of (1, 3);
+        # the definitional route and the bound do not use that map
+        q = get_group("S3", side)
+        broken = replace(q, _cache={})
+        der = derived_unitaries(broken)
+        three = {name: dict(maps) for name, maps in der.three.items()}
+        three["wprime_op"][1, 3] = three["wprime_op"][1, 2]
+        broken._cache["derived"] = der._replace(three=three)
+        ctx, u = perturbed_identity(q, rng)
+        zeta = unit_vectors(q, rng, 20)
+        assert certify_quasicentral_bound(ctx, u, zeta).consistency.max() <= 1e-12
+        cert = certify_quasicentral_bound(DualContext(q=broken, qhat=dual(q)), u, zeta)
+        assert cert.consistency.max() > 1.0
+        cfg = RunConfig("S3", epsilons=(0.1,))
+        detail = {check: d for check, _, _, d in run_thm44(broken, cfg, np.random.default_rng(0))}
+        assert float(detail["quasicentral_bound_margin_t_0.1"]["pairing_consistency"]) > 1.0
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_monte_carlo_s3(self, side, rng):
         q = get_group("S3", side)
-        ctx = dual_context(q)
-        xi_e, eta_e = exact_nets(q)
-        xi = NetVector(perturbed_vector(xi_e.vector, 0.1, rng), "p")
-        eta = NetVector(perturbed_vector(eta_e.vector, 0.1, rng), "p")
-        u = build_approximate_identity(ctx, xi, eta)
-        zeta, lam = draws(q, rng, 50, random_doubled)
-        assert certify_quasicentral_bound(ctx, u, zeta, doubled_stack(q, lam)).passed.all()
+        ctx, u = perturbed_identity(q, rng)
+        assert certify_quasicentral_bound(ctx, u, unit_vectors(q, rng, 50)).passed.all()

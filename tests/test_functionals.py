@@ -14,6 +14,7 @@ from conftest import (
     dense_predual_norm,
     dense_product_map,
     dense_second_leg,
+    doubled_coordinates,
     functional_from_matrix,
     get_group,
     perm_matrix,
@@ -36,7 +37,6 @@ from qglab.funalg import (
     block_norms,
     convolve,
     doubled_blocks,
-    doubled_coordinates,
     module_action_left,
     module_action_right,
     predual_norm,
@@ -439,6 +439,17 @@ class TestStackedPredualNorms:
                 omega = Functional(((1.0, f[i, 0]), (-0.5j, f[i, 1])))
                 assert abs(stacked[i] - predual_norm(omega, decomp)) <= 1e-12 * stacked[i]
                 assert abs(stacked[i] - dense_predual_norm(dense(omega), decomp)) <= 1e-12 * stacked[i]
+
+    def test_closed_form_size_two_equals_svd(self, rng):
+        # blocks of size 2 take sqrt(||c||_F^2 + 2 |det c|); rank one, zero and
+        # nearly equal singular values included
+        c = rng.standard_normal((40, 3, 2, 2)) + 1j * rng.standard_normal((40, 3, 2, 2))
+        c[:10, :, 1] = (0.5 - 2j) * c[:10, :, 0]
+        c[10:20] = 0.0
+        u = np.linalg.qr(c[20:30])[0]
+        c[20:30] = 1e-9 * u @ np.diag([1.0, 1.0 + 1e-12])
+        expected = np.linalg.svd(c, compute_uv=False).sum((-2, -1))
+        np.testing.assert_allclose(trace_norms([c]), expected, rtol=1e-14, atol=0.0)
 
 
 class TestTensorDecompositionProductForm:
