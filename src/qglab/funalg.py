@@ -6,20 +6,15 @@ never a pairing matrix.  Only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
 block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.
 ``block_decompose`` validates its decomposition against the basis, every
-basis element compressing to ``x (x) 1`` in every block, and keeps those
-compressions ``x`` as the block coordinates of the basis.
+basis element compressing to ``x (x) 1`` in every block.
 
-An element of ``M (x) M`` is held by its coordinates in the products of the
-basis of ``M``; the coordinate map cached with ``tensor_algebra_decomposition``
-turns a stack of them into blocks (``doubled_blocks``), whose norms and
-pairings with compressed functionals need no ``n^2 x n^2`` matrix.  The map is
-read off the factor: block ``(a, b)`` of ``M (x) M`` compresses ``b_i (x) b_j``
-to ``kron(x_a,i, x_b,j) (x) 1``, so the map is the blockwise Kronecker product
-of the block coordinates of ``M``, put in plan order, and no basis product of
-``M (x) M`` is compressed.  One element of ``M (x) M`` drawn from a fixed-seed
-generator checks it: its block compressions must equal the ``x (x) 1`` that the
-map predicts, which fails if the isometries' columns or the plan order are
-wrong.  Every stacked computation takes leading draw axes.
+The decomposition of ``M (x) M`` is read off that of ``M``: its blocks are the
+products of the factor's blocks.  One element of ``M (x) M`` drawn from a
+fixed-seed generator checks it, every block compressing that element to
+``x (x) 1``, which fails if the isometries' columns are grouped wrongly.  An
+element's blocks ``x`` (``BlockDecomposition.element_blocks``) give its norm,
+the largest norm of its blocks.  Every stacked computation takes leading draw
+axes.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ __all__ = [
     "at_vectors",
     "algebra_decomposition",
     "tensor_algebra_decomposition",
-    "doubled_blocks",
 ]
 
 
@@ -147,14 +141,9 @@ class BlockDecomposition:
     Stacked quantities come as one array per group of ``plan``: for an element,
     its blocks ``(..., blocks, size, size)``; for a functional, its block
     compressions of the same shape, so that ``omega(x) = sum_b tr(x_b
-    compress_b(omega))``.
-
-    ``coordinates``, set by ``block_decompose``, holds for each block the
-    compressions ``(k, size, size)`` of the ``k`` elements of the orthonormal
-    basis it was validated on: ``iso* b_i iso = x_i (x) 1``."""
+    compress_b(omega))``."""
 
     blocks: list[Block]
-    coordinates: list[np.ndarray] | None = None
 
     @property
     def block_sizes(self) -> list[int]:
@@ -188,6 +177,26 @@ class BlockDecomposition:
             h = adj.reshape(-1, adj.shape[-1]) @ f
             out.append(h.reshape(h.shape[:-2] + (len(idx), s, -1)))
         return out
+
+    def _element_compressions(self, x: np.ndarray) -> list[np.ndarray]:
+        """``iso* x iso`` ``(..., blocks, size * multiplicity, size *
+        multiplicity)`` per group for the elements ``x`` ``(..., dim, dim)``;
+        the left product with all of a group's adjoints at once."""
+        out = []
+        for _, _, _, adj in self.plan:
+            h = (adj.reshape(-1, adj.shape[-1]) @ x).reshape(x.shape[:-2] + adj.shape)
+            out.append(h @ adj.conj().swapaxes(-1, -2))
+        return out
+
+    def element_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The blocks ``(..., blocks, size, size)`` per group of the elements
+        ``x`` ``(..., dim, dim)`` of the algebra: ``iso* x iso = x_b (x) 1``,
+        with ``x_b`` the average over the multiplicity.  Operator norms are
+        ``block_norms`` of them."""
+        return [
+            _multiplicity_average(c, s, m)
+            for (s, m, _, _), c in zip(self.plan, self._element_compressions(x))
+        ]
 
     def compress(self, terms) -> list[np.ndarray]:
         """Block compressions of the functional with the terms ``(c, F)``, ``F``
@@ -227,16 +236,11 @@ def at_vectors(forms: list[np.ndarray], zeta: np.ndarray) -> list[np.ndarray]:
 
 def trace_norms(compressions: list[np.ndarray]) -> np.ndarray:
     """Sum of the trace norms of the blocks, one per stacked functional.  A
-    block of size 1 is ``|c|``; one of size 2 is ``sqrt(||c||_F^2 + 2 |det c|)``,
-    as ``s1^2 + s2^2 = ||c||_F^2`` and ``s1 s2 = |det c|``; larger blocks share
-    one SVD per group."""
+    block of size 1 is ``|c|``; larger blocks share one SVD per group."""
     total = 0.0
     for c in compressions:
         if c.shape[-1] == 1:
             total = total + np.abs(c[..., 0, 0]).sum(-1)
-        elif c.shape[-1] == 2:
-            det = np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0])
-            total = total + np.sqrt(np.vecdot(c, c, axis=-1).real.sum(-1) + 2.0 * det).sum(-1)
         else:
             total = total + np.linalg.svd(c, compute_uv=False).sum((-2, -1))
     return total
@@ -259,12 +263,15 @@ class DecompositionError(RuntimeError):
 
 def _center_basis(basis: np.ndarray) -> np.ndarray:
     """Basis of the center of the algebra spanned by the stack ``basis``, via
-    the commutator kernel: all ``k x k`` commutators in one stacked product,
-    their Gram matrix in one contraction."""
+    the commutator kernel: the Gram matrix of the commutators summed over one
+    basis element at a time, its ``k`` commutators one stacked product, so
+    ``k n^2`` entries are live."""
     k = len(basis)
-    products = basis[:, None] @ basis[None]
-    comm = (products - products.swapaxes(0, 1)).reshape(k, -1)
-    w, v = np.linalg.eigh(comm.conj() @ comm.T)
+    gram = np.zeros((k, k), dtype=complex)
+    for b in basis:
+        comm = (basis @ b - b @ basis).reshape(k, -1)
+        gram += comm.conj() @ comm.T
+    w, v = np.linalg.eigh(gram)
     keep = w < 1e-9 * max(1.0, float(w[-1]))
     if not keep.any():
         raise DecompositionError("algebra has empty center (identity missing from span?)")
@@ -349,100 +356,78 @@ def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockD
                 comp = dagger(p) @ ortho @ p
                 size, mult, local = _split_block(comp, rng, 1e-6)
                 blocks.append(Block(size=size, multiplicity=mult, isometry=p @ local))
-            coords = _validate_decomposition(BlockDecomposition(blocks=blocks), (ortho,), DECOMPOSE_TOL)
-            return BlockDecomposition(blocks=blocks, coordinates=coords)
+            decomp = BlockDecomposition(blocks=blocks)
+            _validate_decomposition(decomp, (ortho,), DECOMPOSE_TOL)
+            return decomp
         except DecompositionError as exc:
             last_error = exc
     raise DecompositionError(f"block decomposition failed after {DECOMPOSE_RETRIES} draws: {last_error}")
 
 
-def _validate_decomposition(
-    decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float
-) -> list[np.ndarray]:
+def _multiplicity_average(c: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The blocks ``x`` ``(..., s, s)`` of compressions ``c`` ``(..., s * m,
+    s * m)`` meant to be ``x (x) 1``: the average over the multiplicity."""
+    return np.trace(c.reshape(c.shape[:-2] + (s, m, s, m)), axis1=-3, axis2=-1) / m
+
+
+def _product_form(c: np.ndarray, s: int, m: int) -> tuple[np.ndarray, float]:
+    """The blocks ``x`` of compressions ``c`` meant to be ``x (x) 1``
+    (``_multiplicity_average``) and the largest entrywise distance of ``c``
+    from ``x (x) 1``."""
+    x = _multiplicity_average(c, s, m)
+    c = c.reshape(c.shape[:-2] + (s, m, s, m))
+    return x, float(np.abs(x[..., :, None, :, None] * np.eye(m)[:, None, :] - c).max())
+
+
+def _validate_decomposition(decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], tol: float) -> None:
     """Check that every block compresses the algebra of the factor stacks to
     ``x (x) 1`` with ``x`` ranging over all of ``M_size``; one pass per group
     of ``decomp.plan``: one stacked compression of the basis products, the
-    product form checked on the stack, the rank from one batched SVD.
-
-    Returns the compressions ``x`` ``(k, size, size)`` of the ``k`` basis
-    products, ``j`` fast, one array per block."""
+    product form checked on the stack, the rank from one batched SVD."""
     d = int(np.prod([f.shape[-1] for f in factors]))
     if decomp.total_dim != d:
         raise DecompositionError(f"block dimensions sum to {decomp.total_dim}, expected {d}")
-    compressed = [None] * len(decomp.blocks)
     for s, m, idx, adj in decomp.plan:
-        c = compress_basis(factors, adj.conj().swapaxes(-1, -2)).reshape(len(idx), -1, s, m, s, m)
-        x = np.trace(c, axis1=3, axis2=5) / m
-        if np.abs(x[:, :, :, None, :, None] * np.eye(m)[:, None, :] - c).max() > tol:
+        c = compress_basis(factors, adj.conj().swapaxes(-1, -2))
+        x, err = _product_form(c, s, m)
+        if err > tol:
             raise DecompositionError("compression is not of product form x (x) 1")
         rank = (np.linalg.svd(x.reshape(len(idx), -1, s * s), compute_uv=False) > 1e-8).sum(-1)
         if (rank != s ** 2).any():
             raise DecompositionError(f"compressed algebra has dimension {rank.min()}, expected {s ** 2}")
-        for i, xi in zip(idx, x):
-            compressed[i] = xi
-    return compressed
 
 
-def _coordinate_map(decomp: BlockDecomposition, coords: list[np.ndarray]) -> np.ndarray:
-    """The ``k x k`` map from coordinates to blocks: column ``k`` holds the
-    blocks ``coords[b][k]`` of the ``k``-th basis element, flattened in the
-    order of ``decomp.plan``."""
-    order = [i for _, _, idx, _ in decomp.plan for i in idx]
-    return np.concatenate([coords[i].reshape(len(coords[i]), -1) for i in order], axis=1).T
-
-
-def _plan_blocks(decomp: BlockDecomposition, flat: np.ndarray) -> list[np.ndarray]:
-    """Split the stacked blocks ``flat`` ``(draws, k)``, flattened in plan
-    order, into one array ``(draws, blocks, size, size)`` per group."""
-    out, start = [], 0
-    for s, _, idx, _ in decomp.plan:
-        stop = start + len(idx) * s * s
-        out.append(flat[:, start:stop].reshape(len(flat), len(idx), s, s))
-        start = stop
-    return out
-
-
-def _product_blocks(factor: BlockDecomposition) -> tuple[list[Block], list[np.ndarray]]:
-    """The blocks of ``M (x) M`` from the decomposition of ``M``, with the
-    compressions of the basis products in each.
+def _product_blocks(factor: BlockDecomposition) -> list[Block]:
+    """The blocks of ``M (x) M`` from the decomposition of ``M``.
 
     Block ``(a, b)`` is ``M_{s_a} (x) M_{s_b} = M_{s_a s_b}`` with multiplicity
     ``m_a m_b`` and isometry ``iso_a (x) iso_b``, formed by broadcasting with
     its columns grouped so the matrix index ``(p_a, p_b)`` is slow and the
-    multiplicity index ``(j_a, j_b)`` fast.  It compresses ``b_i (x) b_j`` to
-    ``kron(x_a,i, x_b,j) (x) 1``, read from ``factor.coordinates``; as
-    ``x_a,i`` spans ``M_{s_a}``, these span ``M_{s_a s_b}``."""
-    blocks, coords = [], []
-    for a, xa in zip(factor.blocks, factor.coordinates):
+    multiplicity index ``(j_a, j_b)`` fast.  It compresses ``x_a (x) x_b`` to
+    ``kron(x_a, x_b) (x) 1``; as ``x_a`` spans ``M_{s_a}``, these span
+    ``M_{s_a s_b}``."""
+    blocks = []
+    for a in factor.blocks:
         ia = a.isometry.reshape(-1, a.size, a.multiplicity)
-        for b, xb in zip(factor.blocks, factor.coordinates):
+        for b in factor.blocks:
             ib = b.isometry.reshape(-1, b.size, b.multiplicity)
             s, m = a.size * b.size, a.multiplicity * b.multiplicity
             iso = ia[:, None, :, None, :, None] * ib[None, :, None, :, None, :]
             blocks.append(Block(s, m, iso.reshape(-1, s * m)))
-            x = xa[:, None, :, None, :, None] * xb[None, :, None, :, None, :]
-            coords.append(x.reshape(len(xa) * len(xb), s, s))
-    return blocks, coords
+    return blocks
 
 
-def _check_coordinate_map(
-    decomp: BlockDecomposition,
-    factors: tuple[np.ndarray, ...],
-    cmap: np.ndarray,
-    rng: np.random.Generator,
+def _check_product_blocks(
+    decomp: BlockDecomposition, factors: tuple[np.ndarray, ...], rng: np.random.Generator
 ) -> None:
-    """Compress one random element ``Lam`` of the product algebra by every
-    block, ``iso* Lam iso``, and compare with ``x (x) 1`` for the blocks ``x``
-    that the coordinate map gives; raises ``DecompositionError`` if they
-    differ.  This checks the column order of the isometries and the plan order
-    of the map together."""
-    coeff = rng.standard_normal(cmap.shape[1]) + 1j * rng.standard_normal(cmap.shape[1])
-    lam = combine(factors, coeff)
-    for (s, m, _, adj), x in zip(decomp.plan, _plan_blocks(decomp, coeff[None] @ cmap.T)):
-        c = (adj.reshape(-1, adj.shape[-1]) @ lam).reshape(adj.shape) @ adj.conj().swapaxes(-1, -2)
-        recon = np.einsum("bpq,jl->bpjql", x[0], np.eye(m)).reshape(c.shape)
-        if np.abs(recon - c).max() > DECOMPOSE_TOL:
-            raise DecompositionError("coordinate map does not give the block compressions x (x) 1")
+    """Compress one random element of the product algebra by every block,
+    ``iso* Lam iso``, and raise ``DecompositionError`` unless each is of the
+    form ``x (x) 1``: this checks the column grouping of the isometries."""
+    k = len(factors[0]) * len(factors[1])
+    lam = combine(factors, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    for (s, m, _, _), c in zip(decomp.plan, decomp._element_compressions(lam)):
+        if _product_form(c, s, m)[1] > DECOMPOSE_TOL:
+            raise DecompositionError("compression is not of product form x (x) 1")
 
 
 def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
@@ -470,25 +455,12 @@ def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
 
     By Artin-Wedderburn the blocks of ``A (x) B`` are the products of the
     blocks of the factors (``_product_blocks``), so the decomposition is read
-    off that of ``M``, with no random draw on ``M (x) M``.  Its coordinate map,
-    cached beside it for ``doubled_blocks``, is the blockwise Kronecker product
-    of the coordinates of ``M`` that ``block_decompose`` validated, put in plan
-    order.  One element of ``M (x) M`` from a fixed-seed generator checks the
-    map against the block compressions (``_check_coordinate_map``).
+    off that of ``M``, with no random draw on ``M (x) M``.  One element of
+    ``M (x) M`` from a fixed-seed generator checks the product form of every
+    block (``_check_product_blocks``).
     """
     if "tensor_decomp" not in q._cache:
-        blocks, coords = _product_blocks(algebra_decomposition(q))
-        decomp = BlockDecomposition(blocks=blocks)
-        cmap = _coordinate_map(decomp, coords)
-        _check_coordinate_map(decomp, (q.ortho_basis, q.ortho_basis), cmap, np.random.default_rng(q.dim + 2))
+        decomp = BlockDecomposition(blocks=_product_blocks(algebra_decomposition(q)))
+        _check_product_blocks(decomp, (q.ortho_basis, q.ortho_basis), np.random.default_rng(q.dim + 2))
         q._cache["tensor_decomp"] = decomp
-        q._cache["tensor_coords"] = cmap
     return q._cache["tensor_decomp"]
-
-
-def doubled_blocks(q: FiniteQuantumGroup, coords: np.ndarray) -> list[np.ndarray]:
-    """The blocks in ``tensor_algebra_decomposition(q)`` of the elements of
-    ``M (x) M`` with the coordinates ``coords`` ``(draws, k)``: one product with
-    the cached ``k x k`` coordinate map, split into the groups of its plan."""
-    decomp = tensor_algebra_decomposition(q)
-    return _plan_blocks(decomp, coords @ q._cache["tensor_coords"].T)

@@ -126,9 +126,11 @@ def _random_element(q: qgcore.FiniteQuantumGroup, rng: np.random.Generator) -> n
 
 
 def _unit_doubled(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
-    """Coordinates ``(draws, k)`` of the elements of ``M (x) M`` scaled to norm
-    one, second index of a basis product fast; the norm is read from the blocks."""
-    return coeff / funalg.block_norms(funalg.doubled_blocks(q, coeff))[:, None]
+    """The dense element of ``M (x) M`` with the coordinates ``coeff`` (second
+    index of a basis product fast) scaled to norm one; the norm is read from
+    its blocks in ``tensor_algebra_decomposition``."""
+    lam = combine((q.ortho_basis,) * 2, coeff)
+    return lam / funalg.block_norms(funalg.tensor_algebra_decomposition(q).element_blocks(lam))
 
 
 def _unit_elements(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
@@ -232,7 +234,7 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
         xi = random_unit_vector(rng, n)
         theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
         unital = max(unital, operator_norm(theta_id - np.eye(n)))
-        lam = combine((q.ortho_basis,) * 2, _unit_doubled(q, _coefficients(rng, k)[None])[0])
+        lam = _unit_doubled(q, _coefficients(rng, k))
         theta_lam = diagonals.commutant_compression(q, xi, lam)
         member = max(member, projection_residual((q.ortho_basis,), theta_lam))
         # the Kraus route B* Lam B against the slice route

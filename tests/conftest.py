@@ -12,7 +12,6 @@ from qglab.funalg import (
     at_vectors,
     block_norms,
     convolve,
-    doubled_blocks,
     module_action_left,
     module_action_right,
     tensor_algebra_decomposition,
@@ -592,8 +591,8 @@ def dense_quasicentral_certificate(q, u, zeta):
 
 
 # The random-draw certifier bodies: each certified functional paired with a
-# stack of drawn elements, Lam of M (x) M held by its coordinates and read as
-# its blocks, or dense X of M; with the norms of those elements.
+# stack of drawn dense elements, Lam of M (x) M read as its blocks, or X of M;
+# with the norms of those elements.
 
 # relative residual above which an operator is rejected as outside its algebra
 MEMBERSHIP_TOL = 1e-8
@@ -611,8 +610,11 @@ def doubled_coordinates(q, lam):
 
 
 def doubled_stack(q, lams):
-    """The coordinates ``(draws, k)`` of a list of dense elements of ``M (x) M``."""
-    return doubled_coordinates(q, np.stack(lams))
+    """A list of dense elements of ``M (x) M`` as one stack ``(draws, n^2,
+    n^2)``, each checked to lie in ``M (x) M``."""
+    lam = np.stack(lams)
+    doubled_coordinates(q, lam)
+    return lam
 
 
 def pairings(blocks, compressions):
@@ -622,8 +624,8 @@ def pairings(blocks, compressions):
 
 def commutator_pairings(q, zeta, xi, eta, lam):
     """``|(omega_zeta . x - x . omega_zeta)(Lam)|`` and ``||Lam||`` at each
-    draw of the stacks ``zeta`` and ``lam`` (coordinates)."""
-    blocks = doubled_blocks(q, lam)
+    draw of the stacks ``zeta`` and ``lam`` (dense)."""
+    blocks = tensor_algebra_decomposition(q).element_blocks(lam)
     return np.abs(pairings(blocks, at_vectors(_commutator_forms(q, xi, eta), zeta))), block_norms(blocks)
 
 
@@ -646,8 +648,8 @@ def identity_pairings(q, u, zeta, x):
 def quasicentral_pairings(q, u, zeta, lam):
     """The pairings of both routes to the quasi-central functional with
     ``Lam`` and ``||Lam||`` at each draw of the stacks ``zeta`` and ``lam``
-    (coordinates): ``(definitional, vectorial, norms)``."""
-    blocks = doubled_blocks(q, lam)
+    (dense): ``(definitional, vectorial, norms)``."""
+    blocks = tensor_algebra_decomposition(q).element_blocks(lam)
     definitional, vectorial = (pairings(blocks, at_vectors(f, zeta)) for f in _quasicentral_forms(q, u))
     return definitional, vectorial, block_norms(blocks)
 

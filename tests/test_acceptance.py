@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (
     commutator_pairings,
-    doubled_coordinates,
+    doubled_stack,
     functional_from_matrix,
     identity_pairings,
     oracle_draws,
@@ -178,7 +178,7 @@ def test_criterion_5_commutator_bound_constant(constructions):
             cert = certify_commutator_bound(q, zeta, xi, eta, slack=1e-9)
             worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
             violations += int((~cert.passed).sum())
-            values, norms = commutator_pairings(q, zeta, xi, eta, doubled_coordinates(q, np.stack(lam)))
+            values, norms = commutator_pairings(q, zeta, xi, eta, doubled_stack(q, lam))
             excess = values - cert.lhs * norms
             worst_excess = max(worst_excess, excess.max())
             violations += int((excess > 1e-12).sum())
@@ -223,7 +223,7 @@ def test_criterion_6_quasicentral_identity(constructions):
                 worst_margin = max(worst_margin, (cert.lhs - cert.bound).max())
                 violations += int((~cert.passed).sum())
             values, norms = identity_pairings(q, u, zeta, x)
-            definitional, _, lam_norms = quasicentral_pairings(q, u, zeta, doubled_coordinates(q, lam))
+            definitional, _, lam_norms = quasicentral_pairings(q, u, zeta, doubled_stack(q, lam))
             for excess in (values - cert1.lhs * norms, np.abs(definitional) - cert2.lhs * lam_norms):
                 worst_excess = max(worst_excess, excess.max())
                 violations += int((excess > 1e-12).sum())

@@ -30,13 +30,11 @@ from qglab.funalg import (
     BlockDecomposition,
     DecompositionError,
     Functional,
-    _coordinate_map,
     _validate_decomposition,
     algebra_decomposition,
     block_decompose,
     block_norms,
     convolve,
-    doubled_blocks,
     module_action_left,
     module_action_right,
     predual_norm,
@@ -387,19 +385,20 @@ def _validate_by_loop(decomp, factors, tol):
 
 @pytest.mark.parametrize("side", ["fn", "dual"])
 class TestAlgebraNorm:
-    """The norm of ``M (x) M`` read from the blocks of its coordinates against
+    """The norm of ``M (x) M`` read from the blocks of its elements against
     the dense SVD."""
 
     # on the group-algebra side S3, D4 and Q8 have blocks of multiplicity 2,
-    # so a wrong coordinate map fails here
+    # so a wrong average over the multiplicity fails here
     @pytest.mark.parametrize("name", ALL_GROUPS)
     def test_equals_operator_norm_on_members(self, name, side, rng):
         q = get_group(name, side)
-        factors = (q.ortho_basis,) * 2
         k = len(q.ortho_basis) ** 2
         coeff = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
-        expected = np.array([operator_norm(x) for x in combine(factors, coeff)])
-        np.testing.assert_allclose(block_norms(doubled_blocks(q, coeff)), expected, rtol=1e-13)
+        lam = combine((q.ortho_basis,) * 2, coeff)
+        expected = np.array([operator_norm(x) for x in lam])
+        blocks = tensor_algebra_decomposition(q).element_blocks(lam)
+        np.testing.assert_allclose(block_norms(blocks), expected, rtol=1e-13)
 
     @pytest.mark.parametrize("name", ["Z2", "S3", "D4"])
     def test_coordinates_of_dense_members(self, name, side, rng):
@@ -440,17 +439,6 @@ class TestStackedPredualNorms:
                 assert abs(stacked[i] - predual_norm(omega, decomp)) <= 1e-12 * stacked[i]
                 assert abs(stacked[i] - dense_predual_norm(dense(omega), decomp)) <= 1e-12 * stacked[i]
 
-    def test_closed_form_size_two_equals_svd(self, rng):
-        # blocks of size 2 take sqrt(||c||_F^2 + 2 |det c|); rank one, zero and
-        # nearly equal singular values included
-        c = rng.standard_normal((40, 3, 2, 2)) + 1j * rng.standard_normal((40, 3, 2, 2))
-        c[:10, :, 1] = (0.5 - 2j) * c[:10, :, 0]
-        c[10:20] = 0.0
-        u = np.linalg.qr(c[20:30])[0]
-        c[20:30] = 1e-9 * u @ np.diag([1.0, 1.0 + 1e-12])
-        expected = np.linalg.svd(c, compute_uv=False).sum((-2, -1))
-        np.testing.assert_allclose(trace_norms([c]), expected, rtol=1e-14, atol=0.0)
-
 
 class TestTensorDecompositionProductForm:
     """The decomposition of ``M (x) M`` read off that of ``M`` against the one
@@ -489,60 +477,43 @@ class TestTensorDecompositionProductForm:
         for obj in (q, qd):
             tensor_algebra_decomposition(obj)
         # only the factor decompositions of M, on 6 dimensions, draw at random,
-        # and no basis product of M (x) M is compressed: the map is read off
-        # the factor's coordinates
+        # and no basis product of M (x) M is compressed: the blocks are read
+        # off the factor's
         assert decomposed == [6, 6]
         assert compressed and set(compressed) == {1}
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     @pytest.mark.parametrize("name", ALL_GROUPS)
-    def test_factor_map_equals_full_validation(self, name, side):
-        # the k-product validation on (M, M) as the oracle of the cached map
+    def test_factor_map_equals_full_validation(self, name, side, rng):
+        # the decomposition read off the factor passes the k-product validation
+        # on (M, M), and the blocks of an element of M (x) M give it back
         q = get_group(name, side)
         decomp = tensor_algebra_decomposition(q)
-        full = _coordinate_map(decomp, _validate_decomposition(decomp, (q.ortho_basis,) * 2, 1e-8))
-        assert np.abs(q._cache["tensor_coords"] - full).max() <= 1e-15
+        _validate_decomposition(decomp, (q.ortho_basis,) * 2, 1e-8)
+        lam = random_doubled(q, rng)
+        rebuilt = 0.0
+        for (s, m, _, adj), x in zip(decomp.plan, decomp.element_blocks(lam)):
+            c = np.kron(x, np.eye(m)[None])
+            rebuilt = rebuilt + np.einsum("bdp,bpq,bqe->de", adj.conj().swapaxes(-1, -2), c, adj)
+        assert np.abs(rebuilt - lam).max() <= 1e-13
 
-    # mutations of the factor-read map, each caught by the one-element check;
-    # on the function algebra every block has size 1, where a regrouping is
-    # the identity, so the transposes are broken on the group algebra only
-    @staticmethod
-    def _swap_coordinate_axes(product_blocks, factor):
-        blocks, coords = product_blocks(factor)
-        sizes = [(a.size, b.size) for a in factor.blocks for b in factor.blocks]
-        coords = [
-            x.reshape(-1, sa, sb, sa, sb).transpose(0, 2, 1, 4, 3).reshape(x.shape)
-            for x, (sa, sb) in zip(coords, sizes)
-        ]
-        return blocks, coords
-
+    # a mutation of the factor-read isometries, caught by the one-element
+    # check; on the function algebra every block has size 1, where a
+    # regrouping is the identity, so it is broken on the group algebra only
     @staticmethod
     def _untransposed_isometries(product_blocks, factor):
-        blocks, coords = product_blocks(factor)
+        blocks = product_blocks(factor)
         isometries = [np.kron(a.isometry, b.isometry) for a in factor.blocks for b in factor.blocks]
-        return [Block(b.size, b.multiplicity, iso) for b, iso in zip(blocks, isometries)], coords
+        return [Block(b.size, b.multiplicity, iso) for b, iso in zip(blocks, isometries)]
 
-    @pytest.mark.parametrize("mutation", ["_swap_coordinate_axes", "_untransposed_isometries"])
+    @pytest.mark.parametrize("mutation", ["_untransposed_isometries"])
     def test_check_fires_on_swapped_transpose(self, mutation, monkeypatch):
         q = dual(function_algebra(builtin_table("S3")))
         product_blocks, mutate = funalg._product_blocks, getattr(self, mutation)
         monkeypatch.setattr(funalg, "_product_blocks", lambda factor: mutate(product_blocks, factor))
-        with pytest.raises(DecompositionError, match="coordinate map"):
+        with pytest.raises(DecompositionError, match="product form"):
             tensor_algebra_decomposition(q)
-        assert "tensor_coords" not in q._cache
-
-    @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_check_fires_on_permuted_plan_order(self, side, monkeypatch):
-        q = function_algebra(builtin_table("S3"))
-        q = q if side == "fn" else dual(q)
-
-        def reversed_order(decomp, coords):
-            order = [i for _, _, idx, _ in decomp.plan for i in idx][::-1]
-            return np.concatenate([coords[i].reshape(len(coords[i]), -1) for i in order], axis=1).T
-
-        monkeypatch.setattr(funalg, "_coordinate_map", reversed_order)
-        with pytest.raises(DecompositionError, match="coordinate map"):
-            tensor_algebra_decomposition(q)
+        assert "tensor_decomp" not in q._cache
 
     @staticmethod
     def _with_isometries(q, isometries):

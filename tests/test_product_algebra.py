@@ -17,7 +17,7 @@ from conftest import (
 from qglab import suites
 from qglab.groups import builtin_table
 from qglab.qgcore import dual, function_algebra
-from qglab.tensorlin import combine, projection_residual
+from qglab.tensorlin import projection_residual
 
 
 @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -44,7 +44,7 @@ class TestFactoredAgainstDenseList:
         assert np.abs(x - random_algebra(q, np.random.default_rng(11))).max() <= 1e-13
         # M (x) M is drawn as coordinates, scaled by the norm of its blocks
         coeff = suites._coefficients(np.random.default_rng(11), len(q.ortho_basis) ** 2)
-        lam = combine((q.ortho_basis,) * 2, suites._unit_doubled(q, coeff[None])[0])
+        lam = suites._unit_doubled(q, coeff)
         assert np.abs(lam - random_doubled(q, np.random.default_rng(11))).max() <= 1e-13
 
 

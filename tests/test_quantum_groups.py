@@ -361,7 +361,7 @@ def test_exchange_suites_decompose_nothing(tmp_path, monkeypatch):
     path = tmp_path / "A4.json"
     path.write_text(json.dumps({"name": table.name, "order": table.order, "table": table.table}))
     calls = []
-    for name in ("block_decompose", "doubled_blocks"):
+    for name in ("block_decompose", "block_norms"):
         original = getattr(funalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
