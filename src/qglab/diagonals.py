@@ -13,9 +13,12 @@ predual norm of ``omega_zeta . x - x . omega_zeta``, at every vector of a
 stack ``zeta``.  That norm is the sum of the trace norms of the functional's
 block compressions in ``funalg.tensor_algebra_decomposition``.  The
 functional depends on ``zeta`` only through its vector state, so the
-compressions are sesquilinear in ``zeta``: their forms at the basis vectors are
-built once per call and evaluated for all vectors by one product.  No element
-of ``M (x) M`` is drawn or formed.
+compressions are sesquilinear in ``zeta``: their forms are built once per call
+from ``funalg.module_action_left`` and ``module_action_right`` on the stack of
+basis vector states, and evaluated for all vectors by one product.  The
+hypothesis residual ``omega_zeta * omega_eta - omega_eta * omega_zeta`` is
+``funalg.convolve`` on the stack of vector states.  No element of ``M (x) M``
+is drawn or formed.
 """
 
 from __future__ import annotations
@@ -227,10 +230,8 @@ def certify_commutator_bound(
     vectors.
     """
     eps1 = right_invariance_residual(q, xi.vector, zeta)
-    we = eta.vector[None]
-    eps2 = trace_norms(algebra_decomposition(q).compress(
-        [(1.0, _convolution_factors(q, zeta, we)), (-1.0, _convolution_factors(q, we, zeta))]
-    ))
+    oz, oe = vector_state(zeta), vector_state(eta.vector)
+    eps2 = trace_norms(algebra_decomposition(q).compress((convolve(q, oz, oe) - convolve(q, oe, oz)).terms))
     eps = np.maximum(eps1, eps2)
     return CommutatorCertificate(
         eps_invariance=eps1,
@@ -244,26 +245,13 @@ def certify_commutator_bound(
 
 def _commutator_forms(q: FiniteQuantumGroup, xi: NetVector, eta: NetVector) -> list[np.ndarray]:
     """The block forms of ``omega_zeta . x - x . omega_zeta`` for the diagonal
-    ``x`` of ``(xi, eta)``, from its factors at ``zeta = e_0, ..., e_{n-1}``
-    (``funalg.BlockDecomposition.cross_compress``)."""
-    n = q.dim
-    ((_, v),) = build_diagonal(q, xi, eta).bifunctional.terms
-    three = derived_unitaries(q).three
-    basis = np.eye(n)
-    left = np.multiply.outer(basis, v[:, 0]).reshape(n, -1)[:, three["w*"][1, 2]]
-    left = left.reshape(n, n, n * n).swapaxes(1, 2)
-    right = np.multiply.outer(v[:, 0], basis).swapaxes(0, 1).reshape(n, -1)[:, three["w*"][2, 3]]
-    right = right.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n, n * n, n)
-    return tensor_algebra_decomposition(q).cross_compress([(1.0, left), (-1.0, right)])
-
-
-def _convolution_factors(q: FiniteQuantumGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Factors ``(draws, n, n)`` of ``omega_a * omega_b`` for the vector stacks
-    ``a`` and ``b`` (one of them a stack of one): ``W`` gathered on
-    ``a (x) b``, its first leg traced out into the columns."""
-    n = q.dim
-    ab = (a[:, :, None] * b[:, None, :]).reshape(-1, n * n)
-    return ab[:, inverse(q.w)].reshape(-1, n, n).swapaxes(1, 2)
+    ``x`` of ``(xi, eta)``: ``funalg.module_action_left`` minus
+    ``module_action_right`` on the stack of vector states at ``zeta = e_0, ...,
+    e_{n-1}`` (``funalg.BlockDecomposition.cross_compress``)."""
+    x = build_diagonal(q, xi, eta).bifunctional
+    e = vector_state(np.eye(q.dim))
+    forms = module_action_left(q, e, x) - module_action_right(q, x, e)
+    return tensor_algebra_decomposition(q).cross_compress(forms.terms)
 
 
 def exact_nets(q: FiniteQuantumGroup) -> tuple[NetVector, NetVector]:

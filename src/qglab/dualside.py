@@ -15,12 +15,13 @@ their supremum: for each vector of a stack ``zeta``, the left side is the
 predual norm of a functional (on ``M`` for the identity bound, on ``M (x) M``
 for the quasi-central bound), the sum of the trace norms of its block
 compressions.  Each functional is sesquilinear in ``zeta``, so its block forms
-are built once per call at the basis vectors and evaluated for all vectors by
-one product; each invariance defect is the norm of a moved two-leg vector.  No
-element of ``M`` or ``M (x) M`` is drawn.  The slice-convention oracle takes
-its draws of ``xi``, ``eta``, ``zeta`` and ``x`` as stacks, and reads the
-factor of each approximate identity through ``_identity_factors``, as
-``build_approximate_identity`` does.
+are built once per call, by ``funalg.convolve`` (identity bound) or
+``Functional.tensor`` (quasi-central bound) on the stack of basis vector
+states, and evaluated for all vectors by one product; each invariance defect
+is the norm of a moved two-leg vector.  No element of ``M`` or ``M (x) M`` is
+drawn.  The approximate identity is ``funalg.product_map`` of a vector state
+(``_identity_functional``), read on stacks of draws by the slice-convention
+oracle and on one draw by ``build_approximate_identity``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from .funalg import (
     Functional,
     algebra_decomposition,
     at_vectors,
+    convolve,
+    product_map,
     tensor_algebra_decomposition,
     trace_norms,
+    vector_state,
 )
 from .qgcore import (
     FiniteQuantumGroup,
@@ -52,6 +56,7 @@ from .qgcore import (
     map_residual,
     tensor_map,
 )
+from .tensorlin import partial_trace
 
 __all__ = [
     "DualContext",
@@ -187,18 +192,16 @@ class QuasicentralIdentity:
 def build_approximate_identity(
     ctx: DualContext, xi: NetVector, eta: NetVector
 ) -> QuasicentralIdentity:
-    f = _identity_factors(ctx.q, xi.vector[None], eta.vector[None])[0]
-    return QuasicentralIdentity(xi=xi, eta=eta, functional=Functional(((1.0, f),)))
+    return QuasicentralIdentity(xi=xi, eta=eta, functional=_identity_functional(ctx.q, xi.vector, eta.vector))
 
 
-def _identity_factors(q: FiniteQuantumGroup, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The factors ``(draws, n, n)`` of the approximate identities of the
-    vector stacks ``xi`` and ``eta`` ``(draws, n)``: the second-leg slice of
-    ``W W'^op* (xi (x) eta)``, its traced first leg in the columns."""
-    n = q.dim
-    v = (xi[:, :, None] * eta[:, None, :]).reshape(-1, n * n)
-    v = v[:, derived_unitaries(q).wprime_op][:, inverse(q.w)]
-    return v.reshape(-1, n, n).swapaxes(1, 2)
+def _identity_functional(q: FiniteQuantumGroup, xi: np.ndarray, eta: np.ndarray) -> Functional:
+    """The approximate identity of ``(xi, eta)``, the second-leg slice of the
+    vector state of ``W W'^op* (xi (x) eta)``: ``funalg.product_map`` of the
+    vector state of ``W'^op* (xi (x) eta)``; stacks ``(draws, n)`` give a
+    stack of functionals."""
+    v = (xi[..., :, None] * eta[..., None, :]).reshape(xi.shape[:-1] + (-1,))
+    return product_map(q, vector_state(v[..., derived_unitaries(q).wprime_op]))
 
 
 # draws of slice_convention_residual evaluated together: its three-leg stacks
@@ -216,26 +219,22 @@ def slice_convention_residual(
     """Consistency oracle for the slice convention, one residual per draw of
     the stacks ``xi``, ``eta``, ``zeta`` ``(draws, n)`` and ``x``
     ``(draws, n, n)``: ``X(u * omega_zeta)`` for the approximate identity ``u``
-    of ``(xi, eta)``, computed by convolution from the factor that
-    ``build_approximate_identity`` reads, must match the three-leg inner
-    product ``<X_3 W_23 W_12 W'^op*_12 (xi (x) eta (x) zeta), same>``.
+    of ``(xi, eta)``, ``funalg.convolve`` of the functional that
+    ``build_approximate_identity`` reads with the vector state of ``zeta``,
+    must match the three-leg inner product
+    ``<X_3 W_23 W_12 W'^op*_12 (xi (x) eta (x) zeta), same>``.
 
     A wrong reading of the second-leg slice fails this loudly.  The draws are
     evaluated ``ORACLE_CHUNK`` at a time.
     """
-    n = ctx.dim
-    three = derived_unitaries(ctx.q).three
+    q, n = ctx.q, ctx.dim
+    three = derived_unitaries(q).three
     moved = chain(three["wprime_op"][1, 2], three["w*"][1, 2], three["w*"][2, 3])
-    rows = inverse(ctx.q.w)
     out = []
     for start in range(0, len(zeta), ORACLE_CHUNK):
         xi_c, eta_c, zeta_c, x_c = (a[start:start + ORACLE_CHUNK] for a in (xi, eta, zeta, x))
         d = len(zeta_c)
-        # u * omega_zeta: W gathered on the rows of F (x) zeta, the first leg
-        # traced into the columns (funalg.convolve)
-        f = _identity_factors(ctx.q, xi_c, eta_c)
-        g = (f[:, :, None, :] * zeta_c[:, None, :, None]).reshape(d, n * n, n)[:, rows]
-        g = g.reshape(d, n, n, n).transpose(0, 2, 1, 3).reshape(d, n, n * n)
+        ((_, g),) = convolve(q, _identity_functional(q, xi_c, eta_c), vector_state(zeta_c)).terms
         lhs = (g.conj() * (x_c @ g)).sum((1, 2))
         t = xi_c[:, :, None, None] * eta_c[:, None, :, None] * zeta_c[:, None, None, :]
         t = t.reshape(d, -1)[:, moved].reshape(d, n * n, n)
@@ -289,16 +288,12 @@ def certify_identity_bound(
 
 
 def _identity_forms(q: FiniteQuantumGroup, u: QuasicentralIdentity) -> list[np.ndarray]:
-    """The block forms of ``u * omega_zeta - omega_zeta`` on ``M`` at the basis
-    vectors in place of ``zeta`` (``funalg.BlockDecomposition.cross_compress``).
-    The factor of ``u * omega_{e_e}`` is ``(u (x) omega_{e_e})`` pushed through
-    ``W``, as in ``funalg.product_map``, with the traced first leg in the
-    columns; that of ``omega_{e_e}`` is the column ``e_e``."""
-    n = q.dim
-    ((c, f),) = u.functional.terms
-    g = (f[None, :, None, :] * np.eye(n)[:, None, :, None]).reshape(n, n * n, n)[:, inverse(q.w)]
-    g = g.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n, n, n * n)
-    return algebra_decomposition(q).cross_compress([(c, g), (-1.0, np.eye(n)[:, :, None])])
+    """The block forms of ``u * omega_zeta - omega_zeta`` on ``M``:
+    ``funalg.convolve`` of ``u`` with the stack of vector states at the basis
+    vectors in place of ``zeta``, minus that stack
+    (``funalg.BlockDecomposition.cross_compress``)."""
+    e = vector_state(np.eye(q.dim))
+    return algebra_decomposition(q).cross_compress((convolve(q, u.functional, e) - e).terms)
 
 
 def _identity_terms(
@@ -377,8 +372,7 @@ def _quasicentral_forms(q: FiniteQuantumGroup, u: QuasicentralIdentity) -> tuple
     # W'* W'^op Lam W'^op* W' is U* Lam U for U = W'^op* W', so the conjugated
     # pairing is the vector functional of U F = F[inverse(r)]
     r = chain(inverse(der.wprime_op), der.wprime)
-    ((c, f),) = u.functional.terms
-    fz = (basis[:, :, None, None] * f[None, None, :, :]).reshape(n, n * n, n)
+    ((c, fz),) = vector_state(basis).tensor(u.functional).terms
     definitional = decomp.cross_compress([(c, fz[:, inverse(r)]), (-c, fz)])
 
     # <Lam_13 t, t> on three-leg vectors t, the middle leg traced into the columns
@@ -386,7 +380,7 @@ def _quasicentral_forms(q: FiniteQuantumGroup, u: QuasicentralIdentity) -> tuple
     triple = np.multiply.outer(basis, y).reshape(n, -1)
     base = triple[:, der.three["wprime_op"][2, 3]][:, der.three["w*"][2, 3]]
     moved = base[:, der.three["wprime*"][1, 3]][:, der.three["wprime_op"][1, 3]]
-    moved, base = (t.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n, n * n, n) for t in (moved, base))
+    moved, base = (partial_trace(t[..., None], (n, n, n), 2) for t in (moved, base))
     return definitional, decomp.cross_compress([(1.0, moved), (-1.0, base)])
 
 

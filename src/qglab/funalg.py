@@ -14,7 +14,11 @@ fixed-seed generator checks it, every block compressing that element to
 ``x (x) 1``, which fails if the isometries' columns are grouped wrongly.  An
 element's blocks ``x`` (``BlockDecomposition.element_blocks``) give its norm,
 the largest norm of its blocks.  Every stacked computation takes leading draw
-axes.
+axes: a functional's factors ``F`` ``(..., dim, r)`` may carry leading stack
+axes, one functional per index, and ``vector_state``, ``Functional.tensor``,
+``convolve``, ``product_map`` and the module actions act on each at once.  How
+``W`` acts on a factor, the rows gathered and the leg traced into the columns,
+is written here and nowhere else.
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Functional:
     """An element of the predual of ``M`` or of ``M (x) M``: the terms
-    ``(c, F)`` give ``omega(x) = sum c Tr(F* x F)`` against ``H`` or ``H (x) H``."""
+    ``(c, F)`` give ``omega(x) = sum c Tr(F* x F)`` against ``H`` or ``H (x) H``.
+    The factors ``F`` ``(..., dim, r)`` may carry leading stack axes, making a
+    stack of functionals; ``value`` takes unstacked factors."""
 
     terms: tuple[tuple[complex, np.ndarray], ...]
 
@@ -64,13 +70,9 @@ class Functional:
         return complex(sum(c * np.vdot(f, x @ f) for c, f in self.terms))
 
     def tensor(self, other: "Functional") -> "Functional":
-        """``self (x) other``: the Kronecker products of the factors, formed by
-        broadcasting (the same products as ``np.kron``, without its overhead)."""
-        return Functional(tuple(
-            (c * d, (f[:, None, :, None] * g[None, :, None, :]).reshape(len(f) * len(g), -1))
-            for c, f in self.terms
-            for d, g in other.terms
-        ))
+        """``self (x) other``: the Kronecker products of the factors, the
+        stack axes broadcast (``_kron``)."""
+        return Functional(tuple((c * d, _kron(f, g)) for c, f in self.terms for d, g in other.terms))
 
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.terms + other.terms)
@@ -84,10 +86,18 @@ class Functional:
     __rmul__ = __mul__
 
 
+def _kron(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes of ``f`` and ``g``, formed by
+    broadcasting; their leading stack axes broadcast against each other."""
+    p = f[..., :, None, :, None] * g[..., None, :, None, :]
+    return p.reshape(p.shape[:-4] + (p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1]))
+
+
 def vector_state(zeta: np.ndarray) -> Functional:
     """The vector functional ``x -> <x zeta, zeta>``: one term, ``zeta`` as a
-    column; ``zeta`` on ``H (x) H`` gives a functional on the doubled algebra."""
-    return Functional(((1.0, zeta.reshape(-1, 1)),))
+    column; ``zeta`` on ``H (x) H`` gives a functional on the doubled algebra.
+    A stack ``zeta`` ``(..., dim)`` gives the stack of its vector states."""
+    return Functional(((1.0, zeta[..., None]),))
 
 
 def convolve(q: FiniteQuantumGroup, a: Functional, b: Functional) -> Functional:
@@ -101,7 +111,7 @@ def _module_action(q: FiniteQuantumGroup, x: Functional, legs: tuple[int, int], 
     its rows) and trace out ``leg``."""
     dims = (q.dim,) * 3
     rows = derived_unitaries(q).three["w*"][legs]
-    return Functional(tuple((c, partial_trace(f[rows], dims, leg)) for c, f in x.terms))
+    return Functional(tuple((c, partial_trace(f[..., rows, :], dims, leg)) for c, f in x.terms))
 
 
 def module_action_left(q: FiniteQuantumGroup, a: Functional, x: Functional) -> Functional:
@@ -120,7 +130,7 @@ def product_map(q: FiniteQuantumGroup, x: Functional) -> Functional:
     ``W F`` a gather of the rows of ``F``."""
     n = q.dim
     rows = inverse(q.w)
-    return Functional(tuple((c, partial_trace(f[rows], (n, n), 1)) for c, f in x.terms))
+    return Functional(tuple((c, partial_trace(f[..., rows, :], (n, n), 1)) for c, f in x.terms))
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,6 @@ def _coefficients(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
 
-def _random_element(q: qgcore.FiniteQuantumGroup, rng: np.random.Generator) -> np.ndarray:
-    """Random norm-one element of ``M`` (dense, normalised by the SVD)."""
-    x = combine((q.ortho_basis,), _coefficients(rng, len(q.ortho_basis)))
-    return x / operator_norm(x)
-
-
 def _unit_doubled(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
     """The dense element of ``M (x) M`` with the coordinates ``coeff`` (second
     index of a basis product fast) scaled to norm one; the norm is read from
@@ -198,7 +192,7 @@ def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
         for check, value in sorted(qgcore.structure_identity_residuals(q).items())
     ]
     if q.dim ** 3 <= max_tensor_entries():
-        x = _random_element(q, rng)
+        x = _unit_elements(q, _coefficients(rng, len(q.ortho_basis))[None])[0]
         out.append(("coassociativity", qgcore.coassociativity_residual(q, x), tol, None))
     return out
 
@@ -241,8 +235,7 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
         b = diagonals.compression_kraus_factor(q, xi)
         choi = max(choi, operator_norm(theta_lam - dagger(b) @ lam @ b))
     xi = random_unit_vector(rng, n)
-    x = _random_element(q, rng)
-    y = _random_element(q, rng)
+    x, y = (_unit_elements(q, _coefficients(rng, len(q.ortho_basis))[None])[0] for _ in range(2))
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
     # The factored simple-tensor form only holds on commutative algebras (with
     # the star-left conjugation and matching weight); elsewhere the residuals

@@ -126,15 +126,18 @@ def apply_leg(
 
 
 def partial_trace(f: np.ndarray, dims: tuple[int, ...], leg: int) -> np.ndarray:
-    """Factor of a partial trace: for ``f`` with rows on ``prod(dims)``, the
-    matrix ``g`` with ``g g* = Tr_leg(f f*)``, tracing out one leg (1-based).
-    The traced leg moves into the columns: a transpose and a reshape."""
+    """Factor of a partial trace: for ``f`` ``(..., prod(dims), r)``, the
+    matrix ``g`` with ``g g* = Tr_leg(f f*)``, tracing out one leg (1-based);
+    leading axes of ``f`` are a stack.  The traced leg moves into the
+    columns: a transpose and a reshape."""
     nlegs = len(dims)
     if not 1 <= leg <= nlegs:
         raise ValueError(f"leg {leg} out of range for {nlegs} legs")
-    kept = [i for i in range(nlegs) if i != leg - 1]
-    t = f.reshape(*dims, -1).transpose(*kept, leg - 1, nlegs)
-    return t.reshape(math.prod(dims) // dims[leg - 1], -1)
+    lead = f.shape[:-2]
+    k = len(lead)
+    kept = [k + i for i in range(nlegs) if i != leg - 1]
+    t = f.reshape(lead + tuple(dims) + (-1,)).transpose(*range(k), *kept, k + leg - 1, k + nlegs)
+    return t.reshape(lead + (math.prod(dims) // dims[leg - 1], -1))
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -382,13 +382,18 @@ class TestApproximateIdentity:
 
     @pytest.mark.parametrize("side", ["fn", "dual"])
     def test_slice_convention_fires_on_first_leg_slice(self, side, rng, monkeypatch):
-        # the shared factor read on the first leg instead of the second; 25
-        # draws cross the ORACLE_CHUNK edges, and the stacked residuals equal
-        # the per-draw oracle on the identities built from the broken factor
+        # the shared identity functional read on the first leg instead of the
+        # second (its factors transposed); 25 draws cross the ORACLE_CHUNK
+        # edges, and the stacked residuals equal the per-draw oracle on the
+        # identities built from the broken functional
         q = get_group("S3", side)
         ctx = dual_context(q)
-        factors = dualside._identity_factors
-        monkeypatch.setattr(dualside, "_identity_factors", lambda *a: factors(*a).swapaxes(1, 2))
+        identity = dualside._identity_functional
+
+        def first_leg(*args):
+            return Functional(tuple((c, f.swapaxes(-1, -2)) for c, f in identity(*args).terms))
+
+        monkeypatch.setattr(dualside, "_identity_functional", first_leg)
         xi, eta, zeta, x = oracle_draws(q, rng, 25)
         res = slice_convention_residual(ctx, xi, eta, zeta, x)
         assert res.min() > 1e-10

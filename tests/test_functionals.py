@@ -440,6 +440,39 @@ class TestStackedPredualNorms:
                 assert abs(stacked[i] - dense_predual_norm(dense(omega), decomp)) <= 1e-12 * stacked[i]
 
 
+class TestStackedFunctionals:
+    """``vector_state``, ``tensor``, ``convolve``, ``product_map`` and the
+    module actions on a stack of vectors against one vector at a time."""
+
+    @pytest.mark.parametrize("draws", [7, 1])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_stack_equals_one_at_a_time(self, name, side, draws, rng):
+        q = get_group(name, side)
+        n = q.dim
+        zeta = rng.standard_normal((draws, n)) + 1j * rng.standard_normal((draws, n))
+        other = rng.standard_normal((draws, n)) + 1j * rng.standard_normal((draws, n))
+        doubled = rng.standard_normal((draws, n * n)) + 1j * rng.standard_normal((draws, n * n))
+        a = vector_state(other[0])
+        x = vector_state(doubled[0])
+        ops = {
+            "vector_state": lambda z, o, d: z,
+            "tensor": lambda z, o, d: z.tensor(a) - a.tensor(z) + z.tensor(o),
+            "convolve": lambda z, o, d: convolve(q, z, a) - convolve(q, a, z) + convolve(q, z, o),
+            "product_map": lambda z, o, d: product_map(q, d),
+            "module_action_left": lambda z, o, d: module_action_left(q, z, x) + module_action_left(q, z, d),
+            "module_action_right": lambda z, o, d: module_action_right(q, x, z) + module_action_right(q, d, z),
+        }
+        for op, fn in ops.items():
+            stacked = fn(vector_state(zeta), vector_state(other), vector_state(doubled))
+            for i in range(draws):
+                single = fn(vector_state(zeta[i]), vector_state(other[i]), vector_state(doubled[i]))
+                assert len(stacked.terms) == len(single.terms), op
+                for (c, f), (d, g) in zip(stacked.terms, single.terms):
+                    assert c == d and f.shape == (draws,) + g.shape, op
+                    assert np.array_equal(f[i], g), op
+
+
 class TestTensorDecompositionProductForm:
     """The decomposition of ``M (x) M`` read off that of ``M`` against the one
     found by the random algorithm on the basis of ``M (x) M``."""

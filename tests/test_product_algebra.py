@@ -40,7 +40,8 @@ class TestFactoredAgainstDenseList:
 
     def test_draw_from_same_stream(self, name, side):
         q = get_group(name, side)
-        x = suites._random_element(q, np.random.default_rng(11))
+        coeff = suites._coefficients(np.random.default_rng(11), len(q.ortho_basis))
+        x = suites._unit_elements(q, coeff[None])[0]
         assert np.abs(x - random_algebra(q, np.random.default_rng(11))).max() <= 1e-13
         # M (x) M is drawn as coordinates, scaled by the norm of its blocks
         coeff = suites._coefficients(np.random.default_rng(11), len(q.ortho_basis) ** 2)

@@ -220,11 +220,18 @@ class TestPartialTrace:
         assert np.abs(g1 @ dagger(g1) - np.trace(aa) * bb).max() <= 1e-12
         assert np.abs(g2 @ dagger(g2) - np.trace(bb) * aa).max() <= 1e-12
 
-    def test_three_legs(self, rng):
-        a, b, c = random_matrix(rng, 2, 1), random_matrix(rng, 2, 3), random_matrix(rng, 2, 2)
-        g = partial_trace(np.kron(np.kron(a, b), c), (2, 2, 2), 2)
-        expected = np.trace(b @ dagger(b)) * np.kron(a @ dagger(a), c @ dagger(c))
-        assert np.abs(g @ dagger(g) - expected).max() <= 1e-12
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_three_legs(self, rng, lead):
+        # leading axes of the input are a stack, each entry traced on its own
+        triples = {i: (random_matrix(rng, 2, 1), random_matrix(rng, 2, 3), random_matrix(rng, 2, 2)) for i in np.ndindex(lead)}
+        f = np.empty(lead + (8, 6), dtype=complex)
+        for i, (a, b, c) in triples.items():
+            f[i] = np.kron(np.kron(a, b), c)
+        g = partial_trace(f, (2, 2, 2), 2)
+        assert g.shape == lead + (4, 12)
+        for i, (a, b, c) in triples.items():
+            expected = np.trace(b @ dagger(b)) * np.kron(a @ dagger(a), c @ dagger(c))
+            assert np.abs(g[i] @ dagger(g[i]) - expected).max() <= 1e-12
 
 
 class TestAntilinearOp:
