@@ -120,15 +120,21 @@ def commutant_compression(
     q: FiniteQuantumGroup, xi: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
     """The unital completely positive compression of the doubled algebra into
-    ``M``: ``Lam -> (omega_xi (x) id)(W' Lam W'*)``."""
+    ``M``: ``Lam -> (omega_xi (x) id)(W' Lam W'*)``.  A stack ``xi``
+    ``(..., n)`` gives one compression per vector, of one ``Lam`` or of the
+    matching stack ``lam`` ``(..., n^2, n^2)``."""
     r = inverse(derived_unitaries(q).wprime)
-    return slice_first(lam[np.ix_(r, r)], xi)
+    # np.take keeps the gathered rows and columns in C order, the layout the
+    # slice's sums are ordered by
+    return slice_first(np.take(np.take(lam, r, axis=-2), r, axis=-1), xi)
 
 
 def compression_kraus_factor(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarray:
     """The ``n^2 x n`` matrix ``B`` with columns ``W'*(xi (x) e_l)``; the
-    compression equals ``Lam -> B* Lam B``."""
-    return np.kron(xi.reshape(-1, 1), np.eye(q.dim))[derived_unitaries(q).wprime]
+    compression equals ``Lam -> B* Lam B``.  A stack ``xi`` ``(..., n)``
+    gives the stack of factors ``(..., n^2, n)``."""
+    b = xi[..., :, None, None] * np.eye(q.dim)
+    return b.reshape(xi.shape[:-1] + (-1, q.dim))[..., derived_unitaries(q).wprime, :]
 
 
 def compression_choi_matrix(q: FiniteQuantumGroup, xi: np.ndarray) -> np.ndarray:
@@ -182,9 +188,10 @@ def build_diagonal(q: FiniteQuantumGroup, xi: NetVector, eta: NetVector) -> Diag
 
 def diagonal_residuals(
     q: FiniteQuantumGroup, cand: DiagonalCandidate, a: Functional
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The two approximate-diagonal residuals of a candidate against ``a``:
-    the bimodule commutator norm and the approximate-identity defect."""
+    the bimodule commutator norm and the approximate-identity defect, one
+    pair of values per functional of a stack ``a``."""
     x = cand.bifunctional
     commutator = module_action_left(q, a, x) - module_action_right(q, x, a)
     r1 = tensor_predual_norm(commutator, tensor_algebra_decomposition(q))

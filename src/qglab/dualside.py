@@ -56,7 +56,7 @@ from .qgcore import (
     map_residual,
     tensor_map,
 )
-from .tensorlin import partial_trace
+from .tensorlin import partial_trace, vector_norms
 
 __all__ = [
     "DualContext",
@@ -96,16 +96,18 @@ def dual_context(q: FiniteQuantumGroup) -> DualContext:
 
 def flip_relation_residuals(
     ctx: DualContext, xi: np.ndarray, zeta: np.ndarray
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The two vector identities relating dual-side unitaries to flipped
     originals: ``What*(xi (x) zeta) = sigma(W(zeta (x) xi))`` and
-    ``What'*(xi (x) zeta) = sigma(W_op(zeta (x) xi))``."""
+    ``What'*(xi (x) zeta) = sigma(W_op(zeta (x) xi))``; one pair of residuals
+    per draw of the stacks ``xi`` and ``zeta`` ``(..., n)``."""
     der, der_hat = derived_unitaries(ctx.q), derived_unitaries(ctx.qhat)
     flip = flip_index(ctx.dim)
-    v = np.multiply.outer(xi, zeta).reshape(-1)
-    w = np.multiply.outer(zeta, xi).reshape(-1)
-    r1 = float(np.linalg.norm(v[ctx.qhat.w] - w[inverse(ctx.q.w)][flip]))
-    r2 = float(np.linalg.norm(v[der_hat.wprime] - w[inverse(der.wop)][flip]))
+    lead = xi.shape[:-1] + (-1,)
+    v = (xi[..., :, None] * zeta[..., None, :]).reshape(lead)
+    w = (zeta[..., :, None] * xi[..., None, :]).reshape(lead)
+    r1 = vector_norms(v[..., ctx.qhat.w] - w[..., inverse(ctx.q.w)[flip]])
+    r2 = vector_norms(v[..., der_hat.wprime] - w[..., inverse(der.wop)[flip]])
     return r1, r2
 
 

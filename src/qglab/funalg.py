@@ -62,12 +62,20 @@ class Functional:
     """An element of the predual of ``M`` or of ``M (x) M``: the terms
     ``(c, F)`` give ``omega(x) = sum c Tr(F* x F)`` against ``H`` or ``H (x) H``.
     The factors ``F`` ``(..., dim, r)`` may carry leading stack axes, making a
-    stack of functionals; ``value`` takes unstacked factors."""
+    stack of functionals."""
 
     terms: tuple[tuple[complex, np.ndarray], ...]
 
-    def value(self, x: np.ndarray) -> complex:
-        return complex(sum(c * np.vdot(f, x @ f) for c, f in self.terms))
+    def value(self, x: np.ndarray) -> complex | np.ndarray:
+        """``omega(x)``: a complex number, or one value per functional of a
+        stack, leading axes of ``x`` ``(..., dim, dim)`` broadcasting against
+        the stack.  Each value is ``sum c <x F, F>``, the factors flattened
+        into one dot product as ``np.vdot`` takes it."""
+        total = 0.0
+        for c, f in self.terms:
+            g = x @ f
+            total = total + c * np.vecdot(f.reshape(f.shape[:-2] + (-1,)), g.reshape(g.shape[:-2] + (-1,)))
+        return complex(total) if np.ndim(total) == 0 else total
 
     def tensor(self, other: "Functional") -> "Functional":
         """``self (x) other``: the Kronecker products of the factors, the
@@ -440,15 +448,19 @@ def _check_product_blocks(
             raise DecompositionError("compression is not of product form x (x) 1")
 
 
-def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float:
+def predual_norm(omega: Functional, decomp: BlockDecomposition) -> float | np.ndarray:
     """Quotient trace norm of a functional restricted to the decomposed algebra:
-    the sum of trace norms of the block compressions."""
-    return float(trace_norms(decomp.compress(omega.terms)))
+    the sum of trace norms of the block compressions; one per functional of a
+    stack."""
+    norms = trace_norms(decomp.compress(omega.terms))
+    return float(norms) if np.ndim(norms) == 0 else norms
 
 
-def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float:
-    """Predual norm on the doubled algebra; same block formula on ``H (x) H``."""
-    return float(trace_norms(decomp.compress(x.terms)))
+def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float | np.ndarray:
+    """Predual norm on the doubled algebra; same block formula on ``H (x) H``,
+    one per functional of a stack."""
+    norms = trace_norms(decomp.compress(x.terms))
+    return float(norms) if np.ndim(norms) == 0 else norms
 
 
 def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:

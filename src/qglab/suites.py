@@ -21,11 +21,11 @@ from .report import CheckRecord, CheckReport
 from .tensorlin import (
     DimensionCapError,
     combine,
-    dagger,
     max_tensor_entries,
     operator_norm,
     projection_residual,
     random_unit_vector,
+    vector_norms,
 )
 
 __all__ = ["RunConfig", "run_suites", "SUITE_NAMES", "CONSTRUCTIONS"]
@@ -47,6 +47,10 @@ CONSTRUCTIONS = ("function-algebra", "group-algebra")
 DEFAULT_EPSILONS = (0.01, 0.1, 0.3)
 # draws of the theta suite, recorded in its {"draws": 20} detail
 THETA_DRAWS = 20
+# dense doubled-algebra entries one stacked theta pass holds per array: a draw
+# holds its Lam, n^4 entries, so a pass takes max(1, THETA_BUDGET // n^4)
+# draws and memory does not grow with the draw count
+THETA_BUDGET = 2 * 64 ** 2
 
 # statement label of each suite's records; CHECK_ANCHORS names the checks that
 # certify a different statement from the rest of their suite
@@ -120,11 +124,12 @@ def _coefficients(rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def _unit_doubled(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
-    """The dense element of ``M (x) M`` with the coordinates ``coeff`` (second
-    index of a basis product fast) scaled to norm one; the norm is read from
-    its blocks in ``tensor_algebra_decomposition``."""
+    """The dense elements ``(..., n^2, n^2)`` of ``M (x) M`` with the
+    coordinates ``coeff`` ``(..., k)`` (second index of a basis product fast),
+    scaled to norm one; the norms are read from their blocks in
+    ``tensor_algebra_decomposition``."""
     lam = combine((q.ortho_basis,) * 2, coeff)
-    return lam / funalg.block_norms(funalg.tensor_algebra_decomposition(q).element_blocks(lam))
+    return lam / funalg.block_norms(funalg.tensor_algebra_decomposition(q).element_blocks(lam))[..., None, None]
 
 
 def _unit_elements(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarray:
@@ -137,7 +142,7 @@ def _unit_elements(q: qgcore.FiniteQuantumGroup, coeff: np.ndarray) -> np.ndarra
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Each row of ``v`` over its norm, the sum of squares of its real and
     imaginary parts as ``tensorlin.normalize`` takes it."""
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    return v / vector_norms(v)[:, None]
 
 
 # draws certified by one certifier call: the default --bound-draws, so that a
@@ -169,20 +174,14 @@ def _complex_parts(flat: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray
     return parts
 
 
-def _basis_states(q: qgcore.FiniteQuantumGroup) -> list[funalg.Functional]:
-    return [funalg.vector_state(np.eye(q.dim)[s]) for s in range(q.dim)]
-
-
 def _exact_diagonal(q) -> tuple[diagonals.DiagonalCandidate, float, float]:
     """The diagonal of ``q`` at its exact nets, with its module-commutator and
-    approximate-identity residuals, each a max over the basis vector states."""
+    approximate-identity residuals, each a max over the basis vector states,
+    taken as one stack."""
     xi, eta = diagonals.exact_nets(q)
     cand = diagonals.build_diagonal(q, xi, eta)
-    r1 = r2 = 0.0
-    for a in _basis_states(q):
-        m1, m2 = diagonals.diagonal_residuals(q, cand, a)
-        r1, r2 = max(r1, m1), max(r2, m2)
-    return cand, r1, r2
+    r1, r2 = diagonals.diagonal_residuals(q, cand, funalg.vector_state(np.eye(q.dim)))
+    return cand, float(r1.max()), float(r2.max())
 
 
 def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
@@ -221,19 +220,29 @@ def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
     ]
 
 
+def _theta_residuals(q, xi: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
+    """Unitality, Choi consistency and range membership of the compression
+    ``Lam -> (omega_xi (x) id)(W' Lam W'*)``, each the max over the draws of
+    the stacks ``xi`` ``(draws, n)`` and ``lam`` ``(draws, n^2, n^2)``."""
+    n = q.dim
+    unital = operator_norm(diagonals.commutant_compression(q, xi, np.eye(n * n)) - np.eye(n))
+    theta_lam = diagonals.commutant_compression(q, xi, lam)
+    # the Kraus route B* Lam B against the slice route
+    b = diagonals.compression_kraus_factor(q, xi)
+    choi = operator_norm(theta_lam - b.conj().swapaxes(-1, -2) @ lam @ b)
+    member = projection_residual((q.ortho_basis,), theta_lam)
+    return float(unital.max()), float(choi.max()), float(member.max())
+
+
 def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     n, k = q.dim, len(q.ortho_basis) ** 2
+    per_pass = max(1, THETA_BUDGET // n ** 4)
     unital = choi = member = 0.0
-    for _ in range(THETA_DRAWS):
-        xi = random_unit_vector(rng, n)
-        theta_id = diagonals.commutant_compression(q, xi, np.eye(n * n))
-        unital = max(unital, operator_norm(theta_id - np.eye(n)))
-        lam = _unit_doubled(q, _coefficients(rng, k))
-        theta_lam = diagonals.commutant_compression(q, xi, lam)
-        member = max(member, projection_residual((q.ortho_basis,), theta_lam))
-        # the Kraus route B* Lam B against the slice route
-        b = diagonals.compression_kraus_factor(q, xi)
-        choi = max(choi, operator_norm(theta_lam - dagger(b) @ lam @ b))
+    ((xi, coeff),) = _draw_batches(rng, THETA_DRAWS, (n, k))
+    for start in range(0, THETA_DRAWS, per_pass):
+        part = slice(start, start + per_pass)
+        u, c, m = _theta_residuals(q, _unit_rows(xi[part]), _unit_doubled(q, coeff[part]))
+        unital, choi, member = max(unital, u), max(choi, c), max(member, m)
     xi = random_unit_vector(rng, n)
     x, y = (_unit_elements(q, _coefficients(rng, len(q.ortho_basis))[None])[0] for _ in range(2))
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
@@ -293,11 +302,9 @@ def run_dual(q, cfg: RunConfig, rng) -> list[Measurement]:
     ctx = dualside.dual_context(q)
     n = q.dim
     flip1 = flip2 = 0.0
-    for _ in range(cfg.draws):
-        xi = random_unit_vector(rng, n)
-        zeta = random_unit_vector(rng, n)
-        f1, f2 = dualside.flip_relation_residuals(ctx, xi, zeta)
-        flip1, flip2 = max(flip1, f1), max(flip2, f2)
+    for xi, zeta in _draw_batches(rng, cfg.draws, (n, n)):
+        f1, f2 = dualside.flip_relation_residuals(ctx, _unit_rows(xi), _unit_rows(zeta))
+        flip1, flip2 = max(flip1, float(f1.max())), max(flip2, float(f2.max()))
     draws = {"draws": cfg.draws}
     out = [
         ("flip_relation_dual", flip1, tol, draws),
@@ -339,12 +346,10 @@ def run_thm44(q, cfg: RunConfig, rng) -> list[Measurement]:
 
     xi_exact, eta_exact = diagonals.exact_nets(q)
     u_exact = dualside.build_approximate_identity(ctx, xi_exact, eta_exact)
-    ident = 0.0
-    decomp = funalg.algebra_decomposition(q)
-    for a in _basis_states(q):
-        diff = funalg.convolve(q, u_exact.functional, a) - a
-        ident = max(ident, funalg.predual_norm(diff, decomp))
-    out.append(("exact_identity", ident, tol, {"states": n}))
+    e = funalg.vector_state(np.eye(n))
+    diff = funalg.convolve(q, u_exact.functional, e) - e
+    ident = funalg.predual_norm(diff, funalg.algebra_decomposition(q)).max()
+    out.append(("exact_identity", float(ident), tol, {"states": n}))
 
     for eps in cfg.epsilons:
         xi = diagonals.NetVector(

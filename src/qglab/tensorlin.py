@@ -37,6 +37,7 @@ __all__ = [
     "compress_basis",
     "random_unit_vector",
     "normalize",
+    "vector_norms",
 ]
 
 DEFAULT_MAX_TENSOR_ENTRIES = 12 ** 3
@@ -78,6 +79,13 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
     return v / nrm
+
+
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of ``v``, one per stacked vector: the
+    root of the dot products of the real and imaginary parts, as
+    ``np.linalg.norm`` takes it of one vector, so each value is the same."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -145,26 +153,29 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value.
+def operator_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value; one per matrix of a stack ``a`` ``(..., d, d)``,
+    by one stacked SVD.
 
-    A matrix with no non-zero entry (empty included) has norm exactly 0 and
-    skips the SVD; any non-zero, NaN or inf entry goes through it.
+    A single matrix with no non-zero entry (empty included) has norm exactly 0
+    and skips the SVD; any non-zero, NaN or inf entry goes through it.
     """
-    if not a.any():
+    if a.ndim == 2 and not a.any():
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 def slice_first(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Slice away the first leg of an operator on ``H1 (x) H2`` with the vector
     state of ``u``: the matrix of ``(omega_u (x) id)(x)``,
-    ``out[k, l] = <x (u (x) e_l), u (x) e_k>``.
+    ``out[k, l] = <x (u (x) e_l), u (x) e_k>``.  Leading axes of ``x``
+    ``(..., d, d)`` and ``u`` ``(..., d1)`` are stacks that broadcast.
     """
-    d1 = u.shape[0]
-    d2 = x.shape[0] // d1
-    x4 = x.reshape(d1, d2, d1, d2)
-    return np.einsum("a,abcd,c->bd", u.conj(), x4, u)
+    d1 = u.shape[-1]
+    d2 = x.shape[-1] // d1
+    x4 = x.reshape(x.shape[:-2] + (d1, d2, d1, d2))
+    return np.einsum("...a,...abcd,...c->...bd", u.conj(), x4, u)
 
 
 def span_basis(mats: list[np.ndarray]) -> np.ndarray:
@@ -210,12 +221,15 @@ def project(factors: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     return combine(factors, coordinates(factors, x))
 
 
-def projection_residual(factors: tuple[np.ndarray, ...], x: np.ndarray) -> float:
-    """Relative distance from ``x`` to the product algebra of the factor stacks."""
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        return 0.0
-    return float(np.linalg.norm(x - project(factors, x)) / nrm)
+def projection_residual(factors: tuple[np.ndarray, ...], x: np.ndarray) -> float | np.ndarray:
+    """Relative distance from ``x`` to the product algebra of the factor stacks,
+    in the Hilbert-Schmidt norm, 0 for ``x = 0``; one per element of a stack
+    ``x`` ``(..., d, d)``."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    nrm = vector_norms(flat)
+    res = vector_norms(flat - project(factors, x).reshape(flat.shape))
+    out = res / np.where(nrm == 0, 1.0, nrm)
+    return float(out) if out.ndim == 0 else out
 
 
 def compress_basis(factors: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:

@@ -4,8 +4,17 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qglab.diagonals import _commutator_forms, build_diagonal
-from qglab.dualside import _quasicentral_forms
+from qglab import suites
+from qglab.diagonals import (
+    _commutator_forms,
+    build_diagonal,
+    commutant_compression,
+    compression_kraus_factor,
+    compression_variant_residuals,
+    diagonal_residuals,
+    exact_nets,
+)
+from qglab.dualside import _quasicentral_forms, build_approximate_identity, dual_context
 from qglab.funalg import (
     Functional,
     algebra_decomposition,
@@ -14,6 +23,7 @@ from qglab.funalg import (
     convolve,
     module_action_left,
     module_action_right,
+    predual_norm,
     tensor_algebra_decomposition,
     vector_state,
 )
@@ -665,6 +675,64 @@ def slice_convention_oracle(ctx, u, zeta, x):
     t = t[three["wprime_op"][1, 2]][three["w*"][1, 2]][three["w*"][2, 3]]
     rhs = inner(apply_leg(x, (3,), t, (n, n, n)), t)
     return abs(lhs - rhs)
+
+
+# The per-draw and per-state suite bodies: the theta suite one draw at a time,
+# and the exact diagonal and approximate identity one basis vector state at a
+# time, each through unstacked calls.
+
+def theta_oracle(q, cfg, rng):
+    """Oracle of ``suites.run_theta``: its measurements with the compression
+    of each draw formed, normed and compared on its own."""
+    n, k = q.dim, len(q.ortho_basis) ** 2
+    unital = choi = member = 0.0
+    for _ in range(suites.THETA_DRAWS):
+        xi = random_unit_vector(rng, n)
+        theta_id = commutant_compression(q, xi, np.eye(n * n))
+        unital = max(unital, operator_norm(theta_id - np.eye(n)))
+        lam = suites._unit_doubled(q, suites._coefficients(rng, k))
+        theta_lam = commutant_compression(q, xi, lam)
+        member = max(member, projection_residual((q.ortho_basis,), theta_lam))
+        b = compression_kraus_factor(q, xi)
+        choi = max(choi, operator_norm(theta_lam - dagger(b) @ lam @ b))
+    xi = random_unit_vector(rng, n)
+    x, y = (suites._unit_elements(q, suites._coefficients(rng, len(q.ortho_basis))[None])[0] for _ in range(2))
+    variants = compression_variant_residuals(q, xi, x, y)
+    commutative = max(algebra_decomposition(q).block_sizes) == 1
+    simple_tol = suites._tol(cfg, 1e-10) if commutative else None
+    draws = {"draws": suites.THETA_DRAWS}
+    return [
+        ("unitality", unital, suites._tol(cfg, 1e-10), draws),
+        ("choi_consistency", choi, suites._tol(cfg, 1e-9), draws),
+        ("range_in_algebra", member, suites._tol(cfg, 1e-9), draws),
+        ("simple_tensor_identity", variants["sandwich_star_left/plain"], simple_tol, dict(variants)),
+    ]
+
+
+def basis_states(q):
+    return [vector_state(np.eye(q.dim)[s]) for s in range(q.dim)]
+
+
+def exact_diagonal_oracle(q):
+    """Oracle of ``suites._exact_diagonal``'s two residuals, the max of
+    ``diagonal_residuals`` over the basis vector states one at a time."""
+    xi, eta = exact_nets(q)
+    cand = build_diagonal(q, xi, eta)
+    r1 = r2 = 0.0
+    for a in basis_states(q):
+        m1, m2 = diagonal_residuals(q, cand, a)
+        r1, r2 = max(r1, float(m1)), max(r2, float(m2))
+    return r1, r2
+
+
+def exact_identity_oracle(q):
+    """Oracle of the ``thm44/exact_identity`` record: the max over the basis
+    vector states ``a``, one at a time, of ``||u * a - a||`` for the
+    approximate identity ``u`` of the exact nets."""
+    xi, eta = exact_nets(q)
+    u = build_approximate_identity(dual_context(q), xi, eta)
+    decomp = algebra_decomposition(q)
+    return max(predual_norm(convolve(q, u.functional, a) - a, decomp) for a in basis_states(q))
 
 
 @pytest.fixture

@@ -396,6 +396,19 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert obj["summary"]["total"] > 0
 
+    def test_package_runs_as_module(self, capsys):
+        # python -m qglab is the same front end as python -m qglab.cli
+        args = ["verify", "--group", "Z2", "--suites", "structure,obad", "--seed", "3"]
+        env = dict(os.environ, PYTHONPATH=str(Path(qglab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qglab", *args], env=env, capture_output=True)
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert main(args) == EXIT_PASS
+        assert proc.stdout == capsys.readouterr().out.encode()
+        bad = subprocess.run(
+            [sys.executable, "-m", "qglab", "verify", "--group", "NoSuchGroup"], env=env, capture_output=True
+        )
+        assert bad.returncode == EXIT_INPUT_ERROR
+
     def test_repeat_runs_identical_bytes(self, tmp_path):
         args = [
             "verify",

@@ -16,15 +16,17 @@ from conftest import (
     dense_derived_unitaries,
     doubled_coordinates,
     doubled_stack,
+    exact_diagonal_oracle,
     get_group,
     membership_residual,
     norming_element,
     perm_matrix,
     random_doubled,
     swapped_columns,
+    theta_oracle,
 )
 
-from qglab import diagonals, suites
+from qglab import diagonals, qgcore, suites
 from qglab.diagonals import (
     NetVector,
     build_diagonal,
@@ -213,11 +215,12 @@ class TestCommutantCompression:
 
         assert residual() <= 1e-9
         # on the group algebra W differs from W', so a Choi matrix built from W
-        # disagrees with the slice route of the compression
+        # disagrees with the slice route of the compression; the suite passes
+        # a stack of draws xi (draws, n)
         monkeypatch.setattr(
             diagonals,
             "compression_kraus_factor",
-            lambda q, xi: dagger(perm_matrix(q.w)) @ np.kron(xi.reshape(-1, 1), np.eye(q.dim)),
+            lambda q, xi: dagger(perm_matrix(q.w)) @ np.stack([np.kron(v.reshape(-1, 1), np.eye(q.dim)) for v in xi]),
         )
         assert residual() > 1e-6
 
@@ -268,6 +271,134 @@ class TestCommutantCompression:
         out = compression_variant_residuals(s3_dual, random_unit_vector(rng, 6), x, y)
         # recorded finding: no convention variant holds on a noncommutative algebra
         assert min(out.values()) > 1e-6
+
+
+class TestStackedCompression:
+    """The compression, its Kraus factor and the diagonal residuals on stacks,
+    against one vector or state at a time."""
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_stack_equals_one_at_a_time(self, name, side, rng):
+        q = get_group(name, side)
+        n = q.dim
+        xi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        lam = np.stack([random_doubled(q, rng) for _ in range(4)])
+        one_lam = commutant_compression(q, xi, lam[0])
+        stacked = commutant_compression(q, xi, lam)
+        kraus = compression_kraus_factor(q, xi)
+        assert stacked.shape == one_lam.shape == (4, n, n)
+        assert kraus.shape == (4, n * n, n)
+        for i in range(4):
+            assert np.array_equal(stacked[i], commutant_compression(q, xi[i], lam[i]))
+            assert np.array_equal(one_lam[i], commutant_compression(q, xi[i], lam[0]))
+            assert np.array_equal(kraus[i], compression_kraus_factor(q, xi[i]))
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_diagonal_residuals_one_per_state(self, name, side):
+        q = get_group(name, side)
+        xi, eta = exact_nets(q)
+        cand = build_diagonal(q, xi, eta)
+        r1, r2 = diagonal_residuals(q, cand, vector_state(np.eye(q.dim)))
+        assert r1.shape == r2.shape == (q.dim,)
+        for s in range(q.dim):
+            m1, m2 = diagonal_residuals(q, cand, vector_state(np.eye(q.dim)[s]))
+            assert (r1[s], r2[s]) == (m1, m2)
+
+
+class TestStackedSuitePasses:
+    """The theta suite's draws and the basis-state residuals of the exact
+    diagonal in stacked passes, against the per-draw and per-state oracles."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("construction", suites.CONSTRUCTIONS)
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_theta_equals_per_draw_oracle(self, name, construction, seed):
+        q = get_group(name, "fn" if construction == "function-algebra" else "dual")
+        cfg = suites.RunConfig(name, seed=seed)
+        stacked = suites.run_theta(q, cfg, suites._rng(cfg, "theta", construction))
+        oracle = theta_oracle(q, cfg, suites._rng(cfg, "theta", construction))
+        assert [m[0] for m in stacked] == [m[0] for m in oracle]
+        for (check, value, tol, detail), (_, want, want_tol, want_detail) in zip(stacked, oracle):
+            assert (tol, detail) == (want_tol, want_detail), check
+            assert abs(value - want) <= 1e-15, check
+            assert (tol is None or value <= tol) == (want_tol is None or want <= want_tol), check
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_exact_diagonal_equals_per_state_oracle(self, name, side):
+        q = get_group(name, side)
+        for obj in (q, qgcore.dual(q)):  # obad's diagonal and dual's dual diagonal
+            _, r1, r2 = suites._exact_diagonal(obj)
+            want = exact_diagonal_oracle(obj)
+            for value, expected in zip((r1, r2), want):
+                assert abs(value - expected) <= 1e-15
+                assert (value <= 1e-10) == (expected <= 1e-10)
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_theta_draws_equal_per_draw_stream(self, name, monkeypatch):
+        # one standard_normal call gives, bit for bit, the stream of drawing
+        # each xi with random_unit_vector and its Lam's coordinates with
+        # _coefficients, one draw at a time, and leaves the generator where
+        # the per-draw stream does
+        q = get_group(name, "dual")
+        n, k = q.dim, len(q.ortho_basis) ** 2
+        seen = {"xi": [], "coeff": [], "variants": []}
+        compression, unit_doubled = diagonals.commutant_compression, suites._unit_doubled
+        variants = diagonals.compression_variant_residuals
+
+        def record_compression(q, xi, lam):
+            if lam.ndim == 3:
+                seen["xi"].append(xi)
+            return compression(q, xi, lam)
+
+        def record_doubled(q, coeff):
+            seen["coeff"].append(coeff)
+            return unit_doubled(q, coeff)
+
+        def record_variants(q, xi, x, y):
+            seen["variants"].append(xi)
+            return variants(q, xi, x, y)
+
+        monkeypatch.setattr(diagonals, "commutant_compression", record_compression)
+        monkeypatch.setattr(suites, "_unit_doubled", record_doubled)
+        monkeypatch.setattr(diagonals, "compression_variant_residuals", record_variants)
+        suites.run_theta(q, suites.RunConfig(name), np.random.default_rng(3))
+        assert [len(x) for x in seen["xi"]] == [len(c) for c in seen["coeff"]]
+        per_pass = max(1, suites.THETA_BUDGET // n ** 4)
+        assert max(len(x) for x in seen["xi"]) == min(per_pass, suites.THETA_DRAWS)
+        rng = np.random.default_rng(3)
+        draws = [(random_unit_vector(rng, n), suites._coefficients(rng, k)) for _ in range(suites.THETA_DRAWS)]
+        assert np.array_equal(np.concatenate(seen["xi"]), np.stack([xi for xi, _ in draws]))
+        assert np.array_equal(np.concatenate(seen["coeff"]), np.stack([c for _, c in draws]))
+        assert np.array_equal(seen["variants"][0], random_unit_vector(rng, n))
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_theta_independent_of_budget(self, name, side, monkeypatch):
+        # one draw per pass and all draws in one pass give the same bytes
+        q = get_group(name, side)
+        cfg = suites.RunConfig(name)
+
+        def measurements(budget):
+            monkeypatch.setattr(suites, "THETA_BUDGET", budget)
+            return suites.run_theta(q, cfg, np.random.default_rng(7))
+
+        one = measurements(1)
+        assert one == measurements(suites.THETA_DRAWS * q.dim ** 4)
+        assert one == measurements(suites.THETA_BUDGET)
+
+    def test_range_in_algebra_fires_on_swapped_columns(self):
+        # on the D4 group algebra with entries 1 and 9 of W swapped, the
+        # compressions leave the algebra; unitality and choi_consistency
+        # read W' on both of their routes and stay at rounding level
+        broken = swapped_columns(get_group("D4", "dual"), 1, 9)
+        cfg = suites.RunConfig("D4")
+        stacked = dict((m[0], m[1]) for m in suites.run_theta(broken, cfg, np.random.default_rng(0)))
+        oracle = dict((m[0], m[1]) for m in theta_oracle(broken, cfg, np.random.default_rng(0)))
+        assert stacked["range_in_algebra"] > 0.1
+        assert abs(stacked["range_in_algebra"] - oracle["range_in_algebra"]) <= 1e-15
 
 
 class TestBuildDiagonal:

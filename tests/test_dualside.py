@@ -22,6 +22,7 @@ from conftest import (
     dense_quasicentral_certificate,
     dense_quasicentral_exchange_residual,
     doubled_stack,
+    exact_identity_oracle,
     flip_matrix,
     get_group,
     identity_functional,
@@ -160,6 +161,17 @@ class TestFlipRelations:
         r1, r2 = flip_relation_residuals(ctx, e0, e0)
         assert r1 == 0.0
         assert r2 == 0.0
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_stack_equals_one_at_a_time(self, name, side, rng):
+        ctx = dual_context(get_group(name, side))
+        n = ctx.dim
+        xi, zeta = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)) for _ in range(2))
+        r1, r2 = flip_relation_residuals(ctx, xi, zeta)
+        assert r1.shape == r2.shape == (6,)
+        for i in range(6):
+            assert (r1[i], r2[i]) == flip_relation_residuals(ctx, xi[i], zeta[i])
 
 
 class TestDualNetResiduals:
@@ -413,6 +425,17 @@ class TestApproximateIdentity:
         for s in range(q.dim):
             a = vector_state(np.eye(q.dim)[s])
             assert predual_norm(convolve(q, u.functional, a) - a, decomp) <= 1e-10
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    @pytest.mark.parametrize("name", ["Z1", "S3", "D4"])
+    def test_exact_identity_record_equals_per_state_oracle(self, name, side):
+        # the record takes the basis vector states as one stack
+        q = get_group(name, side)
+        cfg = RunConfig(name, epsilons=(), draws=1)
+        (record,) = [m for m in run_thm44(q, cfg, np.random.default_rng(0)) if m[0] == "exact_identity"]
+        want = exact_identity_oracle(q)
+        assert abs(record[1] - want) <= 1e-15
+        assert (record[1] <= record[2]) == (want <= record[2])
 
 
 def unit_vectors(q, rng, count):

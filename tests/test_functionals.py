@@ -434,6 +434,8 @@ class TestStackedPredualNorms:
             terms = [(1.0, f[:, 0]), (-0.5j, f[:, 1])]
             stacked = trace_norms(decomp.compress(terms))
             assert stacked.shape == (5,)
+            norm = predual_norm if d == q.dim else tensor_predual_norm
+            assert np.array_equal(norm(Functional(tuple(terms)), decomp), stacked)
             for i in range(5):
                 omega = Functional(((1.0, f[i, 0]), (-0.5j, f[i, 1])))
                 assert abs(stacked[i] - predual_norm(omega, decomp)) <= 1e-12 * stacked[i]
@@ -471,6 +473,40 @@ class TestStackedFunctionals:
                 for (c, f), (d, g) in zip(stacked.terms, single.terms):
                     assert c == d and f.shape == (draws,) + g.shape, op
                     assert np.array_equal(f[i], g), op
+
+
+class TestStackedValue:
+    """``Functional.value`` on a stack of functionals: one value per
+    functional, and one unstacked value as the dot product ``np.vdot``."""
+
+    def test_basis_states_have_value_one(self):
+        values = vector_state(np.eye(3)).value(np.eye(3))
+        assert values.shape == (3,)
+        assert np.array_equal(values, np.ones(3))
+        assert vector_state(np.eye(3)[1]).value(np.eye(3)) == 1.0
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_stack_equals_one_at_a_time(self, name, rng):
+        q = get_group(name)
+        d = q.dim ** 2
+        f = rng.standard_normal((5, 2, d, 3)) + 1j * rng.standard_normal((5, 2, d, 3))
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        stacked = Functional(((1.0, f[:, 0]), (-0.5j, f[:, 1])))
+        values = stacked.value(x)
+        assert values.shape == (5,)
+        for i in range(5):
+            single = Functional(((1.0, f[i, 0]), (-0.5j, f[i, 1])))
+            one = single.value(x)
+            assert type(one) is complex
+            assert one == complex(np.vdot(f[i, 0], x @ f[i, 0]) - 0.5j * np.vdot(f[i, 1], x @ f[i, 1]))
+            assert values[i] == one
+        # a stack of elements pairs with one functional, or one for one
+        xs = np.stack([x, x.conj().T])
+        single = Functional(((1.0, f[0, 0]),))
+        assert np.array_equal(single.value(xs), [single.value(x), single.value(x.conj().T)])
+        pair = Functional(((1.0, f[:2, 0]),))
+        second = Functional(((1.0, f[1, 0]),))
+        assert np.array_equal(pair.value(xs), [single.value(x), second.value(x.conj().T)])
 
 
 class TestTensorDecompositionProductForm:

@@ -23,6 +23,7 @@ from qglab.tensorlin import (
     span_basis,
     projection_residual,
     trace_norm,
+    vector_norms,
 )
 
 
@@ -157,6 +158,23 @@ class TestSchattenNorms:
         best = float(np.linalg.norm(vs @ a.T, axis=1).max())
         assert best <= top + 1e-12
         assert best >= top - 1e-3
+
+    def test_operator_norm_of_stack_equals_one_at_a_time(self, rng):
+        a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        a[1, 2] = 0.0
+        top = operator_norm(a)
+        assert top.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert top[i, j] == operator_norm(a[i, j])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_vector_norms_equal_linalg_norm(self, rng, dtype):
+        v = rng.standard_normal((4, 7)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((4, 7))
+        norms = vector_norms(v)
+        assert [float(x) for x in norms] == [float(np.linalg.norm(row)) for row in v]
 
     @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (64, 64)])
     def test_operator_norm_of_zero_matrix(self, shape):
