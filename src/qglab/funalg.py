@@ -5,8 +5,10 @@ A functional is a short signed sum of vector functionals, held as the terms
 never a pairing matrix.  Only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
 block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.
-``block_decompose`` validates its decomposition against the basis, every
-basis element compressing to ``x (x) 1`` in every block.
+For the constructions from a Cayley table the decomposition of ``M`` is read
+from the table (``algebra_decomposition``), otherwise found by
+``block_decompose``; either is validated against the basis, every basis
+element compressing to ``x (x) 1`` in every block.
 
 The decomposition of ``M (x) M`` is read off that of ``M``: its blocks are the
 products of the factor's blocks.  One element of ``M (x) M`` drawn from a
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qgcore import FiniteQuantumGroup, derived_unitaries, inverse
+from .qgcore import KIND_FUNCTION, FiniteQuantumGroup, derived_unitaries, inverse, is_table_construction
 from .tensorlin import (
     combine,
     compress_basis,
@@ -247,9 +249,14 @@ class BlockDecomposition:
 def at_vectors(forms: list[np.ndarray], zeta: np.ndarray) -> list[np.ndarray]:
     """The compressions ``sum_ef zeta_e conj(zeta_f) Q[e, f]`` of the forms of
     ``BlockDecomposition.cross_compress``, one per vector of the stack ``zeta``
-    ``(draws, e)``: one product with the rank-one matrices ``zeta zeta*``."""
+    ``(draws, e)``: one product with the rank-one matrices ``zeta zeta*``.
+
+    OpenBLAS takes a product with one row as a matrix-vector product and
+    splits its sum over its threads, so for one vector the product is an
+    ``einsum``, whose rounding does not follow the thread count."""
     zz = (zeta[:, :, None] * zeta.conj()[:, None, :]).reshape(len(zeta), -1)
-    return [(zz @ q.reshape(zz.shape[1], -1)).reshape((len(zeta),) + q.shape[2:]) for q in forms]
+    product = np.matmul if len(zeta) > 1 else lambda a, b: np.einsum("de,ef->df", a, b)
+    return [product(zz, q.reshape(zz.shape[1], -1)).reshape((len(zeta),) + q.shape[2:]) for q in forms]
 
 
 def trace_norms(compressions: list[np.ndarray]) -> np.ndarray:
@@ -342,21 +349,28 @@ def _split_block(
 
 
 # entrywise tolerance of the product-form validation, and the number of random
-# draws block_decompose tries before it gives up
+# draws _split_center tries before it gives up
 DECOMPOSE_TOL = 1e-8
 DECOMPOSE_RETRIES = 5
 
 
 def block_decompose(basis: list[np.ndarray], rng: np.random.Generator) -> BlockDecomposition:
-    """Artin-Wedderburn decomposition of the *-algebra spanned by ``basis``.
+    """Artin-Wedderburn decomposition of the *-algebra spanned by ``basis``,
+    its center found as the commutator kernel (``_center_basis``) and split by
+    ``_split_center``."""
+    ortho = span_basis(basis)
+    return _split_center(ortho, _center_basis(ortho), rng)
+
+
+def _split_center(ortho: np.ndarray, center: np.ndarray, rng: np.random.Generator) -> BlockDecomposition:
+    """Decomposition of the algebra of the orthonormal stack ``ortho`` whose
+    center is spanned by the stack ``center``.
 
     A random self-adjoint central element splits ``H`` into the central
     subspaces; a random self-adjoint algebra element inside each block splits
     off the multiplicity.  Degenerate random draws are retried with fresh
     randomness up to ``DECOMPOSE_RETRIES`` times.
     """
-    ortho = span_basis(basis)
-    center = _center_basis(ortho)
     last_error: Exception | None = None
     for _ in range(DECOMPOSE_RETRIES):
         try:
@@ -464,12 +478,38 @@ def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float | np
 
 
 def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
-    """Block decomposition of ``M``, cached on the quantum group object."""
+    """Block decomposition of ``M``, cached on the quantum group object.
+
+    For the two constructions from a Cayley table it is read from the table:
+    the function algebra is ``n`` blocks of size 1 at the ``e_s``, with no
+    random draw; the center of the group algebra is spanned by its class sums
+    ``sum_{s in C} lambda(s)``, split by ``_split_center`` with its fixed-seed
+    draws.  Both are validated against ``q.ortho_basis``.  Other objects go
+    through ``block_decompose``.
+    """
     if "decomp" not in q._cache:
-        q._cache["decomp"] = block_decompose(
-            q.algebra_basis, rng=np.random.default_rng(q.dim + 1)
-        )
+        rng = np.random.default_rng(q.dim + 1)
+        if not is_table_construction(q):
+            decomp = block_decompose(q.algebra_basis, rng)
+        elif q.kind == KIND_FUNCTION:
+            decomp = BlockDecomposition(blocks=[Block(1, 1, e[:, None]) for e in np.eye(q.dim, dtype=complex)])
+            _validate_decomposition(decomp, (q.ortho_basis,), DECOMPOSE_TOL)
+        else:
+            decomp = _split_center(q.ortho_basis, _class_sums(q), rng)
+        q._cache["decomp"] = decomp
     return q._cache["decomp"]
+
+
+def _class_sums(q: FiniteQuantumGroup) -> np.ndarray:
+    """Orthonormal stack of the class sums of the group algebra, one per
+    conjugacy class of ``q.table``: the sums of its elements of
+    ``q.ortho_basis`` (``lambda(s) / sqrt(n)``, indexed by ``s``) over the
+    root of the class size."""
+    classes = q.table.conjugacy_classes()
+    weights = np.zeros((len(classes), q.dim))
+    for k, cls in enumerate(classes):
+        weights[k, list(cls)] = 1.0 / np.sqrt(len(cls))
+    return np.tensordot(weights, q.ortho_basis, 1)
 
 
 def tensor_algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:

@@ -51,6 +51,19 @@ class GroupTable:
     def inverses(self) -> tuple[int, ...]:
         return tuple(self.inverse(i) for i in range(self.order))
 
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugacy classes ``{g s g^-1}``, each sorted, in the order of
+        their smallest elements, the identity's class first."""
+        inv = self.inverses
+        seen: set[int] = set()
+        classes = []
+        for s in range(self.order):
+            if s not in seen:
+                cls = sorted({self.table[self.table[g][s]][inv[g]] for g in range(self.order)})
+                seen.update(cls)
+                classes.append(tuple(cls))
+        return tuple(classes)
+
     def is_abelian(self) -> bool:
         return all(
             self.table[i][j] == self.table[j][i]

@@ -16,14 +16,17 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   and every unitary is applied by a gather: ``U v = v[inverse(m)]``,
   ``U* v = v[m]`` and ``U* Lam U = Lam[m][:, m]``.  Identities between
   unitaries compare composed index maps, and the comultiplication and
-  coassociativity are gathers at them.  The dense ``W`` is formed only where
-  its slices are needed: the dual algebra and the ``W_in_doubled_algebra``
-  record.
+  coassociativity are gathers at them.  The dense ``W`` is formed only for
+  the ``W_in_doubled_algebra`` record and, for a generic object, for the
+  slices that span its dual algebra.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
 * An algebra is its orthonormal basis stack; a product algebra is the pair of
   its factor stacks: ``(M, M)`` for ``M (x) M``, ``(M, Mhat)`` for ``W``'s algebra.
+  For the two constructions from a Cayley table both stacks are written from
+  the table (``_table_bases``): the diagonal units ``e_s e_s*`` and
+  ``lambda(s) / sqrt(n)``, ``lambda(s) e_b = e_{sb}``.
 """
 
 from __future__ import annotations
@@ -103,9 +106,12 @@ class FiniteQuantumGroup:
 
     @property
     def ortho_basis(self) -> np.ndarray:
-        """Orthonormal (Hilbert-Schmidt) basis of ``M`` as a stack, cached."""
+        """Orthonormal (Hilbert-Schmidt) basis of ``M`` as a stack, cached:
+        written from the Cayley table for the two table constructions
+        (``_table_bases``), otherwise the SVD span of ``algebra_basis``."""
         if "ortho_basis" not in self._cache:
-            self._cache["ortho_basis"] = span_basis(self.algebra_basis)
+            bases = _table_bases(self)
+            self._cache["ortho_basis"] = span_basis(self.algebra_basis) if bases is None else bases[0]
         return self._cache["ortho_basis"]
 
 
@@ -154,8 +160,10 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """The dual quantum group on the same Hilbert space.
 
     ``What = Sigma W* Sigma``, the map ``chain(flip, inverse(w), flip)``; the
-    dual algebra is spanned by the first-leg slices of ``W``; the two modular
-    conjugations swap.
+    dual algebra is spanned by the first-leg slices of ``W`` (``_slice_span``:
+    for a table construction the stack written from the table, which the
+    dual's ``W_in_doubled_algebra`` record then compares with ``What``); the
+    two modular conjugations swap.
 
     The dual is built once per object and cached on it, and ``q`` is recorded
     as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality)
@@ -191,8 +199,15 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 def _slice_span(q: FiniteQuantumGroup) -> np.ndarray:
     """Orthonormal basis of the span of the first-leg slices of ``W``, where
-    ``[(omega_{e_a, e_c} (x) id)(W)][k, l] = <W (e_a (x) e_l), e_c (x) e_k>``;
+    ``[(omega_{e_a, e_c} (x) id)(W)][k, l] = <W (e_a (x) e_l), e_c (x) e_k>``.
+
+    For a table construction it is ``Mhat`` written from the table
+    (``_table_bases``), not read from ``q.w``, so a broken ``w`` leaves it
+    unchanged.  Otherwise it is the SVD span of the slices of the dense ``W``,
     computed once and cached on ``q``."""
+    bases = _table_bases(q)
+    if bases is not None:
+        return bases[1]
     if "slice_span" not in q._cache:
         n = q.dim
         slices = _matrix(q.w).reshape(n, n, n, n).transpose(2, 0, 1, 3)
@@ -242,14 +257,28 @@ def derived_unitaries(q: FiniteQuantumGroup) -> DerivedUnitaries:
         n, w = q.dim, q.w
         jj, jhjh, kk = (tensor_map(m, m) for m in (q.j, q.jhat, chain(q.j, q.jhat)))
         wprime, wprime_op = chain(jj, w, jj), chain(kk, w, kk)
-        three, pairs = {}, ((1, 2), (1, 3), (2, 3))
+        three = {}
         for name, u in (("w", w), ("wprime", wprime), ("wprime_op", wprime_op)):
             for key, m in ((name, u), (name + "*", inverse(u))):
-                three[key] = {legs: leg_map(m, legs, (n, n, n)) for legs in pairs}
+                three[key] = _three_leg_maps(m, n)
         q._cache["derived"] = DerivedUnitaries(
             wprime=wprime, wop=chain(jhjh, w, jhjh), wprime_op=wprime_op, three=three
         )
     return q._cache["derived"]
+
+
+def _three_leg_maps(m: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
+    """The index maps of the permutation ``m`` of ``C^n (x) C^n`` on legs
+    ``(1, 2)``, ``(1, 3)`` and ``(2, 3)`` of three, by integer broadcasting:
+    the maps ``leg_map`` gives.  On legs ``(1, 3)``, ``m`` sends ``(a, c)`` to
+    ``divmod(m[a n + c], n)``, and leg 2 keeps its place ``b n``."""
+    i = np.arange(n)
+    hi, lo = np.divmod(m.reshape(n, n), n)
+    return {
+        (1, 2): (m[:, None] * n + i).reshape(-1),
+        (1, 3): (hi[:, None, :] * (n * n) + i[:, None] * n + lo[:, None, :]).reshape(-1),
+        (2, 3): (i[:, None] * (n * n) + m).reshape(-1),
+    }
 
 
 def tensor_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,7 +345,9 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     ``q`` holds (written by ``function_algebra``, composed by ``dual``) with
     the maps written here from the Cayley table, so an edited map moves only
     the first side.  The membership of ``W`` in ``M (x) Mhat`` is included as
-    a recorded check; it is the one record that forms the dense ``W``.
+    a recorded check; it is the one record that forms the dense ``W``, and
+    for a table construction both factor stacks are written from the table,
+    so it too compares ``w`` with a second route.
     """
     if "structure_residuals" in q._cache:
         return q._cache["structure_residuals"]
@@ -345,13 +376,36 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     return out
 
 
+def is_table_construction(q: FiniteQuantumGroup) -> bool:
+    """Whether ``q`` is the function algebra of its Cayley table or its dual,
+    the constructions whose maps and algebras are written from the table."""
+    return q.table is not None and q.kind in (KIND_FUNCTION, KIND_DUAL)
+
+
+def _table_bases(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal stacks of ``M`` and ``Mhat`` written from the Cayley table,
+    apart from the maps ``q`` holds: on the function algebra the diagonal
+    units ``e_s e_s*`` and ``lambda(s) / sqrt(n)`` with ``lambda(s) e_b =
+    e_{sb}``, each indexed by ``s``; on the group algebra the same two
+    swapped.  ``None`` for other constructions."""
+    if not is_table_construction(q):
+        return None
+    n = q.dim
+    i = np.arange(n)
+    units = np.zeros((n, n, n), dtype=complex)
+    units[i, i, i] = 1.0
+    lam = np.zeros((n, n, n), dtype=complex)
+    lam[i[:, None], np.array(q.table.table), i] = 1.0 / np.sqrt(n)
+    return (units, lam) if q.kind == KIND_FUNCTION else (lam, units)
+
+
 def _table_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Index maps of ``W``, ``J`` and ``Jhat`` written here from the Cayley
     table, apart from the maps ``q`` holds: on the function algebra
     ``W: (a, b) -> (a, ab)``, ``J = 1`` and ``Jhat: s -> s^-1``; on the group
     algebra ``W: (b, a) -> (a^-1 b, a)``, ``J: s -> s^-1`` and ``Jhat = 1``.
     ``None`` for other constructions."""
-    if q.table is None or q.kind not in (KIND_FUNCTION, KIND_DUAL):
+    if not is_table_construction(q):
         return None
     n = q.dim
     prod = np.array(q.table.table)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ from qglab.funalg import (
     tensor_algebra_decomposition,
     vector_state,
 )
-from qglab.groups import builtin_table
+from qglab.groups import builtin_table, parse_cayley
 from qglab.qgcore import chain, derived_unitaries, dual, function_algebra, inverse
 from qglab.tensorlin import (
     apply_leg,
@@ -193,6 +194,47 @@ def dense_projection_residual(ortho_basis, x):
 def membership_residual(basis, x):
     """Oracle: normalized least-squares distance from ``x`` to the span of ``basis``."""
     return dense_projection_residual(span_basis(basis), x)
+
+
+def svd_slice_span(q):
+    """Oracle: the SVD route to the slice span of ``W``, an orthonormal basis
+    of the span of the first-leg slices ``<W (e_a (x) e_l), e_c (x) e_k>`` of
+    the dense ``W`` built from ``q.w``."""
+    n = q.dim
+    slices = perm_matrix(q.w).reshape(n, n, n, n).transpose(2, 0, 1, 3)
+    return span_basis(slices.reshape(n * n, n, n))
+
+
+def permutation_group(name, generators):
+    """Cayley table, in qglab's JSON form, of the group the permutations
+    generate (a copy of ``perfbench/run.py``'s).
+
+    Elements are listed in breadth-first order from the identity, so the
+    identity is at index 0; ``table[i][j]`` is the index of ``p_i o p_j``.
+    """
+    identity = tuple(range(len(generators[0])))
+    elems, index = [identity], {identity: 0}
+    for p in elems:  # elems grows while it is walked
+        for g in generators:
+            h = tuple(g[k] for k in p)
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    table = [[index[tuple(a[k] for k in b)] for b in elems] for a in elems]
+    return {"name": name, "order": len(elems), "table": table}
+
+
+# generators of the groups built from permutations in the tests; D6 from the
+# 6-cycle and the reflection i -> -i
+GENERATED = {
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+    "D6": [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)],
+}
+
+
+def generated_table(name):
+    """The ``GroupTable`` of one of the ``GENERATED`` groups."""
+    return parse_cayley(json.dumps(permutation_group(name, GENERATED[name])))
 
 
 def tensor_ortho_basis(q):

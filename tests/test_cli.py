@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import GENERATED, permutation_group
+
 import qglab
 from qglab import diagonals, dualside, qgcore, suites
 from qglab.groups import builtin_table
@@ -150,10 +152,15 @@ class TestRunSuites:
         assert both.to_json_bytes() == union.to_json_bytes()
 
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
-    def test_certificate_independent_of_blas_threads(self, construction):
+    def test_certificate_independent_of_blas_threads(self, construction, tmp_path):
         # no record takes a spectrum or a random eigensolver step whose
         # rounding follows the BLAS thread count, so the bytes do not either;
-        # D4's stacked bound products are large enough for OpenBLAS to split
+        # D4's stacked bound products are large enough for OpenBLAS to split,
+        # and on the generated A4 both algebras are written from the table
+        # rather than spanned by an SVD of the dense W
+        a4 = tmp_path / "A4.json"
+        a4.write_text(json.dumps(permutation_group("A4", GENERATED["A4"])))
+
         def certificate(group, threads):
             env = dict(
                 os.environ,
@@ -166,7 +173,7 @@ class TestRunSuites:
                 env=env, capture_output=True, check=True,
             ).stdout
 
-        for group in ("S3", "D4"):
+        for group in ("S3", "D4", str(a4)):
             one = certificate(group, 1)
             assert {r["suite"] for r in json.loads(one)["records"]} == set(SUITE_NAMES)
             assert one == certificate(group, 2), group

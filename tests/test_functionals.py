@@ -530,25 +530,32 @@ class TestTensorDecompositionProductForm:
     def test_no_random_draw_on_doubled_algebra(self, monkeypatch):
         q = function_algebra(builtin_table("S3"))
         qd = dual(q)
-        decomposed, compressed = [], []
-        decompose, compress = funalg.block_decompose, funalg.compress_basis
+        decomposed, split, compressed = [], [], []
+        decompose, split_center, compress = funalg.block_decompose, funalg._split_center, funalg.compress_basis
 
         def counting_decompose(basis, *args, **kwargs):
             decomposed.append(basis[0].shape[0])
             return decompose(basis, *args, **kwargs)
+
+        def counting_split(ortho, *args, **kwargs):
+            split.append(ortho[0].shape[0])
+            return split_center(ortho, *args, **kwargs)
 
         def recording_compress(factors, v):
             compressed.append(len(factors))
             return compress(factors, v)
 
         monkeypatch.setattr(funalg, "block_decompose", counting_decompose)
+        monkeypatch.setattr(funalg, "_split_center", counting_split)
         monkeypatch.setattr(funalg, "compress_basis", recording_compress)
-        for obj in (q, qd):
-            tensor_algebra_decomposition(obj)
-        # only the factor decompositions of M, on 6 dimensions, draw at random,
-        # and no basis product of M (x) M is compressed: the blocks are read
-        # off the factor's
-        assert decomposed == [6, 6]
+        # both decompositions of M are read from the table: the function
+        # algebra's draws nothing, the group algebra's, on 6 dimensions, draws
+        # only inside its class-sum center; no basis product of M (x) M is
+        # compressed, the blocks being read off the factor's
+        tensor_algebra_decomposition(q)
+        assert decomposed == split == []
+        tensor_algebra_decomposition(qd)
+        assert decomposed == [] and split == [6]
         assert compressed and set(compressed) == {1}
 
     @pytest.mark.parametrize("side", ["fn", "dual"])

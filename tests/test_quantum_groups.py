@@ -19,11 +19,15 @@ from conftest import (
     dense_coassociativity_residual,
     dense_derived_unitaries,
     dense_pentagonal_residual,
+    GENERATED,
     flip_matrix,
+    generated_table,
     get_group,
     left_fixed_vector,
     membership_residual,
     perm_matrix,
+    permutation_group,
+    svd_slice_span,
     swapped_columns,
     unitarity_residual,
 )
@@ -31,7 +35,7 @@ from conftest import (
 from qglab import diagonals, dualside, funalg, qgcore, suites
 from qglab.diagonals import exact_nets
 from qglab.funalg import tensor_algebra_decomposition
-from qglab.groups import GroupTable, builtin_table
+from qglab.groups import builtin_table
 from qglab.qgcore import (
     KIND_FUNCTION,
     FiniteQuantumGroup,
@@ -42,27 +46,12 @@ from qglab.qgcore import (
     function_algebra,
     structure_identity_residuals,
 )
-from qglab.tensorlin import apply_leg, dagger, operator_norm
+from qglab.tensorlin import apply_leg, dagger, operator_norm, projection_residual, span_basis
 
 
 def random_algebra_element(q, rng):
     c = rng.standard_normal(len(q.ortho_basis)) + 1j * rng.standard_normal(len(q.ortho_basis))
     return sum(ci * b for ci, b in zip(c, q.ortho_basis))
-
-
-def permutation_group(name, generators):
-    """Cayley table of the group the permutations generate, elements in
-    breadth-first order from the identity; ``table[i][j]`` indexes ``p_i o p_j``."""
-    identity = tuple(range(len(generators[0])))
-    elems, index = [identity], {identity: 0}
-    for p in elems:  # elems grows while it is walked
-        for g in generators:
-            h = tuple(g[k] for k in p)
-            if h not in index:
-                index[h] = len(elems)
-                elems.append(h)
-    table = tuple(tuple(index[tuple(a[k] for k in b)] for b in elems) for a in elems)
-    return GroupTable(name=name, order=len(elems), table=table)
 
 
 def cycle(n):
@@ -177,11 +166,14 @@ class TestStructureCatalog:
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
     def test_opposite_group_law_fires_only_table_record(self, name):
         # W^op is the multiplicative unitary of the opposite group: a valid
-        # quantum group on its own, so only the route from the table tells
+        # quantum group on its own, so only the routes from the table tell:
+        # the maps, and the algebra lambda(G) its slices (the right
+        # translations) leave
         q = get_group(name)
         opposite = replace(q, w=derived_unitaries(q).wop, _cache={})
         records = structure_records(opposite)
         assert records.pop("W_from_table") > 1e-10
+        assert records.pop("W_in_doubled_algebra") > 0.1
         assert max(records.values()) <= 1e-10, records
         lemmas = (
             *dualside.pentagonal_consequence_residuals(opposite),
@@ -330,7 +322,7 @@ class TestPermutationResiduals:
 
 @pytest.fixture(scope="module")
 def a4():
-    return function_algebra(permutation_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)]))
+    return function_algebra(generated_table("A4"))
 
 
 class TestOrder12:
@@ -357,9 +349,8 @@ class TestOrder12:
 def test_exchange_suites_decompose_nothing(tmp_path, monkeypatch):
     # the structure and lemma suites draw no element of M (x) M, so on A4 they
     # run no block decomposition and take no block norm
-    table = permutation_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)])
     path = tmp_path / "A4.json"
-    path.write_text(json.dumps({"name": table.name, "order": table.order, "table": table.table}))
+    path.write_text(json.dumps(permutation_group("A4", GENERATED["A4"])))
     calls = []
     for name in ("block_decompose", "block_norms"):
         original = getattr(funalg, name)
@@ -377,6 +368,81 @@ def test_exchange_suites_decompose_nothing(tmp_path, monkeypatch):
     assert {r.construction for r in report.records} == {"function-algebra", "group-algebra"}
     assert report.all_passed
     assert calls == []
+
+
+def _table_group(name, side):
+    """A builtin from the construction cache, or a generated table's object."""
+    if name in ALL_GROUPS:
+        return get_group(name, side)
+    q = function_algebra(generated_table(name))
+    return q if side == "fn" else dual(q)
+
+
+def _span_residuals(a, b):
+    """The largest projection residual of the stack ``a`` onto the span of
+    the orthonormal stack ``b``, and of ``b`` onto the span of ``a``."""
+    return float(np.max(projection_residual((b,), a))), float(np.max(projection_residual((a,), b)))
+
+
+class TestTableAlgebras:
+    """The algebras and the decomposition of ``M`` written from the Cayley
+    table against the SVD routes they replace."""
+
+    @pytest.mark.parametrize("name", ALL_GROUPS + ("A4", "D6"))
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_table_stacks_orthonormal_and_span_slice_oracle(self, name, side):
+        q = _table_group(name, side)
+        n = q.dim
+        # M is spanned by the slices of the dual's W, Mhat by those of W
+        for table, oracle in ((q.ortho_basis, svd_slice_span(dual(q))), (qgcore._slice_span(q), svd_slice_span(q))):
+            assert table.shape == oracle.shape == (n, n, n)
+            flat = table.reshape(n, -1)
+            assert np.abs(flat.conj() @ flat.T - np.eye(n)).max() <= 1e-12
+            assert max(_span_residuals(table, oracle)) <= 1e-12
+        # the held basis spans the same algebra as the stack written for it
+        assert max(_span_residuals(q.ortho_basis, span_basis(q.algebra_basis))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+    def test_class_sums_span_commutator_kernel(self, name):
+        q = _table_group(name, "dual")
+        sums = funalg._class_sums(q)
+        flat = sums.reshape(len(sums), -1)
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(sums))).max() <= 1e-12
+        center = funalg._center_basis(q.ortho_basis)
+        assert len(center) == len(sums) == len(q.table.conjugacy_classes())
+        assert max(_span_residuals(sums, span_basis(center))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_broadcast_leg_maps_equal_leg_map(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = rng.permutation(n * n)
+            maps = qgcore._three_leg_maps(m, n)
+            for legs in [(1, 2), (1, 3), (2, 3)]:
+                assert np.array_equal(maps[legs], qgcore.leg_map(m, legs, (n, n, n)))
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Z4"])
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_swapped_columns_leave_doubled_algebra(self, name, side):
+        # M (x) Mhat is written from the table, not spanned by the broken W's
+        # own slices, so W_in_doubled_algebra compares two routes
+        broken = swapped_columns(get_group(name, side), 1, 2)
+        assert structure_identity_residuals(broken)["W_in_doubled_algebra"] > 1e-8
+
+    @pytest.mark.parametrize("side", ["fn", "dual"])
+    def test_decomposition_read_from_table(self, side):
+        # a mutant of w keeps the table's algebra and decomposition; the
+        # function algebra's is n blocks of size 1 at the e_s
+        q = get_group("S3", side)
+        broken = swapped_columns(q, 1, 2)
+        assert np.array_equal(broken.ortho_basis, q.ortho_basis)
+        ours, theirs = funalg.algebra_decomposition(broken), funalg.algebra_decomposition(q)
+        assert [b.size for b in ours.blocks] == [b.size for b in theirs.blocks]
+        for a, b in zip(ours.blocks, theirs.blocks):
+            assert np.array_equal(a.isometry, b.isometry)
+        if side == "fn":
+            assert all(b.size == b.multiplicity == 1 for b in ours.blocks)
+            assert np.array_equal(np.concatenate([b.isometry for b in ours.blocks], axis=1), np.eye(q.dim))
 
 
 class TestDerivedUnitaries:
