@@ -42,7 +42,6 @@ from .funalg import (
     vector_state,
 )
 from .qgcore import (
-    KIND_DUAL,
     KIND_FUNCTION,
     FiniteQuantumGroup,
     chain,
@@ -262,12 +261,11 @@ def _commutator_forms(q: FiniteQuantumGroup, xi: NetVector, eta: NetVector) -> l
 
 
 def exact_nets(q: FiniteQuantumGroup) -> tuple[NetVector, NetVector]:
-    """The exactly invariant vector pair for a shipped construction.
+    """The exactly invariant vector pair ``(xi, eta)`` of ``q``.
 
     Function algebra: the uniform vector is exactly right invariant and the
-    point mass at the identity exactly left invariant.  On the dual the two
-    roles swap.  Other constructions have no exactness guarantee and are
-    rejected; use perturbation sweeps instead.
+    point mass at the identity exactly left invariant.  On the dual, the
+    group algebra, the two roles swap.
     """
     n = q.dim
     uniform = np.ones(n) / np.sqrt(n)
@@ -275,9 +273,7 @@ def exact_nets(q: FiniteQuantumGroup) -> tuple[NetVector, NetVector]:
     point[0] = 1.0
     if q.kind == KIND_FUNCTION:
         return NetVector(uniform, "uniform"), NetVector(point, "identity point mass")
-    if q.kind == KIND_DUAL:
-        return NetVector(point, "identity point mass"), NetVector(uniform, "uniform")
-    raise ValueError(f"no exact nets for construction kind {q.kind!r}")
+    return NetVector(point, "identity point mass"), NetVector(uniform, "uniform")
 
 
 def perturbed_vector(exact: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:

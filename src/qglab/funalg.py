@@ -5,10 +5,11 @@ A functional is a short signed sum of vector functionals, held as the terms
 never a pairing matrix.  Only the restriction to the algebra ``M`` is
 meaningful, and norms are quotient trace norms computed through a multimatrix
 block decomposition of ``M``; ``M (x) M`` is the factor pair ``(M, M)``.
-For the constructions from a Cayley table the decomposition of ``M`` is read
-from the table (``algebra_decomposition``), otherwise found by
-``block_decompose``; either is validated against the basis, every basis
-element compressing to ``x (x) 1`` in every block.
+The decomposition of ``M`` is read from the Cayley table
+(``algebra_decomposition``) and validated against the basis, every basis
+element compressing to ``x (x) 1`` in every block.  ``block_decompose`` finds
+the decomposition of any *-algebra from a spanning list, its center by the
+commutator kernel; no construction needs it, and it serves as a reference.
 
 The decomposition of ``M (x) M`` is read off that of ``M``: its blocks are the
 products of the factor's blocks.  One element of ``M (x) M`` drawn from a
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qgcore import KIND_FUNCTION, FiniteQuantumGroup, derived_unitaries, inverse, is_table_construction
+from .qgcore import KIND_FUNCTION, FiniteQuantumGroup, derived_unitaries, inverse
 from .tensorlin import (
     combine,
     compress_basis,
@@ -478,24 +479,20 @@ def tensor_predual_norm(x: Functional, decomp: BlockDecomposition) -> float | np
 
 
 def algebra_decomposition(q: FiniteQuantumGroup) -> BlockDecomposition:
-    """Block decomposition of ``M``, cached on the quantum group object.
+    """Block decomposition of ``M``, read from the Cayley table and cached on
+    the quantum group object.
 
-    For the two constructions from a Cayley table it is read from the table:
-    the function algebra is ``n`` blocks of size 1 at the ``e_s``, with no
+    The function algebra is ``n`` blocks of size 1 at the ``e_s``, with no
     random draw; the center of the group algebra is spanned by its class sums
     ``sum_{s in C} lambda(s)``, split by ``_split_center`` with its fixed-seed
-    draws.  Both are validated against ``q.ortho_basis``.  Other objects go
-    through ``block_decompose``.
+    draws.  Both are validated against ``q.ortho_basis``.
     """
     if "decomp" not in q._cache:
-        rng = np.random.default_rng(q.dim + 1)
-        if not is_table_construction(q):
-            decomp = block_decompose(q.algebra_basis, rng)
-        elif q.kind == KIND_FUNCTION:
+        if q.kind == KIND_FUNCTION:
             decomp = BlockDecomposition(blocks=[Block(1, 1, e[:, None]) for e in np.eye(q.dim, dtype=complex)])
             _validate_decomposition(decomp, (q.ortho_basis,), DECOMPOSE_TOL)
         else:
-            decomp = _split_center(q.ortho_basis, _class_sums(q), rng)
+            decomp = _split_center(q.ortho_basis, _class_sums(q), np.random.default_rng(q.dim + 1))
         q._cache["decomp"] = decomp
     return q._cache["decomp"]
 

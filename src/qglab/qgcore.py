@@ -17,16 +17,16 @@ Conventions (all enforced by the identity suite rather than argued abstractly):
   ``U* v = v[m]`` and ``U* Lam U = Lam[m][:, m]``.  Identities between
   unitaries compare composed index maps, and the comultiplication and
   coassociativity are gathers at them.  The dense ``W`` is formed only for
-  the ``W_in_doubled_algebra`` record and, for a generic object, for the
-  slices that span its dual algebra.
+  the ``W_in_doubled_algebra`` record.
 * ``J`` is entrywise conjugation, ``Jhat v (s) = conj(v(s^-1))``.
 * The dual object lives on the same Hilbert space with
   ``What = Sigma W* Sigma`` and the modular conjugations swapped.
+* Every quantum group is one of the two constructions from a Cayley table:
+  the function algebra (``function_algebra``) or its dual, the group algebra.
 * An algebra is its orthonormal basis stack; a product algebra is the pair of
   its factor stacks: ``(M, M)`` for ``M (x) M``, ``(M, Mhat)`` for ``W``'s algebra.
-  For the two constructions from a Cayley table both stacks are written from
-  the table (``_table_bases``): the diagonal units ``e_s e_s*`` and
-  ``lambda(s) / sqrt(n)``, ``lambda(s) e_b = e_{sb}``.
+  Both stacks are written from the table (``_table_bases``): the diagonal
+  units ``e_s e_s*`` and ``lambda(s) / sqrt(n)``, ``lambda(s) e_b = e_{sb}``.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import GroupTable
-from .tensorlin import (
-    max_tensor_entries,
-    operator_norm,
-    projection_residual,
-    span_basis,
-)
+from .tensorlin import max_tensor_entries, operator_norm, projection_residual
 
 __all__ = [
     "FiniteQuantumGroup",
@@ -65,13 +60,16 @@ KIND_DUAL = "dual_of_function_algebra"
 
 @dataclass(frozen=True, eq=False)
 class FiniteQuantumGroup:
-    """A finite-dimensional quantum group realized on ``H = C^dim``.
+    """A finite quantum group built from the Cayley table ``table``, realized
+    on ``H = C^n`` for ``n = table.order``.
 
-    ``algebra_basis`` spans the von Neumann algebra ``M`` acting on ``H``; the
-    Haar weight of every shipped construction is the (unnormalized) trace, so
-    the scaling constant is 1 and only the two modular conjugations are kept.
-    The invariant vectors are known in closed form from ``kind`` (see
-    ``diagonals.exact_nets``), so none is stored.
+    ``kind`` is ``KIND_FUNCTION`` for the function algebra of the table or
+    ``KIND_DUAL`` for its dual, the group algebra; any other kind is rejected
+    with ``ValueError``.  The algebra ``M`` is written from the table
+    (``ortho_basis``).  The Haar weight of both constructions is the
+    (unnormalized) trace, so the scaling constant is 1 and only the two
+    modular conjugations are kept.  The invariant vectors are known in closed
+    form from ``kind`` (see ``diagonals.exact_nets``), so none is stored.
 
     ``w``, ``j`` and ``jhat`` are the index maps (``U e_k = e_{m[k]}``) of the
     multiplicative unitary and of the unitary parts of the two modular
@@ -81,17 +79,16 @@ class FiniteQuantumGroup:
     hash by identity, so an object can key a dict or sit in a set.
     """
 
-    name: str
-    dim: int
+    table: GroupTable
+    kind: str
     w: np.ndarray
     j: np.ndarray
     jhat: np.ndarray
-    algebra_basis: list[np.ndarray] | np.ndarray
-    kind: str = "generic"
-    table: GroupTable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in (KIND_FUNCTION, KIND_DUAL):
+            raise ValueError(f"{self.table.name}: unknown construction kind {self.kind!r}")
         for name, size in (("w", self.dim ** 2), ("j", self.dim), ("jhat", self.dim)):
             m = getattr(self, name)
             what = f"{self.name} ({self.kind}): {name}"
@@ -105,13 +102,19 @@ class FiniteQuantumGroup:
                 raise ValueError(f"{what} is not a permutation of range({size})")
 
     @property
+    def dim(self) -> int:
+        return self.table.order
+
+    @property
+    def name(self) -> str:
+        return self.table.name + ("^" if self.kind == KIND_DUAL else "")
+
+    @property
     def ortho_basis(self) -> np.ndarray:
-        """Orthonormal (Hilbert-Schmidt) basis of ``M`` as a stack, cached:
-        written from the Cayley table for the two table constructions
-        (``_table_bases``), otherwise the SVD span of ``algebra_basis``."""
+        """Orthonormal (Hilbert-Schmidt) basis of ``M`` as a stack, written
+        from the Cayley table (``_table_bases``) and cached."""
         if "ortho_basis" not in self._cache:
-            bases = _table_bases(self)
-            self._cache["ortho_basis"] = span_basis(self.algebra_basis) if bases is None else bases[0]
+            self._cache["ortho_basis"] = _table_bases(self)[0]
         return self._cache["ortho_basis"]
 
 
@@ -133,16 +136,12 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     ``W (e_a (x) e_b) = e_a (x) e_{ab}``, ``J = 1`` and ``Jhat: s -> s^-1``."""
     n = table.order
     a, b = np.indices((n, n)).reshape(2, -1)
-    basis = [np.diag(np.eye(n)[s]) for s in range(n)]
     q = FiniteQuantumGroup(
-        name=table.name,
-        dim=n,
+        table=table,
+        kind=KIND_FUNCTION,
         w=a * n + np.array(table.table)[a, b],
         j=np.arange(n),
         jhat=np.array(table.inverses),
-        algebra_basis=basis,
-        kind=KIND_FUNCTION,
-        table=table,
     )
     _check_construction(q)
     return q
@@ -157,13 +156,13 @@ def _check_construction(q: FiniteQuantumGroup) -> None:
 
 
 def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
-    """The dual quantum group on the same Hilbert space.
+    """The dual quantum group on the same Hilbert space: the other
+    construction from ``q.table``.
 
     ``What = Sigma W* Sigma``, the map ``chain(flip, inverse(w), flip)``; the
-    dual algebra is spanned by the first-leg slices of ``W`` (``_slice_span``:
-    for a table construction the stack written from the table, which the
-    dual's ``W_in_doubled_algebra`` record then compares with ``What``); the
-    two modular conjugations swap.
+    dual algebra, spanned by the first-leg slices of ``W``, is written from
+    the table (``_table_bases``), and the dual's ``W_in_doubled_algebra``
+    record compares it with ``What``; the two modular conjugations swap.
 
     The dual is built once per object and cached on it, and ``q`` is recorded
     as the dual of the result, so ``dual(dual(q)) is q`` (Pontryagin duality)
@@ -175,44 +174,18 @@ def dual(q: FiniteQuantumGroup) -> FiniteQuantumGroup:
         cached = cached()
     if cached is not None:
         return cached
-    n = q.dim
-    flip = flip_index(n)
-    basis = _slice_span(q)
-    if projection_residual((basis,), np.eye(n)) > 1e-8:
-        raise ValueError(f"{q.name}: slice span of W is degenerate (identity not in span)")
-    kind = {KIND_FUNCTION: KIND_DUAL, KIND_DUAL: KIND_FUNCTION}.get(q.kind, "generic")
+    flip = flip_index(q.dim)
     qd = FiniteQuantumGroup(
-        name=f"{q.name}^",
-        dim=n,
+        table=q.table,
+        kind=KIND_DUAL if q.kind == KIND_FUNCTION else KIND_FUNCTION,
         w=chain(flip, inverse(q.w), flip),
         j=q.jhat,
         jhat=q.j,
-        algebra_basis=basis,
-        kind=kind,
-        table=q.table,
     )
     _check_construction(qd)
     qd._cache["dual"] = weakref.ref(q)
     q._cache["dual"] = qd
     return qd
-
-
-def _slice_span(q: FiniteQuantumGroup) -> np.ndarray:
-    """Orthonormal basis of the span of the first-leg slices of ``W``, where
-    ``[(omega_{e_a, e_c} (x) id)(W)][k, l] = <W (e_a (x) e_l), e_c (x) e_k>``.
-
-    For a table construction it is ``Mhat`` written from the table
-    (``_table_bases``), not read from ``q.w``, so a broken ``w`` leaves it
-    unchanged.  Otherwise it is the SVD span of the slices of the dense ``W``,
-    computed once and cached on ``q``."""
-    bases = _table_bases(q)
-    if bases is not None:
-        return bases[1]
-    if "slice_span" not in q._cache:
-        n = q.dim
-        slices = _matrix(q.w).reshape(n, n, n, n).transpose(2, 0, 1, 3)
-        q._cache["slice_span"] = span_basis(slices.reshape(n * n, n, n))
-    return q._cache["slice_span"]
 
 
 def comultiply(q: FiniteQuantumGroup, x: np.ndarray) -> np.ndarray:
@@ -346,8 +319,8 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     the maps written here from the Cayley table, so an edited map moves only
     the first side.  The membership of ``W`` in ``M (x) Mhat`` is included as
     a recorded check; it is the one record that forms the dense ``W``, and
-    for a table construction both factor stacks are written from the table,
-    so it too compares ``w`` with a second route.
+    both factor stacks are written from the table, so it too compares ``w``
+    with a second route.
     """
     if "structure_residuals" in q._cache:
         return q._cache["structure_residuals"]
@@ -366,30 +339,20 @@ def structure_identity_residuals(q: FiniteQuantumGroup) -> dict[str, float]:
     out["opposite_from_right"] = map_residual(der.wop, chain(flip, inverse(v), flip))
     if n ** 3 <= max_tensor_entries():
         out["pentagonal"] = _pentagonal_residual(q)
-    table = _table_maps(q)
-    if table is not None:
-        for label, m, got in zip(("W", "J", "Jhat"), table, (w, j, jhat)):
-            out[f"{label}_from_table"] = map_residual(m, got)
-    # W sits in M (x) Mhat; dual(q) is not built yet while q is checked
-    out["W_in_doubled_algebra"] = projection_residual((q.ortho_basis, _slice_span(q)), _matrix(w))
+    for label, m, got in zip(("W", "J", "Jhat"), _table_maps(q), (w, j, jhat)):
+        out[f"{label}_from_table"] = map_residual(m, got)
+    # W sits in M (x) Mhat, both written from the table
+    out["W_in_doubled_algebra"] = projection_residual(_table_bases(q), _matrix(w))
     q._cache["structure_residuals"] = out
     return out
 
 
-def is_table_construction(q: FiniteQuantumGroup) -> bool:
-    """Whether ``q`` is the function algebra of its Cayley table or its dual,
-    the constructions whose maps and algebras are written from the table."""
-    return q.table is not None and q.kind in (KIND_FUNCTION, KIND_DUAL)
-
-
-def _table_bases(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray] | None:
+def _table_bases(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal stacks of ``M`` and ``Mhat`` written from the Cayley table,
     apart from the maps ``q`` holds: on the function algebra the diagonal
     units ``e_s e_s*`` and ``lambda(s) / sqrt(n)`` with ``lambda(s) e_b =
     e_{sb}``, each indexed by ``s``; on the group algebra the same two
-    swapped.  ``None`` for other constructions."""
-    if not is_table_construction(q):
-        return None
+    swapped."""
     n = q.dim
     i = np.arange(n)
     units = np.zeros((n, n, n), dtype=complex)
@@ -399,14 +362,11 @@ def _table_bases(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray] | None:
     return (units, lam) if q.kind == KIND_FUNCTION else (lam, units)
 
 
-def _table_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _table_maps(q: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of ``W``, ``J`` and ``Jhat`` written here from the Cayley
     table, apart from the maps ``q`` holds: on the function algebra
     ``W: (a, b) -> (a, ab)``, ``J = 1`` and ``Jhat: s -> s^-1``; on the group
-    algebra ``W: (b, a) -> (a^-1 b, a)``, ``J: s -> s^-1`` and ``Jhat = 1``.
-    ``None`` for other constructions."""
-    if not is_table_construction(q):
-        return None
+    algebra ``W: (b, a) -> (a^-1 b, a)``, ``J: s -> s^-1`` and ``Jhat = 1``."""
     n = q.dim
     prod = np.array(q.table.table)
     inv = np.array(q.table.inverses)

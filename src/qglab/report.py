@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "CheckReport", "format_float"]
 
-REPORT_VERSION = "0.5.0"
+REPORT_VERSION = "0.6.0"
 
 
 def format_float(x: float) -> str:

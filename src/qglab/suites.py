@@ -174,14 +174,14 @@ def _complex_parts(flat: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray
     return parts
 
 
-def _exact_diagonal(q) -> tuple[diagonals.DiagonalCandidate, float, float]:
-    """The diagonal of ``q`` at its exact nets, with its module-commutator and
-    approximate-identity residuals, each a max over the basis vector states,
-    taken as one stack."""
+def _exact_diagonal(q) -> tuple[float, float]:
+    """The module-commutator and approximate-identity residuals of the
+    diagonal of ``q`` at its exact nets, each a max over the basis vector
+    states, taken as one stack."""
     xi, eta = diagonals.exact_nets(q)
     cand = diagonals.build_diagonal(q, xi, eta)
     r1, r2 = diagonals.diagonal_residuals(q, cand, funalg.vector_state(np.eye(q.dim)))
-    return cand, float(r1.max()), float(r2.max())
+    return float(r1.max()), float(r2.max())
 
 
 def run_structure(q, cfg: RunConfig, rng) -> list[Measurement]:
@@ -220,29 +220,27 @@ def run_lemma43(q, cfg: RunConfig, rng) -> list[Measurement]:
     ]
 
 
-def _theta_residuals(q, xi: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
-    """Unitality, Choi consistency and range membership of the compression
+def _theta_residuals(q, xi: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
+    """Choi consistency and range membership of the compression
     ``Lam -> (omega_xi (x) id)(W' Lam W'*)``, each the max over the draws of
     the stacks ``xi`` ``(draws, n)`` and ``lam`` ``(draws, n^2, n^2)``."""
-    n = q.dim
-    unital = operator_norm(diagonals.commutant_compression(q, xi, np.eye(n * n)) - np.eye(n))
     theta_lam = diagonals.commutant_compression(q, xi, lam)
     # the Kraus route B* Lam B against the slice route
     b = diagonals.compression_kraus_factor(q, xi)
     choi = operator_norm(theta_lam - b.conj().swapaxes(-1, -2) @ lam @ b)
     member = projection_residual((q.ortho_basis,), theta_lam)
-    return float(unital.max()), float(choi.max()), float(member.max())
+    return float(choi.max()), float(member.max())
 
 
 def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     n, k = q.dim, len(q.ortho_basis) ** 2
     per_pass = max(1, THETA_BUDGET // n ** 4)
-    unital = choi = member = 0.0
+    choi = member = 0.0
     ((xi, coeff),) = _draw_batches(rng, THETA_DRAWS, (n, k))
     for start in range(0, THETA_DRAWS, per_pass):
         part = slice(start, start + per_pass)
-        u, c, m = _theta_residuals(q, _unit_rows(xi[part]), _unit_doubled(q, coeff[part]))
-        unital, choi, member = max(unital, u), max(choi, c), max(member, m)
+        c, m = _theta_residuals(q, _unit_rows(xi[part]), _unit_doubled(q, coeff[part]))
+        choi, member = max(choi, c), max(member, m)
     xi = random_unit_vector(rng, n)
     x, y = (_unit_elements(q, _coefficients(rng, len(q.ortho_basis))[None])[0] for _ in range(2))
     variants = diagonals.compression_variant_residuals(q, xi, x, y)
@@ -253,7 +251,6 @@ def run_theta(q, cfg: RunConfig, rng) -> list[Measurement]:
     simple_tol = _tol(cfg, 1e-10) if commutative else None
     draws = {"draws": THETA_DRAWS}
     return [
-        ("unitality", unital, _tol(cfg, 1e-10), draws),
         ("choi_consistency", choi, _tol(cfg, 1e-9), draws),
         ("range_in_algebra", member, _tol(cfg, 1e-9), draws),
         ("simple_tensor_identity", variants["sandwich_star_left/plain"], simple_tol, dict(variants)),
@@ -287,14 +284,9 @@ def run_thm33(q, cfg: RunConfig, rng) -> list[Measurement]:
 
 def run_obad(q, cfg: RunConfig, rng) -> list[Measurement]:
     tol = _tol(cfg, 1e-10)
-    cand, r1, r2 = _exact_diagonal(q)
-    norm_defect = abs(cand.bifunctional.value(np.eye(q.dim ** 2)) - 1.0)
+    r1, r2 = _exact_diagonal(q)
     states = {"states": q.dim}
-    return [
-        ("module_commutator", r1, tol, states),
-        ("approximate_identity", r2, tol, states),
-        ("state_normalization", norm_defect, tol, states),
-    ]
+    return [("module_commutator", r1, tol, states), ("approximate_identity", r2, tol, states)]
 
 
 def run_dual(q, cfg: RunConfig, rng) -> list[Measurement]:
@@ -317,13 +309,13 @@ def run_dual(q, cfg: RunConfig, rng) -> list[Measurement]:
     zeta = random_unit_vector(rng, n)
     c1, c2, c3, c4 = dualside.dual_net_residuals(ctx, xi.vector, eta.vector, zeta)
     out += [("right_invariance_exact", c1, tol, None), ("left_invariance_exact", c2, tol, None)]
-    if q.table is not None and q.table.is_abelian():
+    if q.table.is_abelian():
         out += [("opposite_comparison_left", c3, tol, None), ("opposite_comparison_right", c4, tol, None)]
     else:
         out.append(("opposite_comparison_logged", 0.0, None, {"c3": c3, "c4": c4}))
 
     # the dual diagonal is the diagonal of the dual at its own exact nets
-    _, r1, r2 = _exact_diagonal(ctx.qhat)
+    r1, r2 = _exact_diagonal(ctx.qhat)
     states = {"states": n}
     out += [("dual_module_commutator", r1, tol, states), ("dual_approximate_identity", r2, tol, states)]
 

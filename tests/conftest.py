@@ -727,11 +727,9 @@ def theta_oracle(q, cfg, rng):
     """Oracle of ``suites.run_theta``: its measurements with the compression
     of each draw formed, normed and compared on its own."""
     n, k = q.dim, len(q.ortho_basis) ** 2
-    unital = choi = member = 0.0
+    choi = member = 0.0
     for _ in range(suites.THETA_DRAWS):
         xi = random_unit_vector(rng, n)
-        theta_id = commutant_compression(q, xi, np.eye(n * n))
-        unital = max(unital, operator_norm(theta_id - np.eye(n)))
         lam = suites._unit_doubled(q, suites._coefficients(rng, k))
         theta_lam = commutant_compression(q, xi, lam)
         member = max(member, projection_residual((q.ortho_basis,), theta_lam))
@@ -744,7 +742,6 @@ def theta_oracle(q, cfg, rng):
     simple_tol = suites._tol(cfg, 1e-10) if commutative else None
     draws = {"draws": suites.THETA_DRAWS}
     return [
-        ("unitality", unital, suites._tol(cfg, 1e-10), draws),
         ("choi_consistency", choi, suites._tol(cfg, 1e-9), draws),
         ("range_in_algebra", member, suites._tol(cfg, 1e-9), draws),
         ("simple_tensor_identity", variants["sandwich_star_left/plain"], simple_tol, dict(variants)),

@@ -68,16 +68,12 @@ class TestRunSuites:
                 "commutant_opposite_consistency", "exchange_identity", "leg_commutation",
             ]),
             "Lemma 4.3": ("lemma43", ["exchange_identity", "leg_commutation"]),
-            "Lemma 3.4": ("theta", [
-                "choi_consistency", "range_in_algebra", "simple_tensor_identity", "unitality",
-            ]),
+            "Lemma 3.4": ("theta", ["choi_consistency", "range_in_algebra", "simple_tensor_identity"]),
             "Theorem 3.3": ("thm33", [
                 "commutator_bound_margin_t_0.01", "commutator_bound_margin_t_0.1",
                 "commutator_bound_margin_t_0.3", "commutator_pairing_exact_nets",
             ]),
-            "Corollary 3.6": ("obad", [
-                "approximate_identity", "module_commutator", "state_normalization",
-            ]),
+            "Corollary 3.6": ("obad", ["approximate_identity", "module_commutator"]),
             "Corollary 4.1": ("dual", [
                 "dual_approximate_identity", "dual_module_commutator", "flip_relation_dual",
                 "flip_relation_dual_commutant", "left_invariance_exact",

@@ -190,7 +190,7 @@ class TestCommutantCompression:
         xi = random_unit_vector(rng, 6)
         lam = random_doubled(q, rng)
         out = commutant_compression(q, xi, lam)
-        assert membership_residual(q.algebra_basis, out) <= 1e-9
+        assert membership_residual(q.ortho_basis, out) <= 1e-9
 
     def test_choi_positive(self, z3, rng):
         for _ in range(5):
@@ -330,7 +330,7 @@ class TestStackedSuitePasses:
     def test_exact_diagonal_equals_per_state_oracle(self, name, side):
         q = get_group(name, side)
         for obj in (q, qgcore.dual(q)):  # obad's diagonal and dual's dual diagonal
-            _, r1, r2 = suites._exact_diagonal(obj)
+            r1, r2 = suites._exact_diagonal(obj)
             want = exact_diagonal_oracle(obj)
             for value, expected in zip((r1, r2), want):
                 assert abs(value - expected) <= 1e-15
@@ -391,8 +391,8 @@ class TestStackedSuitePasses:
 
     def test_range_in_algebra_fires_on_swapped_columns(self):
         # on the D4 group algebra with entries 1 and 9 of W swapped, the
-        # compressions leave the algebra; unitality and choi_consistency
-        # read W' on both of their routes and stay at rounding level
+        # compressions leave the algebra; choi_consistency reads W' on both
+        # of its routes and stays at rounding level
         broken = swapped_columns(get_group("D4", "dual"), 1, 9)
         cfg = suites.RunConfig("D4")
         stacked = dict((m[0], m[1]) for m in suites.run_theta(broken, cfg, np.random.default_rng(0)))
@@ -452,11 +452,12 @@ class TestExactNets:
             assert left_invariance_residual(s3_dual, eta.vector, zeta) <= 1e-12
 
     def test_generic_kind_rejected(self, s3):
+        # every object is one of the two constructions, so exact_nets never
+        # sees another kind: construction rejects it and names it
         from dataclasses import replace
 
-        generic = replace(s3, kind="generic", _cache={})
-        with pytest.raises(ValueError):
-            exact_nets(generic)
+        with pytest.raises(ValueError, match="'generic'"):
+            replace(s3, kind="generic", _cache={})
 
 
 class TestDiagonalResiduals:
@@ -475,7 +476,7 @@ class TestDiagonalResiduals:
         # built directly with an empty cache, so no construction check rejects
         # the broken unitary and nothing derived from the true W is reused
         broken = swapped_columns(get_group("Z3", side))
-        _, r1, r2 = suites._exact_diagonal(broken)
+        r1, r2 = suites._exact_diagonal(broken)
         assert r1 > 1e-6
         assert r2 > 1e-6
 

@@ -352,7 +352,7 @@ class TestTensorPredualNorm:
     def test_oracle_cross_check(self, name, rng):
         q = get_group(name)
         n = q.dim
-        product = [np.kron(a, b) for a in q.algebra_basis for b in q.algebra_basis]
+        product = [np.kron(a, b) for a in q.ortho_basis for b in q.ortho_basis]
         decomp = tensor_algebra_decomposition(q)
         rho = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
         block_value = tensor_predual_norm(functional_from_matrix(rho), decomp)

@@ -38,7 +38,6 @@ from qglab.funalg import tensor_algebra_decomposition
 from qglab.groups import builtin_table
 from qglab.qgcore import (
     KIND_FUNCTION,
-    FiniteQuantumGroup,
     coassociativity_residual,
     comultiply,
     derived_unitaries,
@@ -108,6 +107,12 @@ class TestFunctionAlgebra:
         assert dual(a) == dual(a) and dual(a) != a
         assert {dual(a): 1}[dual(a)] == 1
 
+    def test_dim_and_name_read_from_table(self, s3):
+        # the dual is the same table's other construction, marked by "^"
+        assert (s3.dim, s3.name) == (6, "S3")
+        assert (dual(s3).dim, dual(s3).name) == (6, "S3^")
+        assert replace(dual(s3), _cache={}).name == "S3^"
+
     def test_unitary_is_permutation(self, s3):
         for m, size in ((s3.w, 36), (s3.j, 6), (s3.jhat, 6)):
             assert np.issubdtype(m.dtype, np.integer)
@@ -133,7 +138,7 @@ class TestFunctionAlgebra:
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_algebra_star_closed_with_identity(self, name):
         q = get_group(name)
-        basis = q.algebra_basis
+        basis = q.ortho_basis
         assert membership_residual(basis, np.eye(q.dim)) <= 1e-10
         for a in basis:
             assert membership_residual(basis, dagger(a)) <= 1e-10
@@ -187,14 +192,6 @@ class TestStructureCatalog:
         qd = get_group(name, "dual")
         assert np.array_equal(dense_derived_unitaries(qd).wop, perm_matrix(qd.w))
 
-    @pytest.mark.parametrize("side", ["fn", "dual"])
-    def test_no_table_records_without_table(self, side):
-        q = get_group("S3", side)
-        generic = replace(q, kind="generic", _cache={})
-        records = structure_identity_residuals(generic)
-        assert not {"W_from_table", "J_from_table", "Jhat_from_table"} & set(records)
-        assert max(records.values()) <= 1e-10
-
     def test_z2_catalog_tight(self, z2):
         assert max(structure_identity_residuals(z2).values()) <= 1e-12
 
@@ -227,16 +224,7 @@ class TestStructureCatalog:
         w = q.w.copy()
         w[[1, 2]] = w[[2, 1]]
         # built directly, so no construction check rejects the broken unitary
-        broken = FiniteQuantumGroup(
-            name=q.name,
-            dim=q.dim,
-            w=w,
-            j=q.j,
-            jhat=q.jhat,
-            algebra_basis=q.algebra_basis,
-            kind=q.kind,
-            table=q.table,
-        )
+        broken = replace(q, w=w, _cache={})
         assert structure_identity_residuals(broken)["pentagonal"] > 1e-10
         assert coassociativity_residual(broken, x) > 1e-10
 
@@ -394,13 +382,21 @@ class TestTableAlgebras:
         q = _table_group(name, side)
         n = q.dim
         # M is spanned by the slices of the dual's W, Mhat by those of W
-        for table, oracle in ((q.ortho_basis, svd_slice_span(dual(q))), (qgcore._slice_span(q), svd_slice_span(q))):
+        for table, oracle in ((q.ortho_basis, svd_slice_span(dual(q))), (qgcore._table_bases(q)[1], svd_slice_span(q))):
             assert table.shape == oracle.shape == (n, n, n)
             flat = table.reshape(n, -1)
             assert np.abs(flat.conj() @ flat.T - np.eye(n)).max() <= 1e-12
             assert max(_span_residuals(table, oracle)) <= 1e-12
-        # the held basis spans the same algebra as the stack written for it
-        assert max(_span_residuals(q.ortho_basis, span_basis(q.algebra_basis))) <= 1e-12
+        # M against its spanning set written here: the diagonal units on the
+        # function algebra, the left translations on the group algebra
+        units = np.zeros((n, n, n))
+        for s in range(n):
+            if side == "fn":
+                units[s, s, s] = 1.0
+            else:
+                for b in range(n):
+                    units[s, q.table.product(s, b), b] = 1.0
+        assert max(_span_residuals(q.ortho_basis, span_basis(units))) <= 1e-12
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
     def test_class_sums_span_commutator_kernel(self, name):
@@ -493,9 +489,9 @@ class TestDual:
         qd = dual(z2)
         lam0 = np.eye(2)
         lam1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert membership_residual(qd.algebra_basis, lam0) <= 1e-12
-        assert membership_residual(qd.algebra_basis, lam1) <= 1e-12
-        assert len(qd.algebra_basis) == 2
+        assert membership_residual(qd.ortho_basis, lam0) <= 1e-12
+        assert membership_residual(qd.ortho_basis, lam1) <= 1e-12
+        assert len(qd.ortho_basis) == 2
 
     def test_z2_slice_at_point_mass_is_translation(self, z2):
         from qglab.tensorlin import slice_first
@@ -528,7 +524,7 @@ class TestDual:
             lam = np.zeros((6, 6))
             for h in range(6):
                 lam[table.product(g, h), h] = 1.0
-            assert membership_residual(qd.algebra_basis, lam) <= 1e-10
+            assert membership_residual(qd.ortho_basis, lam) <= 1e-10
 
     @pytest.mark.parametrize("name", ALL_GROUPS)
     @pytest.mark.parametrize("side", ["fn", "dual"])
@@ -619,16 +615,16 @@ class TestComultiplication:
 
 class TestMembershipResidual:
     def test_member(self, s3):
-        assert membership_residual(s3.algebra_basis, s3.algebra_basis[0]) <= 1e-12
+        assert membership_residual(s3.ortho_basis, s3.ortho_basis[0]) <= 1e-12
 
     def test_orthogonal_unit(self, z2):
         off = np.zeros((2, 2))
         off[0, 1] = 1.0
-        assert abs(membership_residual(z2.algebra_basis, off) - 1.0) <= 1e-12
+        assert abs(membership_residual(z2.ortho_basis, off) - 1.0) <= 1e-12
 
     def test_random_combination(self, s3, rng):
         x = random_algebra_element(s3, rng)
-        assert membership_residual(s3.algebra_basis, x) <= 1e-12
+        assert membership_residual(s3.ortho_basis, x) <= 1e-12
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError):
